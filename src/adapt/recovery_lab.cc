@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/audit_feed.h"
 #include "core/marshaller.h"
 #include "data/record_extractor.h"
 #include "data/tasks.h"
@@ -19,17 +21,6 @@
 
 namespace eventhit::adapt {
 namespace {
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvFold(uint64_t digest, uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    digest ^= (value >> (byte * 8)) & 0xffu;
-    digest *= kFnvPrime;
-  }
-  return digest;
-}
 
 // The trained, calibrated half of the rig — shared by the recal=on run and
 // its recal=off control so both stream the identical model.
@@ -148,40 +139,33 @@ RecoveryReport StreamOnce(const Rig& rig, const RecoveryLabConfig& config,
       &strategy, rig.extractor.collection_window, rig.extractor.horizon,
       rig.video.feature_dim(), /*num_events=*/1);
 
-  // The fast-burn thresholds that define both breach and restore
-  // (obs/audit.h): burn_factor x budget, capped at the midpoint to 1.
-  const double miss_budget = 1.0 - config.confidence;
-  const double miscover_budget = 1.0 - config.coverage;
-  const double miss_burn = std::min(audit_config.burn_factor * miss_budget,
-                                    (1.0 + miss_budget) / 2.0);
+  // The auditor's fast-burn thresholds define both breach and restore.
+  const double miss_burn =
+      auditor.FastBurnThreshold(obs::AuditGuarantee::kMiss);
   const double miscover_burn =
-      std::min(audit_config.burn_factor * miscover_budget,
-               (1.0 + miscover_budget) / 2.0);
+      auditor.FastBurnThreshold(obs::AuditGuarantee::kMiscoverage);
   RestoreWindow miss_window{static_cast<size_t>(config.restore_window), {}};
   RestoreWindow cover_window{static_cast<size_t>(config.restore_window),
                             {}};
 
   const core::EventScores* current_scores = nullptr;
+  std::vector<obs::AuditOutcome> outcomes;
+  // The lab's own relay-free loop: it streams a pre-generated drifting
+  // video with its own audit windows and per-phase accounting, so it
+  // feeds the shared audit path directly instead of a StreamPipeline.
   marshaller.set_decision_callback(
       [&](int64_t anchor, const core::MarshalDecision& decision,
-          bool reused) {
-        (void)reused;
+          bool /*reused*/) {
         const int64_t abs_anchor = report.stream_begin + anchor;
         const data::Record truth = data::BuildRecord(
             rig.video, rig.task, rig.extractor, abs_anchor);
-        const data::EventLabel& label = truth.labels[0];
-        const bool predicted = decision.exists[0];
+        outcomes.clear();
+        core::AppendAuditOutcomes(truth.labels, decision, abs_anchor,
+                                  /*decision_id=*/-1, &outcomes);
+        const obs::AuditOutcome& outcome = outcomes[0];
+        const bool present = outcome.truth_present;
+        const bool predicted = outcome.predicted_present;
         const sim::Interval& interval = decision.intervals[0];
-
-        obs::AuditOutcome outcome;
-        outcome.sim_time = abs_anchor;
-        outcome.event = 0;
-        outcome.truth_present = label.present;
-        outcome.predicted_present = predicted;
-        if (label.present && predicted) {
-          outcome.start_covered = interval.start <= label.start;
-          outcome.end_covered = interval.end >= label.end;
-        }
         auditor.Observe(outcome);
         if (report.breach_time < 0 && auditor.any_breach()) {
           report.breach_time = abs_anchor;
@@ -194,30 +178,27 @@ RecoveryReport StreamOnce(const Rig& rig, const RecoveryLabConfig& config,
         }
         ++phase->boundaries;
         if (predicted) phase->relayed_frames += interval.length();
-        if (label.present) {
+        if (present) {
           ++phase->positives;
           if (!predicted) ++phase->misses;
         }
-        if (label.present && predicted) {
+        if (present && predicted) {
           phase->endpoints += 2;
           phase->miscovered += (outcome.start_covered ? 0 : 1) +
                                (outcome.end_covered ? 0 : 1);
         }
 
-        report.decision_digest =
-            FnvFold(report.decision_digest, static_cast<uint64_t>(abs_anchor));
-        report.decision_digest =
-            FnvFold(report.decision_digest, predicted ? 1 : 0);
-        report.decision_digest = FnvFold(
-            report.decision_digest, static_cast<uint64_t>(interval.start));
-        report.decision_digest = FnvFold(
-            report.decision_digest, static_cast<uint64_t>(interval.end));
+        uint64_t& digest = report.decision_digest;
+        digest = FnvU64(digest, static_cast<uint64_t>(abs_anchor));
+        digest = FnvU64(digest, predicted ? 1 : 0);
+        digest = FnvU64(digest, static_cast<uint64_t>(interval.start));
+        digest = FnvU64(digest, static_cast<uint64_t>(interval.end));
 
         // Restore tracking: indicators accumulate only after a swap (and
         // restart at every subsequent swap).
         if (report.first_swap_time >= 0) {
-          if (label.present) miss_window.Add(!predicted);
-          if (label.present && predicted) {
+          if (present) miss_window.Add(!predicted);
+          if (present && predicted) {
             cover_window.Add(!outcome.start_covered);
             cover_window.Add(!outcome.end_covered);
           }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "core/audit_feed.h"
 #include "obs/schema.h"
 #include "obs/trace.h"
 #include "sim/datasets.h"
@@ -261,24 +262,9 @@ std::vector<obs::AuditOutcome> BuildAuditOutcomes(
   EVENTHIT_CHECK_EQ(records.size(), decisions.size());
   std::vector<obs::AuditOutcome> outcomes;
   for (size_t i = 0; i < records.size(); ++i) {
-    const data::Record& record = records[i];
-    const core::MarshalDecision& decision = decisions[i];
-    EVENTHIT_CHECK_EQ(decision.exists.size(), record.labels.size());
-    outcomes.reserve(outcomes.size() + record.labels.size());
-    for (size_t k = 0; k < record.labels.size(); ++k) {
-      const data::EventLabel& label = record.labels[k];
-      obs::AuditOutcome outcome;
-      outcome.sim_time = static_cast<int64_t>(i);
-      outcome.event = static_cast<int>(k);
-      outcome.truth_present = label.present;
-      outcome.predicted_present = decision.exists[k];
-      if (label.present && decision.exists[k]) {
-        const sim::Interval& interval = decision.intervals[k];
-        outcome.start_covered = interval.start <= label.start;
-        outcome.end_covered = interval.end >= label.end;
-      }
-      outcomes.push_back(outcome);
-    }
+    core::AppendAuditOutcomes(records[i].labels, decisions[i],
+                              static_cast<int64_t>(i), /*decision_id=*/-1,
+                              &outcomes);
   }
   return outcomes;
 }

@@ -1,27 +1,23 @@
 #include "fleet/stream_fleet.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
-#include "adapt/recal_loop.h"
 #include "common/check.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "data/record_extractor.h"
 #include "fleet/dynamic_batcher.h"
 #include "fleet/mpsc_queue.h"
 #include "fleet/shard_arena.h"
-#include "nn/backend.h"
-#include "obs/audit.h"
+#include "fleet/stream_pipeline.h"
 #include "obs/schema.h"
-#include "sched/collect_policy.h"
-#include "sched/cost_model.h"
 #include "sim/datasets.h"
-#include "sim/fault_injector.h"
 #include "sim/synthetic_video.h"
 
 namespace eventhit::fleet {
@@ -34,25 +30,20 @@ constexpr uint64_t kRelaySalt = 3;
 constexpr uint64_t kPhaseSalt = 5;
 constexpr uint64_t kMixSalt = 6;
 
-// FNV-1a 64-bit.
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
+// Digest-fold / comparison bits of one listed field.
+template <typename T>
+uint64_t FieldBits(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<uint64_t>(v);
+  } else {
+    return static_cast<uint64_t>(v);
   }
-  return h;
 }
 
-uint64_t FnvI64(uint64_t h, int64_t v) { return FnvBytes(h, &v, sizeof(v)); }
-
-uint64_t FnvF64(uint64_t h, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return FnvBytes(h, &bits, sizeof(bits));
+std::vector<uint64_t> ResultFieldBits(const FleetStreamResult& r) {
+  std::vector<uint64_t> bits;
+  ForEachResultField(r, [&bits](auto v) { bits.push_back(FieldBits(v)); });
+  return bits;
 }
 
 double Percentile(std::vector<double> values, double q) {
@@ -65,83 +56,27 @@ double Percentile(std::vector<double> values, double q) {
 
 }  // namespace
 
-// Per-stream shard: every component a tenant stream owns, plus the digest
-// accumulators. Lives in a ShardArena slot so adjacent streams never share
-// a cache line while parallel phases mutate them.
-struct StreamFleet::StreamState {
-  StreamSettings settings;
-  data::ExtractorConfig extractor;
+// A resident stream of a wave: its video, its pipeline and the request it
+// hands to the batcher. Lives in a ShardArena slot so adjacent streams
+// never share a cache line while parallel phases mutate them.
+struct StreamFleet::Shard {
   std::unique_ptr<sim::SyntheticVideo> video;
-  std::unique_ptr<cloud::CloudService> service;
-  std::unique_ptr<sim::FaultInjector> faults;
-  std::unique_ptr<cloud::CloudRelay> relay;
-  std::unique_ptr<core::Marshaller> marshaller;
-  std::unique_ptr<obs::GuarantyAuditor> auditor;
-  // Private decision strategy: same model/calibrators/options as the fleet
-  // template, but swappable per stream by the recalibration loop.
-  std::unique_ptr<core::EventHitStrategy> strategy;
-  std::unique_ptr<adapt::RecalLoop> recal;
-  // Decision provenance ledger (nullptr when FleetConfig::provenance is
-  // off). Single-writer: only the thread owning this shard touches it.
-  std::unique_ptr<obs::StreamProvenance> provenance;
-  // Scores of the boundary currently completing (ApplyCompletion scope);
-  // nullptr during policy-reused completions, which carry no fresh scores.
-  const core::EventScores* completing_scores = nullptr;
-
-  int64_t next_frame = 0;         // Local push cursor.
-  int64_t seq = 0;                // Requests issued.
-  int64_t billed_microusd = 0;    // Invoice already reported to the fleet.
-  // Most recent offending decision ids (completion order on the stream
-  // clock) — the exemplars folded into the exported audit counters.
-  int64_t last_miss_decision = -1;
-  int64_t last_miscover_decision = -1;
-  uint64_t decision_digest = kFnvOffset;
-  uint64_t delivery_digest = kFnvOffset;
-  bool transcripts_on = false;
-  StreamTranscript transcript;
-  data::Record pending_record;    // Scratch between push and enqueue.
-  bool has_request = false;
+  std::optional<StreamPipeline> pipeline;
+  int64_t seq = 0;  // Requests issued.
+  data::Record pending_record;  // Scratch between push and enqueue.
 };
 
+uint64_t StateDigest(const FleetStreamResult& result) {
+  uint64_t h = kFnvOffset;
+  ForEachResultField(result,
+                     [&h](auto v) { h = FnvU64(h, FieldBits(v)); });
+  return h;
+}
+
 bool SameStreamResult(const FleetStreamResult& a, const FleetStreamResult& b) {
-  auto bits = [](double v) {
-    uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof(u));
-    return u;
-  };
   return a.stream_index == b.stream_index &&
-         a.decision_digest == b.decision_digest &&
-         a.delivery_digest == b.delivery_digest &&
          a.state_digest == b.state_digest &&
-         std::memcmp(&a.marshaller, &b.marshaller, sizeof(a.marshaller)) ==
-             0 &&
-         std::memcmp(&a.relay, &b.relay, sizeof(a.relay)) == 0 &&
-         a.invoice.frames_processed == b.invoice.frames_processed &&
-         a.invoice.requests == b.invoice.requests &&
-         bits(a.invoice.total_cost_usd) == bits(b.invoice.total_cost_usd) &&
-         bits(a.invoice.compute_seconds) == bits(b.invoice.compute_seconds) &&
-         a.audit_positives == b.audit_positives &&
-         a.audit_misses == b.audit_misses &&
-         a.audit_endpoints == b.audit_endpoints &&
-         a.audit_miscovered == b.audit_miscovered &&
-         a.audit_breaches == b.audit_breaches &&
-         a.last_miss_decision == b.last_miss_decision &&
-         a.last_miscover_decision == b.last_miscover_decision &&
-         a.last_breach_decision == b.last_breach_decision &&
-         a.recal_triggers_breach == b.recal_triggers_breach &&
-         a.recal_triggers_drift == b.recal_triggers_drift &&
-         a.recal_refusals_cooldown == b.recal_refusals_cooldown &&
-         a.recal_refusals_min_samples == b.recal_refusals_min_samples &&
-         a.recal_swaps == b.recal_swaps &&
-         a.recal_last_swap_frame == b.recal_last_swap_frame &&
-         // The provenance digest folds only clock-pure stamps, so it must
-         // be bit-identical between a solo replay and any fleet run. The
-         // rollup is deliberately excluded: its batch-residency fields
-         // differ between solo and fleet by design.
-         a.provenance_digest == b.provenance_digest &&
-         a.provenance_boundaries == b.provenance_boundaries &&
-         a.provenance_recorded == b.provenance_recorded &&
-         a.provenance_overflowed == b.provenance_overflowed;
+         ResultFieldBits(a) == ResultFieldBits(b);
 }
 
 StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
@@ -168,14 +103,6 @@ StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
   const ExecutionContext train_ctx(threads_, config_.runner.seed);
   trained_ = std::make_unique<eval::TrainedEventHit>(
       eval::TrainEventHit(*env_, config_.runner, 0.5, train_ctx));
-  core::EventHitStrategyOptions options;
-  options.use_cclassify = true;
-  options.use_cregress = true;
-  options.confidence = config_.confidence;
-  options.coverage = config_.coverage;
-  strategy_ = std::make_unique<core::EventHitStrategy>(
-      trained_->model.get(), trained_->cclassify.get(),
-      trained_->cregress.get(), options);
 
   streams_completed_metric_ =
       metrics_->GetCounter(obs::names::kFleetStreamsCompleted);
@@ -238,335 +165,6 @@ StreamSettings StreamFleet::DeriveStreamSettings(int stream_index) const {
   return s;
 }
 
-void StreamFleet::InitStream(StreamState& state, int stream_index) {
-  state.settings = DeriveStreamSettings(stream_index);
-  const StreamSettings& s = state.settings;
-  state.extractor.collection_window = s.spec.collection_window;
-  state.extractor.horizon = s.spec.horizon;
-  state.transcripts_on = config_.record_transcripts;
-
-  if (config_.provenance) {
-    state.provenance = std::make_unique<obs::StreamProvenance>(
-        stream_index, s.spec.collection_window, s.spec.horizon,
-        config_.provenance_ring);
-  }
-  // Per-tenant Perfetto track on the simulated timeline: tenant spans
-  // (auditor breaches) carry tid = stream index, and the thread_name
-  // metadata record labels that track in the exported trace.
-  if (trace_ != nullptr) {
-    trace_->SetThreadName(obs::kSimulatedPid, stream_index,
-                          "tenant" + std::to_string(stream_index));
-  }
-
-  state.video = std::make_unique<sim::SyntheticVideo>(
-      sim::SyntheticVideo::Generate(s.spec, s.video_seed));
-  state.service = std::make_unique<cloud::CloudService>(
-      state.video.get(), cloud::CloudConfig{}, s.cloud_seed,
-      stream_metrics_.get());
-
-  if (config_.fault_profile != "none" && !config_.fault_profile.empty()) {
-    auto profile = sim::MakeFaultProfile(config_.fault_profile, s.fault_seed);
-    EVENTHIT_CHECK_OK(profile.status());
-    state.faults = std::make_unique<sim::FaultInjector>(profile.value());
-  }
-
-  cloud::RelayConfig relay_config;
-  relay_config.degraded_mode = config_.degraded_mode;
-  relay_config.replay_horizon_frames = s.spec.horizon;
-  state.relay = std::make_unique<cloud::CloudRelay>(
-      state.service.get(), relay_config, s.relay_seed, state.faults.get(),
-      stream_metrics_.get(), /*trace=*/nullptr, stream_log_.get());
-  state.relay->set_delivery_callback(
-      [&state](const cloud::RelayDelivery& delivery) {
-        uint64_t h = state.delivery_digest;
-        h = FnvI64(h, delivery.request_id);
-        h = FnvI64(h, static_cast<int64_t>(delivery.event));
-        h = FnvI64(h, delivery.frames.start);
-        h = FnvI64(h, delivery.frames.end);
-        h = FnvI64(h, delivery.replayed ? 1 : 0);
-        for (const bool hit : delivery.detections) {
-          h = FnvI64(h, hit ? 1 : 0);
-        }
-        state.delivery_digest = h;
-        if (state.transcripts_on) {
-          StreamTranscript::Delivery entry;
-          entry.request_id = delivery.request_id;
-          entry.event = delivery.event;
-          entry.frames = delivery.frames;
-          entry.replayed = delivery.replayed;
-          entry.detections.assign(delivery.detections.begin(),
-                                  delivery.detections.end());
-          state.transcript.deliveries.push_back(std::move(entry));
-        }
-      });
-
-  // Clone the template strategy so this stream owns its thresholds: the
-  // recalibration loop may hot-swap per-stream calibrators, and even with
-  // recal off every boundary must take the identical (private) code path.
-  core::EventHitStrategyOptions options;
-  options.use_cclassify = true;
-  options.use_cregress = true;
-  options.confidence = config_.confidence;
-  options.coverage = config_.coverage;
-  state.strategy = std::make_unique<core::EventHitStrategy>(
-      trained_->model.get(), trained_->cclassify.get(),
-      trained_->cregress.get(), options);
-
-  state.marshaller = std::make_unique<core::Marshaller>(
-      state.strategy.get(), s.spec.collection_window, s.spec.horizon,
-      s.spec.FeatureDim(), task_.event_indices.size(),
-      stream_metrics_.get());
-  state.marshaller->set_provenance(state.provenance.get());
-  // The order carries its own anchor: reused (policy-skipped) completions
-  // fire inside PushFrameDeferred during the parallel push phase, where no
-  // flush-side "current anchor" exists.
-  state.marshaller->set_relay_callback(
-      [&state](const core::RelayOrder& order) {
-        const cloud::RelayResult result =
-            state.relay->Submit(order.event, order.frames, order.anchor);
-        if (state.provenance != nullptr) {
-          state.provenance->StampRelay(
-              order.anchor, result.attempts,
-              static_cast<int8_t>(result.outcome),
-              static_cast<int8_t>(state.relay->breaker_state()));
-        }
-      });
-  // All post-completion stream accounting (relay clock, digests, audit,
-  // budget) rides the marshaller's completion callback so scored and
-  // reused boundaries take the identical path in stream order.
-  state.marshaller->set_decision_callback(
-      [this, &state](int64_t anchor, const core::MarshalDecision& decision,
-                     bool /*reused*/) { OnCompletion(state, anchor, decision); });
-  if (config_.runner.collect_policy.kind != sched::CollectPolicyKind::kFull) {
-    // The policy's schedule feeds on completed scores, so batching delay
-    // must stay under one horizon (Marshaller::set_collect_policy).
-    EVENTHIT_CHECK_LT(config_.max_batch_delay_ticks,
-                      static_cast<int64_t>(s.spec.horizon));
-    state.marshaller->set_collect_policy(
-        sched::MakeCollectPolicy(config_.runner.collect_policy));
-    sched::LocalCostModel cost;
-    cost.forward_mflops_per_boundary = sched::EstimateForwardMflops(
-        s.spec.collection_window, static_cast<int>(s.spec.FeatureDim()),
-        config_.runner.model_template.lstm_hidden,
-        config_.runner.model_template.shared_dim,
-        config_.runner.model_template.event_hidden,
-        static_cast<int>(task_.event_indices.size()), s.spec.horizon);
-    state.marshaller->set_cost_model(cost);
-  }
-
-  obs::AuditConfig audit_config;
-  audit_config.confidence = config_.confidence;
-  audit_config.coverage = config_.coverage;
-  audit_config.sim_tid = stream_index;
-  state.auditor = std::make_unique<obs::GuarantyAuditor>(
-      audit_config, stream_metrics_.get(), /*trace=*/nullptr,
-      stream_log_.get());
-
-  if (config_.recal) {
-    state.recal = std::make_unique<adapt::RecalLoop>(
-        trained_->model.get(), state.strategy.get(), state.auditor.get(),
-        config_.recal_config, stream_metrics_.get());
-  }
-}
-
-void StreamFleet::ApplyCompletion(StreamState& state, int64_t anchor,
-                                  const core::EventScores& scores) {
-  // The completion callback registered in InitStream performs all
-  // post-completion accounting; `anchor` only cross-checks FIFO order.
-  // Deciding here, against the stream's own strategy, keeps a recal swap
-  // on one stream invisible to every other stream in the same batch.
-  // The backend and conformal generation live at scoring time: a recal
-  // swap between this boundary's scoring and a later one must show the
-  // generation the decision actually used.
-  if (state.provenance != nullptr) {
-    state.provenance->StampInference(
-        anchor, nn::BackendKindName(trained_->model->inference_backend()),
-        state.strategy->calibrator_generation());
-  }
-  state.completing_scores = &scores;
-  state.marshaller->CompletePrediction(
-      state.strategy->DecideFromScores(scores));
-  state.completing_scores = nullptr;
-}
-
-void StreamFleet::OnCompletion(StreamState& state, int64_t anchor,
-                               const core::MarshalDecision& decision) {
-  // The relay clock runs on the completion's own anchor frame — batching
-  // delay must never shift simulated time (determinism contract).
-  state.relay->AdvanceTo(anchor);
-
-  uint64_t h = state.decision_digest;
-  h = FnvI64(h, anchor);
-  for (size_t k = 0; k < decision.exists.size(); ++k) {
-    h = FnvI64(h, decision.exists[k] ? 1 : 0);
-    h = FnvI64(h, decision.intervals[k].start);
-    h = FnvI64(h, decision.intervals[k].end);
-  }
-  state.decision_digest = h;
-  if (state.transcripts_on) {
-    StreamTranscript::Decision entry;
-    entry.anchor = anchor;
-    entry.exists.assign(decision.exists.begin(), decision.exists.end());
-    entry.intervals = decision.intervals;
-    state.transcript.decisions.push_back(std::move(entry));
-  }
-
-  // Audit against ground truth (every pushed anchor has its horizon inside
-  // the generated stream by construction: push_frames = frames - H).
-  const int64_t window = state.extractor.collection_window;
-  if (anchor >= window - 1 &&
-      anchor + state.extractor.horizon < state.video->num_frames()) {
-    const data::Record truth =
-        data::BuildRecord(*state.video, task_, state.extractor, anchor);
-    EVENTHIT_CHECK_EQ(decision.exists.size(), truth.labels.size());
-    const int64_t decision_id =
-        state.provenance != nullptr
-            ? state.provenance->DecisionIdOfAnchor(anchor)
-            : -1;
-    for (size_t k = 0; k < truth.labels.size(); ++k) {
-      const data::EventLabel& label = truth.labels[k];
-      obs::AuditOutcome outcome;
-      outcome.sim_time = anchor;
-      outcome.event = static_cast<int>(k);
-      outcome.truth_present = label.present;
-      outcome.predicted_present = decision.exists[k];
-      outcome.decision_id = decision_id;
-      if (label.present && decision.exists[k]) {
-        const sim::Interval& interval = decision.intervals[k];
-        outcome.start_covered = interval.start <= label.start;
-        outcome.end_covered = interval.end >= label.end;
-      }
-      state.auditor->Observe(outcome);
-      if (state.provenance != nullptr) {
-        const bool missed = label.present && !decision.exists[k];
-        const int miscovered =
-            label.present && decision.exists[k]
-                ? (outcome.start_covered ? 0 : 1) +
-                      (outcome.end_covered ? 0 : 1)
-                : 0;
-        state.provenance->StampVerdict(anchor, label.present, missed,
-                                       miscovered);
-        if (missed) state.last_miss_decision = decision_id;
-        if (miscovered > 0) state.last_miscover_decision = decision_id;
-      }
-    }
-    // Feed the recalibration loop after the auditor so a breach latched by
-    // this very boundary can trigger on it. Policy-reused completions carry
-    // no fresh scores and are skipped — identical in fleet and solo runs.
-    if (state.recal != nullptr && state.completing_scores != nullptr) {
-      state.recal->Observe(anchor, truth, *state.completing_scores);
-    }
-  }
-
-  // Report the invoice delta to the shared budget accountant in integer
-  // micro-USD: integer adds commute, so the aggregate at a tick boundary
-  // is independent of completion interleaving.
-  const int64_t total_microusd = static_cast<int64_t>(
-      std::llround(state.service->invoice().total_cost_usd * 1e6));
-  budget_spend_microusd_.fetch_add(total_microusd - state.billed_microusd,
-                                   std::memory_order_relaxed);
-  state.billed_microusd = total_microusd;
-}
-
-FleetStreamResult StreamFleet::FinishStream(StreamState& state) {
-  EVENTHIT_CHECK_EQ(state.marshaller->pending_predictions(), 0u);
-  state.relay->Flush(state.settings.push_frames);
-  state.auditor->Finalize(state.settings.push_frames);
-
-  // Deliveries can still arrive from the final replay pass inside Flush —
-  // the digest callback has already folded them in.
-  FleetStreamResult result;
-  result.stream_index = state.settings.stream_index;
-  result.decision_digest = state.decision_digest;
-  result.delivery_digest = state.delivery_digest;
-  result.marshaller = state.marshaller->stats();
-  result.relay = state.relay->stats();
-  result.invoice = state.service->invoice();
-  const size_t num_events = task_.event_indices.size();
-  for (size_t k = 0; k < num_events; ++k) {
-    result.audit_positives += state.auditor->positives(static_cast<int>(k));
-    result.audit_misses += state.auditor->misses(static_cast<int>(k));
-    result.audit_endpoints += state.auditor->endpoints(static_cast<int>(k));
-    result.audit_miscovered +=
-        state.auditor->miscovered(static_cast<int>(k));
-  }
-  result.audit_breaches = state.auditor->breach_count();
-  result.last_miss_decision = state.last_miss_decision;
-  result.last_miscover_decision = state.last_miscover_decision;
-  result.last_breach_decision = state.auditor->last_breach_decision_id();
-  if (state.recal != nullptr) {
-    const adapt::RecalStats& rs = state.recal->stats();
-    result.recal_triggers_breach = rs.triggers_breach;
-    result.recal_triggers_drift = rs.triggers_drift;
-    result.recal_refusals_cooldown = rs.refusals_cooldown;
-    result.recal_refusals_min_samples = rs.refusals_min_samples;
-    result.recal_swaps = rs.swaps;
-    result.recal_last_swap_frame = rs.last_swap_time;
-  }
-  if (state.provenance != nullptr) {
-    result.provenance_digest = state.provenance->Digest();
-    result.provenance_boundaries = state.provenance->boundaries();
-    result.provenance_recorded = state.provenance->recorded();
-    result.provenance_overflowed = state.provenance->overflowed();
-    result.provenance_rollup = state.provenance->rollup();
-    if (config_.collect_provenance_records) {
-      result.provenance_records = state.provenance->ExportResident();
-    }
-  }
-
-  uint64_t h = result.decision_digest;
-  h = FnvI64(h, static_cast<int64_t>(result.delivery_digest));
-  h = FnvI64(h, result.marshaller.frames_seen);
-  h = FnvI64(h, result.marshaller.horizons_predicted);
-  h = FnvI64(h, result.marshaller.frames_relayed);
-  h = FnvI64(h, result.marshaller.relay_orders);
-  h = FnvI64(h, result.marshaller.horizons_reused);
-  h = FnvI64(h, result.marshaller.frames_scored);
-  h = FnvI64(h, result.marshaller.frames_skipped);
-  h = FnvI64(h, result.marshaller.local_mflops);
-  h = FnvI64(h, result.marshaller.saved_mflops);
-  h = FnvI64(h, result.relay.orders_submitted);
-  h = FnvI64(h, result.relay.orders_delivered);
-  h = FnvI64(h, result.relay.orders_replayed);
-  h = FnvI64(h, result.relay.orders_dropped);
-  h = FnvI64(h, result.relay.frames_submitted);
-  h = FnvI64(h, result.relay.frames_delivered);
-  h = FnvI64(h, result.relay.frames_dropped);
-  h = FnvI64(h, result.relay.frames_pending);
-  h = FnvI64(h, result.relay.frames_in_flight);
-  h = FnvI64(h, result.relay.attempts);
-  h = FnvI64(h, result.relay.retries);
-  h = FnvI64(h, result.invoice.frames_processed);
-  h = FnvI64(h, result.invoice.requests);
-  h = FnvF64(h, result.invoice.total_cost_usd);
-  h = FnvF64(h, result.invoice.compute_seconds);
-  h = FnvI64(h, result.audit_positives);
-  h = FnvI64(h, result.audit_misses);
-  h = FnvI64(h, result.audit_endpoints);
-  h = FnvI64(h, result.audit_miscovered);
-  h = FnvI64(h, result.audit_breaches);
-  h = FnvI64(h, result.last_miss_decision);
-  h = FnvI64(h, result.last_miscover_decision);
-  h = FnvI64(h, result.last_breach_decision);
-  h = FnvI64(h, result.recal_triggers_breach);
-  h = FnvI64(h, result.recal_triggers_drift);
-  h = FnvI64(h, result.recal_refusals_cooldown);
-  h = FnvI64(h, result.recal_refusals_min_samples);
-  h = FnvI64(h, result.recal_swaps);
-  h = FnvI64(h, result.recal_last_swap_frame);
-  // The provenance digest is itself clock-pure, so folding it here makes
-  // state_digest equality cover the full causal chain too.
-  h = FnvI64(h, static_cast<int64_t>(result.provenance_digest));
-  h = FnvI64(h, result.provenance_boundaries);
-  h = FnvI64(h, result.provenance_overflowed);
-  result.state_digest = h;
-
-  if (state.transcripts_on) {
-    result.transcript = std::move(state.transcript);
-  }
-  return result;
-}
-
 FleetRunResult StreamFleet::Run() {
   const auto run_start = std::chrono::steady_clock::now();
   const ExecutionContext ctx(threads_, config_.base_seed);
@@ -582,25 +180,40 @@ FleetRunResult StreamFleet::Run() {
   std::vector<double> tick_us;
   std::vector<double> frame_us;
   int64_t batch_fill_sum = 0;
+  PipelineSinks sinks;
+  sinks.metrics = stream_metrics_.get();
+  sinks.log = stream_log_.get();
+  sinks.spend_microusd = &budget_spend_microusd_;
 
   for (int wave_start = 0; wave_start < config_.num_streams;
        wave_start += config_.wave_size) {
     const int wave_n =
         std::min(config_.wave_size, config_.num_streams - wave_start);
-    ShardArena<StreamState> arena(static_cast<size_t>(wave_n));
+    ShardArena<Shard> arena(static_cast<size_t>(wave_n));
     ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
-      InitStream(arena[i], wave_start + static_cast<int>(i));
+      const int stream = wave_start + static_cast<int>(i);
+      StreamSettings settings = DeriveStreamSettings(stream);
+      // Per-tenant Perfetto track on the simulated timeline.
+      if (trace_ != nullptr) {
+        trace_->SetThreadName(obs::kSimulatedPid, stream,
+                              "tenant" + std::to_string(stream));
+      }
+      Shard& shard = arena[i];
+      shard.video = std::make_unique<sim::SyntheticVideo>(
+          sim::SyntheticVideo::Generate(settings.spec, settings.video_seed));
+      shard.pipeline.emplace(config_, std::move(settings), task_, *trained_,
+                             *shard.video, /*first_frame=*/0, sinks);
     });
 
     // Tick bounds and per-tick active-stream counts (difference array).
     int64_t max_ticks = 0;
-    for (int i = 0; i < wave_n; ++i) {
-      const StreamSettings& s = arena[static_cast<size_t>(i)].settings;
+    for (size_t i = 0; i < arena.size(); ++i) {
+      const StreamSettings& s = arena[i].pipeline->settings();
       max_ticks = std::max(max_ticks, s.phase + s.push_frames);
     }
     std::vector<int64_t> active_delta(static_cast<size_t>(max_ticks) + 1, 0);
-    for (int i = 0; i < wave_n; ++i) {
-      const StreamSettings& s = arena[static_cast<size_t>(i)].settings;
+    for (size_t i = 0; i < arena.size(); ++i) {
+      const StreamSettings& s = arena[i].pipeline->settings();
       active_delta[static_cast<size_t>(s.phase)] += 1;
       active_delta[static_cast<size_t>(s.phase + s.push_frames)] -= 1;
     }
@@ -620,25 +233,18 @@ FleetRunResult StreamFleet::Run() {
       // Push phase: every resident stream advances one local frame; the
       // prediction boundaries fan into the MPSC queue.
       ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
-        StreamState& state = arena[i];
-        const int64_t frame = tick - state.settings.phase;
-        if (frame < 0 || frame >= state.settings.push_frames) return;
-        EVENTHIT_CHECK_EQ(frame, state.next_frame);
-        // Skip feature extraction on frames the policy schedule proves no
-        // scored window will read (always needed without a policy).
-        const float* features = state.marshaller->NextFrameNeedsFeatures()
-                                    ? state.video->FrameFeatures(frame)
-                                    : nullptr;
-        state.has_request = state.marshaller->PushFrameDeferred(
-            features, &state.pending_record);
-        ++state.next_frame;
-        if (state.has_request) {
+        Shard& shard = arena[i];
+        StreamPipeline& pipeline = *shard.pipeline;
+        const int64_t frame = tick - pipeline.settings().phase;
+        if (frame < 0 || frame >= pipeline.settings().push_frames) return;
+        EVENTHIT_CHECK_EQ(frame, pipeline.next_frame());
+        if (pipeline.PushFrame(&shard.pending_record)) {
           InferenceRequest request;
           request.shard_slot = static_cast<int>(i);
-          request.seq = state.seq++;
-          request.anchor_frame = state.pending_record.frame;
+          request.seq = shard.seq++;
+          request.anchor_frame = shard.pending_record.frame;
           request.enqueue_tick = tick;
-          request.record = std::move(state.pending_record);
+          request.record = std::move(shard.pending_record);
           EVENTHIT_CHECK(queue.TryPush(std::move(request)));
         }
       });
@@ -660,30 +266,36 @@ FleetRunResult StreamFleet::Run() {
       for (BatchFlush& flush : batcher.TakeReady(tick, final_tick)) {
         obs::TraceSpan span(trace_, obs::names::kSpanFleetBatch, "fleet");
         const size_t n = flush.requests.size();
-        int8_t flush_code = obs::kProvFlushNone;
-        switch (flush.reason) {
-          case FlushReason::kFull: flush_code = obs::kProvFlushFull; break;
-          case FlushReason::kDeadline:
-            flush_code = obs::kProvFlushDeadline;
-            break;
-          case FlushReason::kFinal: flush_code = obs::kProvFlushFinal; break;
-        }
         // Batch ordinal within this run — stamped onto every member's
         // provenance record (never the digest: batch placement is a fleet
         // scheduling artifact, not part of the clock-pure chain).
-        const int64_t batch_id = stats.batches;
+        BatchPlacement placement;
+        placement.batch_id = stats.batches++;
+        batches_metric_->Add(1);
+        batch_fill_metric_->Observe(static_cast<double>(n));
+        batch_fill_sum += static_cast<int64_t>(n);
+        switch (flush.reason) {
+          case FlushReason::kFull:
+            placement.flush_reason = obs::kProvFlushFull;
+            flush_full_metric_->Add(1);
+            ++stats.flush_full;
+            break;
+          case FlushReason::kDeadline:
+            placement.flush_reason = obs::kProvFlushDeadline;
+            flush_deadline_metric_->Add(1);
+            ++stats.flush_deadline;
+            break;
+          case FlushReason::kFinal:
+            placement.flush_reason = obs::kProvFlushFinal;
+            flush_final_metric_->Add(1);
+            ++stats.flush_final;
+            break;
+        }
         std::vector<data::Record> records;
         records.reserve(n);
         for (auto& request : flush.requests) {
           request_delay_metric_->Observe(
               static_cast<double>(tick - request.enqueue_tick));
-          StreamState& owner =
-              arena[static_cast<size_t>(request.shard_slot)];
-          if (owner.provenance != nullptr) {
-            owner.provenance->StampBatch(request.anchor_frame, batch_id,
-                                         flush_code,
-                                         tick - request.enqueue_tick);
-          }
           records.push_back(std::move(request.record));
         }
         std::vector<core::EventScores> scores(n);
@@ -691,9 +303,7 @@ FleetRunResult StreamFleet::Run() {
                                         ws_);
         // Group completions by shard (order within a shard is preserved),
         // then apply shard groups concurrently: different groups touch
-        // disjoint stream state (each stream decides with its own
-        // strategy inside ApplyCompletion, so no shared-strategy serial
-        // pass is needed).
+        // disjoint pipelines, and each decides with its own strategy.
         std::vector<std::pair<size_t, size_t>> groups;  // [begin, end)
         for (size_t j = 0; j < n;) {
           size_t end = j + 1;
@@ -706,31 +316,13 @@ FleetRunResult StreamFleet::Run() {
         }
         ctx.ParallelFor(groups.size(), [&](size_t g) {
           for (size_t j = groups[g].first; j < groups[g].second; ++j) {
-            StreamState& state = arena[static_cast<size_t>(
-                flush.requests[j].shard_slot)];
-            ApplyCompletion(state, flush.requests[j].anchor_frame,
-                            scores[j]);
+            const InferenceRequest& request = flush.requests[j];
+            BatchPlacement member = placement;
+            member.residency_ticks = tick - request.enqueue_tick;
+            arena[static_cast<size_t>(request.shard_slot)]
+                .pipeline->Complete(request.anchor_frame, scores[j], member);
           }
         });
-
-        batches_metric_->Add(1);
-        batch_fill_metric_->Observe(static_cast<double>(n));
-        batch_fill_sum += static_cast<int64_t>(n);
-        ++stats.batches;
-        switch (flush.reason) {
-          case FlushReason::kFull:
-            flush_full_metric_->Add(1);
-            ++stats.flush_full;
-            break;
-          case FlushReason::kDeadline:
-            flush_deadline_metric_->Add(1);
-            ++stats.flush_deadline;
-            break;
-          case FlushReason::kFinal:
-            flush_final_metric_->Add(1);
-            ++stats.flush_final;
-            break;
-        }
       }
 
       // Serial tick boundary: frame accounting and the budget accountant.
@@ -761,7 +353,7 @@ FleetRunResult StreamFleet::Run() {
     EVENTHIT_CHECK_EQ(batcher.pending(), 0u);
     ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
       run.streams[static_cast<size_t>(wave_start) + i] =
-          FinishStream(arena[i]);
+          arena[i].pipeline->Finish();
     });
     streams_completed_metric_->Add(wave_n);
     streams_active_metric_->Set(0.0);
@@ -781,30 +373,13 @@ FleetRunResult StreamFleet::Run() {
   for (const FleetStreamResult& result : run.streams) {
     stats.total_cost_usd += result.invoice.total_cost_usd;
     if (result.audit_breaches > 0) ++stats.streams_with_breaches;
-    if (result.audit_misses > 0) {
-      if (result.last_miss_decision >= 0) {
-        fleet_audit_misses->Add(result.audit_misses,
-                                result.last_miss_decision);
-      } else {
-        fleet_audit_misses->Add(result.audit_misses);
-      }
-    }
-    if (result.audit_miscovered > 0) {
-      if (result.last_miscover_decision >= 0) {
-        fleet_audit_miscovered->Add(result.audit_miscovered,
-                                    result.last_miscover_decision);
-      } else {
-        fleet_audit_miscovered->Add(result.audit_miscovered);
-      }
-    }
-    if (result.audit_breaches > 0) {
-      if (result.last_breach_decision >= 0) {
-        fleet_audit_breaches->Add(result.audit_breaches,
-                                  result.last_breach_decision);
-      } else {
-        fleet_audit_breaches->Add(result.audit_breaches);
-      }
-    }
+    // A stream's last offending id is -1 exactly when it has no offence
+    // (or no ledger), so the exemplar is only recorded where one exists.
+    fleet_audit_misses->Add(result.audit_misses, result.last_miss_decision);
+    fleet_audit_miscovered->Add(result.audit_miscovered,
+                                result.last_miscover_decision);
+    fleet_audit_breaches->Add(result.audit_breaches,
+                              result.last_breach_decision);
   }
   stats.budget_spend_microusd =
       budget_spend_microusd_.load(std::memory_order_relaxed);
@@ -830,32 +405,15 @@ FleetRunResult StreamFleet::Run() {
 }
 
 FleetStreamResult StreamFleet::RunStreamSolo(int stream_index) {
-  StreamState state;
-  InitStream(state, stream_index);
-  nn::Workspace ws;
-  data::Record record;
-  int64_t solo_batches = 0;
-  for (int64_t frame = 0; frame < state.settings.push_frames; ++frame) {
-    const float* features = state.marshaller->NextFrameNeedsFeatures()
-                                ? state.video->FrameFeatures(frame)
-                                : nullptr;
-    if (!state.marshaller->PushFrameDeferred(features, &record)) {
-      continue;
-    }
-    // Solo scoring happens inline, so the batch stamp records zero
-    // residency and the solo flush reason (batch fields never enter the
-    // digest, so the solo == fleet digest contract is untouched).
-    if (state.provenance != nullptr) {
-      state.provenance->StampBatch(record.frame, solo_batches++,
-                                   obs::kProvFlushSolo, 0);
-    }
-    // Same scoring path as the fleet (PredictBatched at batch size 1 is
-    // bit-identical to any other composition by the PR 3 contract).
-    core::EventScores scores;
-    trained_->model->PredictBatched(&record, 1, &scores, ws);
-    ApplyCompletion(state, record.frame, scores);
-  }
-  return FinishStream(state);
+  const StreamSettings settings = DeriveStreamSettings(stream_index);
+  const sim::SyntheticVideo video =
+      sim::SyntheticVideo::Generate(settings.spec, settings.video_seed);
+  PipelineSinks sinks;
+  sinks.metrics = stream_metrics_.get();
+  sinks.log = stream_log_.get();
+  StreamPipeline pipeline(config_, settings, task_, *trained_, video,
+                          /*first_frame=*/0, sinks);
+  return RunInline(pipeline, *trained_->model);
 }
 
 namespace {

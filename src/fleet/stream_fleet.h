@@ -3,7 +3,8 @@
 // inference runs in cross-stream dynamic batches (fleet/dynamic_batcher.h)
 // while every per-stream component — synthetic video, marshaller, cloud
 // service, resilient relay, guarantee auditor — stays private to its
-// stream and seeded from SplitSeed(base_seed, stream).
+// stream's StreamPipeline (fleet/stream_pipeline.h) and seeded from
+// SplitSeed(base_seed, stream).
 //
 // Determinism contract (DESIGN.md §5g): a stream's marshalled intervals,
 // relay accounting, invoice and audit state depend only on (base_seed,
@@ -32,7 +33,6 @@
 #include "cloud/cloud_service.h"
 #include "cloud/relay.h"
 #include "core/marshaller.h"
-#include "core/strategies.h"
 #include "data/tasks.h"
 #include "eval/runner.h"
 #include "nn/workspace.h"
@@ -200,8 +200,58 @@ struct FleetStreamResult {
   StreamTranscript transcript;
 };
 
-/// True when every field (doubles compared by bit pattern) matches — the
-/// bit-exactness predicate of the fleet tests.
+/// The one declared list of a result's compared fields, in fold order:
+/// SameStreamResult compares them and StateDigest folds them. The
+/// provenance rollup is left out: its batch residency differs between solo
+/// and fleet by design.
+template <typename Result, typename Fn>
+void ForEachResultField(Result& r, Fn&& fn) {
+  fn(r.decision_digest);
+  fn(r.delivery_digest);
+  auto& m = r.marshaller;
+  static_assert(sizeof(m) == 9 * sizeof(int64_t), "list every field");
+  for (auto* f : {&m.frames_seen, &m.horizons_predicted, &m.frames_relayed,
+                  &m.relay_orders, &m.horizons_reused, &m.frames_scored,
+                  &m.frames_skipped, &m.local_mflops, &m.saved_mflops}) {
+    fn(*f);
+  }
+  auto& y = r.relay;
+  static_assert(sizeof(y) == 14 * sizeof(int64_t), "list every field");
+  for (auto* f : {&y.orders_submitted, &y.orders_delivered,
+                  &y.orders_replayed, &y.orders_dropped, &y.frames_submitted,
+                  &y.frames_delivered, &y.frames_dropped, &y.frames_pending,
+                  &y.frames_in_flight, &y.attempts, &y.retries,
+                  &y.failed_attempts, &y.injected_errors,
+                  &y.injected_latency_spikes}) {
+    fn(*f);
+  }
+  static_assert(sizeof(r.invoice) == 4 * sizeof(int64_t), "list every field");
+  fn(r.invoice.frames_processed);
+  fn(r.invoice.requests);
+  fn(r.invoice.total_cost_usd);
+  fn(r.invoice.compute_seconds);
+  for (auto* f : {&r.audit_positives, &r.audit_misses, &r.audit_endpoints,
+                  &r.audit_miscovered, &r.audit_breaches,
+                  &r.last_miss_decision, &r.last_miscover_decision,
+                  &r.last_breach_decision, &r.recal_triggers_breach,
+                  &r.recal_triggers_drift, &r.recal_refusals_cooldown,
+                  &r.recal_refusals_min_samples, &r.recal_swaps,
+                  &r.recal_last_swap_frame}) {
+    fn(*f);
+  }
+  fn(r.provenance_digest);
+  for (auto* f : {&r.provenance_boundaries, &r.provenance_recorded,
+                  &r.provenance_overflowed}) {
+    fn(*f);
+  }
+}
+
+/// FNV-1a fold of every ForEachResultField field (doubles by bit pattern):
+/// the value of FleetStreamResult::state_digest.
+uint64_t StateDigest(const FleetStreamResult& result);
+
+/// True when stream_index, state_digest and every listed field (doubles by
+/// bit pattern) match — the bit-exactness predicate of the fleet tests.
 bool SameStreamResult(const FleetStreamResult& a, const FleetStreamResult& b);
 
 struct FleetRunStats {
@@ -310,28 +360,11 @@ class StreamFleet {
 
   const data::Task& task() const { return task_; }
   const FleetConfig& config() const { return config_; }
-  /// The fleet-level template strategy. Each stream decides with a private
-  /// clone of it (recalibration may retune a stream's thresholds without
-  /// touching its neighbours); this instance never decides a boundary.
-  const core::EventHitStrategy& strategy() const { return *strategy_; }
   /// The fleet-private registry per-stream components report into.
   obs::MetricsRegistry& stream_metrics() { return *stream_metrics_; }
 
  private:
-  struct StreamState;  // Private per-stream shard (stream_fleet.cc).
-
-  void InitStream(StreamState& state, int stream_index);
-  /// Completes one deferred boundary: decides from `scores` with the
-  /// stream's own strategy (so a recalibration swap on one stream never
-  /// leaks into another) and replays the inline completion path.
-  void ApplyCompletion(StreamState& state, int64_t anchor,
-                       const core::EventScores& scores);
-  /// Post-completion stream accounting (relay clock, digests, transcript,
-  /// audit, budget). Registered as the marshaller's decision callback so it
-  /// runs for scored and policy-reused completions alike, in stream order.
-  void OnCompletion(StreamState& state, int64_t anchor,
-                    const core::MarshalDecision& decision);
-  FleetStreamResult FinishStream(StreamState& state);
+  struct Shard;  // One resident stream of a wave (stream_fleet.cc).
 
   data::Task task_;
   FleetConfig config_;
@@ -343,7 +376,6 @@ class StreamFleet {
 
   std::unique_ptr<eval::TaskEnvironment> env_;
   std::unique_ptr<eval::TrainedEventHit> trained_;
-  std::unique_ptr<core::EventHitStrategy> strategy_;
   nn::Workspace ws_;  // Main-thread scoring scratch.
 
   std::atomic<int64_t> budget_spend_microusd_{0};

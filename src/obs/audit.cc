@@ -120,29 +120,17 @@ void GuarantyAuditor::ObserveTrack(EventState& state, Track* track,
   }
   const double fast_rate =
       static_cast<double>(fast_fails) / static_cast<double>(fast_n);
-  const double budget = guarantee == AuditGuarantee::kMiss
-                            ? miss_budget_
-                            : miscoverage_budget_;
-  // burn_factor x budget saturates above 1 for loose budgets (e.g. a 0.5
-  // miscoverage budget), which would make the fast gate untrippable; cap
-  // the threshold at the midpoint between the budget and certain failure.
-  const double fast_threshold =
-      std::min(config_.burn_factor * budget, 0.5 * (1.0 + budget));
-  if (fast_rate > fast_threshold && wilson > budget) {
+  const double budget = Budget(guarantee);
+  if (fast_rate > FastBurnThreshold(guarantee) && wilson > budget) {
     track->breached = true;
     track->breach_time = sim_time;
     track->breach_active->Set(1.0);
     // The breach counters carry the offending boundary's decision id as
     // an exemplar: an alert on audit.breaches links straight to
     // `eventhit_cli explain --decision=<id>`.
-    if (decision_id >= 0) {
-      last_breach_decision_ = decision_id;
-      track->breach_counter->Add(1, decision_id);
-      total_breaches_->Add(1, decision_id);
-    } else {
-      track->breach_counter->Add(1);
-      total_breaches_->Add(1);
-    }
+    if (decision_id >= 0) last_breach_decision_ = decision_id;
+    track->breach_counter->Add(1, decision_id);
+    total_breaches_->Add(1, decision_id);
     ++breaches_;
     log_->Log(LogLevel::kError, "audit", "breach", sim_time,
               {LogStr("event_type", state.label),
@@ -152,6 +140,13 @@ void GuarantyAuditor::ObserveTrack(EventState& state, Track* track,
                LogInt("samples", track->n),
                LogInt("decision_id", decision_id)});
   }
+}
+
+double GuarantyAuditor::FastBurnThreshold(AuditGuarantee guarantee) const {
+  const double budget = Budget(guarantee);
+  // burn_factor x budget saturates above 1 for loose budgets, which would
+  // make the fast gate untrippable; cap it halfway to certain failure.
+  return std::min(config_.burn_factor * budget, 0.5 * (1.0 + budget));
 }
 
 void GuarantyAuditor::Observe(const AuditOutcome& outcome) {
@@ -165,13 +160,8 @@ void GuarantyAuditor::Observe(const AuditOutcome& outcome) {
     state.positives->Add(1);
     const bool missed = !outcome.predicted_present;
     if (missed) {
-      if (outcome.decision_id >= 0) {
-        total_misses_->Add(1, outcome.decision_id);
-        state.misses->Add(1, outcome.decision_id);
-      } else {
-        total_misses_->Add(1);
-        state.misses->Add(1);
-      }
+      total_misses_->Add(1, outcome.decision_id);
+      state.misses->Add(1, outcome.decision_id);
     }
     ObserveTrack(state, &state.miss, AuditGuarantee::kMiss, missed,
                  outcome.sim_time, outcome.decision_id);
@@ -184,13 +174,8 @@ void GuarantyAuditor::Observe(const AuditOutcome& outcome) {
       total_endpoints_->Add(1);
       state.endpoints->Add(1);
       if (!covered) {
-        if (outcome.decision_id >= 0) {
-          total_miscovered_->Add(1, outcome.decision_id);
-          state.miscovered->Add(1, outcome.decision_id);
-        } else {
-          total_miscovered_->Add(1);
-          state.miscovered->Add(1);
-        }
+        total_miscovered_->Add(1, outcome.decision_id);
+        state.miscovered->Add(1, outcome.decision_id);
       }
       ObserveTrack(state, &state.coverage, AuditGuarantee::kMiscoverage,
                    !covered, outcome.sim_time, outcome.decision_id);

@@ -132,6 +132,9 @@ class GuarantyAuditor {
   int64_t breach_count() const { return breaches_; }
   /// Sim time the breach latched; -1 when not breached.
   int64_t breach_time(int event, AuditGuarantee guarantee) const;
+  /// Fast-window failure rate above which a track may latch a breach (and
+  /// at or under which the drift lab counts it restored).
+  double FastBurnThreshold(AuditGuarantee guarantee) const;
   /// Decision id of the most recently latched breach (-1 when none
   /// breached or the outcomes carried no provenance ids) — the exemplar
   /// the fleet folds into the exported audit.breaches counter.
@@ -168,6 +171,10 @@ class GuarantyAuditor {
   };
 
   EventState& State(int event);
+  double Budget(AuditGuarantee guarantee) const {
+    return guarantee == AuditGuarantee::kMiss ? miss_budget_
+                                              : miscoverage_budget_;
+  }
   void ObserveTrack(EventState& state, Track* track,
                     AuditGuarantee guarantee, bool fail, int64_t sim_time,
                     int64_t decision_id);

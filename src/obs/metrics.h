@@ -91,10 +91,10 @@ class Counter {
   /// offending boundary (docs/TELEMETRY.md, "Provenance & exemplars").
   /// Last writer wins; surfaced by Snapshot() and the OpenMetrics
   /// exposition so a metric anomaly links straight to its provenance
-  /// record.
+  /// record. A negative id (none known) adds without recording one.
   void Add(int64_t delta, int64_t exemplar) {
     Add(delta);
-    exemplar_.store(exemplar, std::memory_order_relaxed);
+    if (exemplar >= 0) exemplar_.store(exemplar, std::memory_order_relaxed);
   }
 
   /// Folds all shards. Linearizes against concurrent Add only per shard —

@@ -1,17 +1,16 @@
 #include "obs/provenance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
+#include "common/fnv.h"
 #include "obs/json_util.h"
 
 namespace eventhit::obs {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 // Fold tags disambiguate stamp kinds inside the running digest.
 constexpr int64_t kTagDecision = 0x44454349;   // "DECI"
@@ -131,20 +130,13 @@ ProvenanceRecord* StreamProvenance::Resident(int64_t anchor) {
 }
 
 void StreamProvenance::FoldI64(int64_t v) {
-  uint64_t bits = static_cast<uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    digest_ ^= (bits >> (8 * i)) & 0xff;
-    digest_ *= kFnvPrime;
-  }
+  digest_ = FnvU64(digest_, static_cast<uint64_t>(v));
 }
 
 void StreamProvenance::FoldBytes(std::string_view bytes) {
-  for (const char c : bytes) {
-    digest_ ^= static_cast<unsigned char>(c);
-    digest_ *= kFnvPrime;
-  }
-  digest_ ^= 0xff;  // Length delimiter.
-  digest_ *= kFnvPrime;
+  static constexpr unsigned char kDelimiter = 0xff;  // Length delimiter.
+  digest_ = FnvBytes(digest_, bytes.data(), bytes.size());
+  digest_ = FnvBytes(digest_, &kDelimiter, 1);
 }
 
 void StreamProvenance::OpenBoundary(int64_t anchor, bool reused,
@@ -257,10 +249,7 @@ void StreamProvenance::StampDecision(int64_t anchor, bool reused,
   FoldI64(events_present);
   FoldI64(relay_orders);
   FoldI64(frames_billed);
-  int64_t existence_bits = 0;
-  static_assert(sizeof(existence_bits) == sizeof(max_existence));
-  std::memcpy(&existence_bits, &max_existence, sizeof(existence_bits));
-  FoldI64(existence_bits);
+  FoldI64(std::bit_cast<int64_t>(max_existence));
 }
 
 void StreamProvenance::StampVerdict(int64_t anchor, bool truth_present,

@@ -1,6 +1,7 @@
 #include "sim/datasets.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -57,13 +58,29 @@ TEST(DatasetsTest, GlobalEventResolution) {
 
 // Table I reproduction property: generated streams match the published
 // occurrence counts and duration statistics within sampling tolerance.
+//
+// gtest names each case after the raw bytes of its parameter, so the row has
+// no implicit padding: `pad` fills the gap after `dataset` with zeros, where
+// uninitialised stack bytes would otherwise change the names on every run.
 struct TableOneRow {
+  TableOneRow(DatasetId dataset, size_t local_index, double occurrences,
+              double duration_mean, double duration_std)
+      : dataset(dataset),
+        local_index(local_index),
+        occurrences(occurrences),
+        duration_mean(duration_mean),
+        duration_std(duration_std) {}
+
   DatasetId dataset;
+  std::int32_t pad = 0;
   size_t local_index;
   double occurrences;
   double duration_mean;
   double duration_std;
 };
+static_assert(sizeof(TableOneRow) == sizeof(DatasetId) + sizeof(std::int32_t) +
+                                         sizeof(size_t) + 3 * sizeof(double),
+              "TableOneRow must have no padding bytes");
 
 class TableOneTest : public ::testing::TestWithParam<TableOneRow> {};
 

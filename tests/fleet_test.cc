@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include "cloud/cloud_service.h"
 #include "data/tasks.h"
 #include "fleet/dynamic_batcher.h"
 #include "fleet/shard_arena.h"
 #include "obs/schema.h"
 #include "obs/trace.h"
+#include "sim/synthetic_video.h"
 
 namespace eventhit::fleet {
 namespace {
@@ -172,6 +174,64 @@ TEST(StreamFleetTest, ResultsInvariantToThreadsBatchWaveAndDelay) {
       EXPECT_TRUE(SameStreamResult(run.streams[s], expected.streams[s]))
           << "variant " << v << " stream " << s;
     }
+  }
+}
+
+// The cloud detects the dataset's event, not the task-local one: on TA11
+// (THUMOS E8, dataset index 1) every delivery names that event and its
+// detections track that event's ground truth at the cloud's accuracy.
+TEST(StreamFleetTest, CloudDetectsTheTasksDatasetEvent) {
+  const data::Task task = data::FindTask("TA11").value();
+  ASSERT_NE(task.event_indices[0], 0u);
+  FleetConfig config = TestConfig();
+  config.num_streams = 2;
+  config.frames_per_stream = 6000;
+  StreamFleet fleet(task, config);
+  const FleetRunResult run = fleet.Run();
+  int64_t frames = 0;
+  int64_t agree = 0;
+  for (const FleetStreamResult& stream : run.streams) {
+    const StreamSettings s = fleet.DeriveStreamSettings(stream.stream_index);
+    const sim::SyntheticVideo video =
+        sim::SyntheticVideo::Generate(s.spec, s.video_seed);
+    for (const auto& delivery : stream.transcript.deliveries) {
+      EXPECT_EQ(delivery.event, task.event_indices[0]);
+      for (size_t i = 0; i < delivery.detections.size(); ++i) {
+        const bool truth = video.timeline().IsActive(
+            task.event_indices[0],
+            delivery.frames.start + static_cast<int64_t>(i));
+        agree += (delivery.detections[i] != 0) == truth ? 1 : 0;
+        ++frames;
+      }
+    }
+  }
+  ASSERT_GE(frames, 500);
+  EXPECT_GE(static_cast<double>(agree) / static_cast<double>(frames),
+            cloud::CloudConfig{}.accuracy - 0.02);
+}
+
+// SameStreamResult and StateDigest both iterate ForEachResultField, so
+// perturbing any listed field of a result must trip both.
+TEST(StreamFleetTest, EveryListedFieldReachesComparisonAndDigest) {
+  const data::Task task = data::FindTask("TA10").value();
+  FleetConfig config = TestConfig();
+  config.num_streams = 1;
+  StreamFleet fleet(task, config);
+  const FleetStreamResult base = fleet.RunStreamSolo(0);
+  EXPECT_EQ(base.state_digest, StateDigest(base));
+  int fields = 0;
+  ForEachResultField(base, [&fields](const auto&) { ++fields; });
+  // 2 digests, 9 marshaller stats, 14 relay stats, 4 invoice fields,
+  // 14 audit/recal fields, 4 provenance fields.
+  EXPECT_EQ(fields, 47);
+  for (int i = 0; i < fields; ++i) {
+    FleetStreamResult copy = base;
+    int index = 0;
+    ForEachResultField(copy, [&](auto& field) {
+      if (index++ == i) field += 1;
+    });
+    EXPECT_FALSE(SameStreamResult(base, copy)) << "field " << i;
+    EXPECT_NE(StateDigest(base), StateDigest(copy)) << "field " << i;
   }
 }
 

@@ -39,11 +39,9 @@
 
 #include "adapt/recovery_lab.h"
 #include "baselines/oracle.h"
-#include "cloud/cloud_service.h"
 #include "cloud/cost_model.h"
 #include "cloud/relay.h"
 #include "common/csv_writer.h"
-#include "core/marshaller.h"
 #include "sim/fault_injector.h"
 #include "common/flags.h"
 #include "common/table_printer.h"
@@ -52,6 +50,7 @@
 #include "data/tasks.h"
 #include "eval/curves.h"
 #include "fleet/stream_fleet.h"
+#include "fleet/stream_pipeline.h"
 #include "eval/hyper_search.h"
 #include "eval/runner.h"
 #include "nn/backend.h"
@@ -359,86 +358,95 @@ eventhit::Result<TrainedTask> BuildAndTrain(const Flags& flags) {
   return TrainedTask{std::move(env), std::move(trained), exec.value()};
 }
 
-// `--fault-profile=NAME`: streams the test slice through the Marshaller
-// and the resilient cloud relay under a deterministic fault schedule, and
-// prints the relay/breaker accounting next to what an ideal (fault-free)
-// link would have delivered. Reproducible from (--seed, --fault-seed).
-int RunFaultReplay(const Flags& flags, const eval::TaskEnvironment& env,
-                   const eval::TrainedEventHit& trained, double confidence,
-                   double coverage) {
-  const std::string profile_name = flags.GetString("fault-profile", "");
-  if (profile_name.empty()) return 0;
+// Flags of every subcommand that drives stream pipelines (fleet, explain
+// and the evaluate fault replay): stream seed and length, conformal knobs,
+// fault schedule, degraded mode, recal, kernel backend and collect policy.
+eventhit::Status ParseStreamFlags(const Flags& flags,
+                                  fleet::FleetConfig* config) {
+  const auto seed = flags.GetInt("seed", 42);
+  const auto frames = flags.GetInt("frames", 0);
+  const auto confidence = flags.GetDouble("confidence", 0.9);
+  const auto coverage = flags.GetDouble("coverage", 0.5);
   const auto fault_seed = flags.GetInt("fault-seed", 1234);
-  if (!fault_seed.ok()) {
-    std::cerr << fault_seed.status() << "\n";
-    return 1;
-  }
-  const auto profile = sim::MakeFaultProfile(
-      profile_name, static_cast<uint64_t>(fault_seed.value()));
-  if (!profile.ok()) {
-    std::cerr << profile.status() << "\n";
-    return 1;
+  for (const auto* status : {&seed.status(), &frames.status(),
+                             &confidence.status(), &coverage.status(),
+                             &fault_seed.status()}) {
+    if (!status->ok()) return *status;
   }
   const std::string mode_name = flags.GetString("degraded-mode", "drop");
   if (mode_name != "drop" && mode_name != "buffer") {
-    std::cerr << "--degraded-mode must be drop or buffer\n";
-    return 1;
+    return eventhit::InvalidArgumentError(
+        "--degraded-mode must be drop or buffer");
   }
-  const sim::FaultInjector injector(profile.value());
+  const std::string recal_name = flags.GetString("recal", "off");
+  if (recal_name != "on" && recal_name != "off") {
+    return eventhit::InvalidArgumentError("--recal must be on or off");
+  }
+  const auto backend =
+      nn::ParseBackendKind(flags.GetString("nn-backend", "blocked"));
+  if (!backend.ok()) return backend.status();
+  const auto policy =
+      sched::ParseCollectPolicy(flags.GetString("collect-policy", "full"));
+  if (!policy.ok()) return policy.status();
+  const std::string profile_name = flags.GetString("fault-profile", "none");
+  const auto profile = sim::MakeFaultProfile(
+      profile_name, static_cast<uint64_t>(fault_seed.value()));
+  if (!profile.ok()) return profile.status();
+  config->base_seed = static_cast<uint64_t>(seed.value());
+  config->frames_per_stream = frames.value();
+  config->confidence = confidence.value();
+  config->coverage = coverage.value();
+  config->fault_profile = profile_name;
+  config->fault_seed = static_cast<uint64_t>(fault_seed.value());
+  config->degraded_mode = mode_name == "buffer"
+                              ? cloud::DegradedMode::kBufferAndReplay
+                              : cloud::DegradedMode::kDropWithAccounting;
+  config->recal = recal_name == "on";
+  config->runner.seed = config->base_seed;
+  config->runner.nn_backend = backend.value();
+  config->runner.collect_policy = policy.value();
+  return eventhit::OkStatus();
+}
 
-  core::EventHitStrategyOptions options;
-  options.use_cclassify = true;
-  options.use_cregress = true;
-  options.confidence = confidence;
-  options.coverage = coverage;
-  const core::EventHitStrategy strategy(
-      trained.model.get(), trained.cclassify.get(), trained.cregress.get(),
-      options);
-  const size_t num_events = env.task().event_indices.size();
-  core::Marshaller marshaller(&strategy, env.collection_window(),
-                              env.horizon(), env.video().feature_dim(),
-                              num_events, /*metrics=*/nullptr,
-                              EventLabels(env.task()));
-
-  cloud::CloudService service(&env.video(), cloud::CloudConfig{},
-                              static_cast<uint64_t>(fault_seed.value()) + 1);
-  cloud::RelayConfig relay_config;
-  relay_config.degraded_mode = mode_name == "buffer"
-                                   ? cloud::DegradedMode::kBufferAndReplay
-                                   : cloud::DegradedMode::kDropWithAccounting;
-  relay_config.replay_horizon_frames = env.horizon();
-  cloud::CloudRelay relay(&service, relay_config,
-                          static_cast<uint64_t>(fault_seed.value()),
-                          &injector, /*metrics=*/nullptr,
-                          &obs::TraceBuffer::Global());
-
-  int64_t detected_event_frames = 0;
-  relay.set_delivery_callback([&](const cloud::RelayDelivery& delivery) {
-    for (const bool hit : delivery.detections) {
-      detected_event_frames += hit ? 1 : 0;
-    }
-  });
-
+// `--fault-profile=NAME`: streams the test slice through one
+// fleet::StreamPipeline — the marshaller under the run's --collect-policy
+// and the resilient cloud relay under a deterministic fault schedule — and
+// prints the relay/breaker accounting next to what an ideal (fault-free)
+// link would have delivered. Reproducible from (--seed, --fault-seed).
+int RunFaultReplay(const Flags& flags, fleet::FleetConfig config,
+                   const eval::TaskEnvironment& env,
+                   const eval::TrainedEventHit& trained) {
+  if (flags.GetString("fault-profile", "").empty()) return 0;
+  const uint64_t seed = config.fault_seed;
+  config.recal = false;  // evaluate's --recal arms the drift lab only.
+  config.record_transcripts = true;  // The deliveries' detections.
+  fleet::StreamSettings settings;
+  settings.stream_index = 0;
+  settings.cloud_seed = seed + 1;
+  settings.relay_seed = seed;
+  settings.fault_seed = seed;
+  settings.spec = env.video().spec();
+  settings.spec.collection_window = env.collection_window();
+  settings.spec.horizon = env.horizon();
   const int64_t base_frame = env.splits().test.start;
-  const int64_t stream_end = env.splits().test.end - env.horizon();
-  int64_t rel_now = 0;  // Stream clock: frames since the slice start.
-  marshaller.set_relay_callback([&](const core::RelayOrder& order) {
-    const sim::Interval absolute{order.frames.start + base_frame,
-                                 order.frames.end + base_frame};
-    if (absolute.end >= env.video().num_frames()) return;
-    relay.Submit(env.task().event_indices[order.event], absolute, rel_now);
-  });
-  for (int64_t frame = base_frame; frame < stream_end; ++frame) {
-    rel_now = frame - base_frame;
-    if (marshaller.PushFrame(env.video().FrameFeatures(frame))) {
-      relay.AdvanceTo(rel_now);
-    }
+  settings.push_frames = env.splits().test.end - env.horizon() - base_frame;
+  fleet::PipelineSinks sinks;
+  sinks.trace = &obs::TraceBuffer::Global();
+  sinks.event_labels = EventLabels(env.task());
+  fleet::StreamPipeline pipeline(config, settings, env.task(), trained,
+                                 env.video(), base_frame, sinks);
+  const fleet::FleetStreamResult result =
+      fleet::RunInline(pipeline, *trained.model);
+  int64_t detected_event_frames = 0;
+  for (const auto& delivery : result.transcript.deliveries) {
+    for (const uint8_t hit : delivery.detections) detected_event_frames += hit;
   }
-  relay.Flush(stream_end - base_frame);
+  const cloud::CircuitBreaker& breaker = pipeline.relay().breaker();
 
-  const cloud::RelayStats& stats = relay.stats();
-  std::cout << "\n=== Fault replay (profile=" << profile_name
-            << ", mode=" << mode_name << ") ===\n";
+  const cloud::RelayStats& stats = result.relay;
+  std::cout << "\n=== Fault replay (profile=" << config.fault_profile
+            << ", mode=" << flags.GetString("degraded-mode", "drop")
+            << ") ===\n";
   TablePrinter table({"Quantity", "Value"});
   table.AddRow({"orders submitted", Fmt(stats.orders_submitted)});
   table.AddRow({"orders delivered", Fmt(stats.orders_delivered)});
@@ -452,11 +460,10 @@ int RunFaultReplay(const Flags& flags, const eval::TaskEnvironment& env,
   table.AddRow({"injected errors", Fmt(stats.injected_errors)});
   table.AddRow({"injected latency spikes",
                 Fmt(stats.injected_latency_spikes)});
-  table.AddRow({"breaker opens", Fmt(relay.breaker().opens())});
-  table.AddRow({"breaker transitions", Fmt(relay.breaker().transitions())});
+  table.AddRow({"breaker opens", Fmt(breaker.opens())});
+  table.AddRow({"breaker transitions", Fmt(breaker.transitions())});
   table.AddRow({"detected event frames", Fmt(detected_event_frames)});
-  table.AddRow({"cloud cost (USD)",
-                Fmt(service.invoice().total_cost_usd, 3)});
+  table.AddRow({"cloud cost (USD)", Fmt(result.invoice.total_cost_usd, 3)});
   const double delivered_fraction =
       stats.frames_submitted > 0
           ? static_cast<double>(stats.frames_delivered) /
@@ -565,12 +572,14 @@ int RunEvaluate(const Flags& flags) {
     return 1;
   }
   const auto& [env, trained, exec] = built.value();
-  const auto confidence = flags.GetDouble("confidence", 0.9);
-  const auto coverage = flags.GetDouble("coverage", 0.5);
-  if (!confidence.ok() || !coverage.ok()) {
-    std::cerr << "bad --confidence/--coverage\n";
+  fleet::FleetConfig stream_config;
+  if (const auto status = ParseStreamFlags(flags, &stream_config);
+      !status.ok()) {
+    std::cerr << status << "\n";
     return 1;
   }
+  const double confidence = stream_config.confidence;
+  const double coverage = stream_config.coverage;
 
   const std::string model_out = flags.GetString("model-out", "");
   if (!model_out.empty()) {
@@ -588,8 +597,8 @@ int RunEvaluate(const Flags& flags) {
       core::EventHitStrategyOptions options;
       options.use_cclassify = use_cc;
       options.use_cregress = use_cr;
-      options.confidence = confidence.value();
-      options.coverage = coverage.value();
+      options.confidence = confidence;
+      options.coverage = coverage;
       const core::EventHitStrategy strategy(
           trained.model.get(), trained.cclassify.get(),
           trained.cregress.get(), options);
@@ -608,27 +617,28 @@ int RunEvaluate(const Flags& flags) {
                 "1.000"});
   table.Print(std::cout);
 
+  core::EventHitStrategyOptions ehcr_options;
+  ehcr_options.use_cclassify = true;
+  ehcr_options.use_cregress = true;
+  ehcr_options.confidence = confidence;
+  ehcr_options.coverage = coverage;
+  const core::EventHitStrategy ehcr(trained.model.get(),
+                                    trained.cclassify.get(),
+                                    trained.cregress.get(), ehcr_options);
+
+  obs::AuditConfig audit_config;
+  audit_config.confidence = confidence;
+  audit_config.coverage = coverage;
+  audit_config.event_labels = EventLabels(env.task());
+
   // Replay the EHCR decisions through the online guarantee auditor on the
   // record clock: audit.* metrics, breach spans, and (with
   // --metrics-jsonl) a labeled time series of per-record metric deltas.
   {
-    core::EventHitStrategyOptions options;
-    options.use_cclassify = true;
-    options.use_cregress = true;
-    options.confidence = confidence.value();
-    options.coverage = coverage.value();
-    const core::EventHitStrategy ehcr(
-        trained.model.get(), trained.cclassify.get(), trained.cregress.get(),
-        options);
     const std::vector<core::MarshalDecision> decisions =
         eval::DecisionsFromScores(ehcr, trained.test_scores, exec);
     const std::vector<obs::AuditOutcome> outcomes =
         eval::BuildAuditOutcomes(env.test_records(), decisions);
-
-    obs::AuditConfig audit_config;
-    audit_config.confidence = confidence.value();
-    audit_config.coverage = coverage.value();
-    audit_config.event_labels = EventLabels(env.task());
     obs::GuarantyAuditor auditor(audit_config, /*metrics=*/nullptr,
                                  &obs::TraceBuffer::Global());
 
@@ -665,13 +675,13 @@ int RunEvaluate(const Flags& flags) {
       std::cerr << "metric deltas written to " << jsonl_path << "\n";
     }
 
-    std::cout << "\n=== Guarantee audit (c=" << Fmt(confidence.value(), 2)
-              << ", alpha=" << Fmt(coverage.value(), 2) << ") ===\n";
+    std::cout << "\n=== Guarantee audit (c=" << Fmt(confidence, 2)
+              << ", alpha=" << Fmt(coverage, 2) << ") ===\n";
     TablePrinter audit_table({"Event", "Pos", "Miss", "MissRate",
                               "MissBudget", "Endp", "Miscov", "MiscovRate",
                               "MiscovBudget", "Breach"});
-    const double miss_budget = 1.0 - confidence.value();
-    const double miscov_budget = 1.0 - coverage.value();
+    const double miss_budget = 1.0 - confidence;
+    const double miscov_budget = 1.0 - coverage;
     const std::vector<std::string>& labels = audit_config.event_labels;
     for (size_t k = 0; k < env.task().event_indices.size(); ++k) {
       const int event = static_cast<int>(k);
@@ -707,21 +717,9 @@ int RunEvaluate(const Flags& flags) {
   // sched.* local-compute accounting and an auditor pass over the policy
   // decisions.
   {
-    const auto policy =
-        sched::ParseCollectPolicy(flags.GetString("collect-policy", "full"));
-    if (!policy.ok()) {
-      std::cerr << policy.status() << "\n";
-      return 1;
-    }
-    if (policy.value().kind != sched::CollectPolicyKind::kFull) {
-      core::EventHitStrategyOptions options;
-      options.use_cclassify = true;
-      options.use_cregress = true;
-      options.confidence = confidence.value();
-      options.coverage = coverage.value();
-      const core::EventHitStrategy ehcr(
-          trained.model.get(), trained.cclassify.get(),
-          trained.cregress.get(), options);
+    const sched::CollectPolicySpec& policy =
+        stream_config.runner.collect_policy;
+    if (policy.kind != sched::CollectPolicyKind::kFull) {
       const std::vector<data::Record> sweep = data::StridedRecords(
           env.video(), env.task(), env.extractor(), env.splits().test,
           env.horizon());
@@ -737,7 +735,7 @@ int RunEvaluate(const Flags& flags) {
 
       eval::PolicyWalkStats walk;
       const std::vector<core::MarshalDecision> policy_decisions =
-          eval::DecisionsWithPolicy(ehcr, sweep_scores, policy.value(),
+          eval::DecisionsWithPolicy(ehcr, sweep_scores, policy,
                                     env.collection_window(), env.horizon(),
                                     cost, &walk, exec);
       eval::PolicyWalkStats full_walk;
@@ -751,10 +749,6 @@ int RunEvaluate(const Flags& flags) {
       const eval::Metrics full_metrics =
           eval::ComputeMetrics(sweep, full_decisions, env.horizon());
 
-      obs::AuditConfig audit_config;
-      audit_config.confidence = confidence.value();
-      audit_config.coverage = coverage.value();
-      audit_config.event_labels = EventLabels(env.task());
       obs::GuarantyAuditor auditor(audit_config);
       for (const obs::AuditOutcome& outcome :
            eval::BuildAuditOutcomes(sweep, policy_decisions)) {
@@ -763,7 +757,7 @@ int RunEvaluate(const Flags& flags) {
       auditor.Finalize(static_cast<int64_t>(sweep.size()));
 
       std::cout << "\n=== Collection policy ("
-                << sched::CollectPolicyName(policy.value())
+                << sched::CollectPolicyName(policy)
                 << ", stream-cadence sweep of the test range) ===\n";
       TablePrinter policy_table({"Quantity", "Policy", "Full"});
       policy_table.AddRow({"boundaries scored", Fmt(walk.horizons_scored),
@@ -807,8 +801,7 @@ int RunEvaluate(const Flags& flags) {
     cloud::EmitHorizonSpans(&obs::TraceBuffer::Global(), breakdown,
                             /*start_us=*/0);
   }
-  return RunFaultReplay(flags, env, trained, confidence.value(),
-                        coverage.value());
+  return RunFaultReplay(flags, stream_config, env, trained);
 }
 
 int RunSweep(const Flags& flags) {
@@ -913,43 +906,31 @@ int RunFleet(const Flags& flags) {
     return 1;
   }
   fleet::FleetConfig config;
+  if (const auto status = ParseStreamFlags(flags, &config); !status.ok()) {
+    std::cerr << status << "\n";
+    return 1;
+  }
   const auto streams = flags.GetInt("streams", 100);
-  const auto seed = flags.GetInt("seed", 42);
-  const auto frames = flags.GetInt("frames", 0);
   const auto batch = flags.GetInt("batch", 64);
   const auto max_delay = flags.GetInt("max-delay", 4);
   const auto wave = flags.GetInt("wave", 256);
   const auto threads = flags.GetInt("threads", 1);
-  const auto confidence = flags.GetDouble("confidence", 0.9);
-  const auto coverage = flags.GetDouble("coverage", 0.5);
-  const auto fault_seed = flags.GetInt("fault-seed", 1234);
   const auto budget_cap = flags.GetDouble("budget-cap-usd", 0.0);
   const auto verify_solo = flags.GetInt("verify-solo", 0);
   for (const auto* status :
-       {&streams.status(), &seed.status(), &frames.status(), &batch.status(),
-        &max_delay.status(), &wave.status(), &threads.status(),
-        &confidence.status(), &coverage.status(), &fault_seed.status(),
-        &budget_cap.status(), &verify_solo.status()}) {
+       {&streams.status(), &batch.status(), &max_delay.status(),
+        &wave.status(), &threads.status(), &budget_cap.status(),
+        &verify_solo.status()}) {
     if (!status->ok()) {
       std::cerr << *status << "\n";
       return 1;
     }
   }
   if (streams.value() < 1 || batch.value() < 1 || max_delay.value() < 0 ||
-      wave.value() < 1 || threads.value() < 0 || frames.value() < 0 ||
-      verify_solo.value() < 0) {
+      wave.value() < 1 || threads.value() < 0 ||
+      config.frames_per_stream < 0 || verify_solo.value() < 0) {
     std::cerr << "fleet: --streams/--batch/--wave must be >= 1, "
                  "--max-delay/--threads/--frames/--verify-solo >= 0\n";
-    return 1;
-  }
-  const std::string mode_name = flags.GetString("degraded-mode", "drop");
-  if (mode_name != "drop" && mode_name != "buffer") {
-    std::cerr << "--degraded-mode must be drop or buffer\n";
-    return 1;
-  }
-  const std::string recal_name = flags.GetString("recal", "off");
-  if (recal_name != "on" && recal_name != "off") {
-    std::cerr << "--recal must be on or off\n";
     return 1;
   }
   const std::string provenance_name = flags.GetString("provenance", "on");
@@ -960,42 +941,18 @@ int RunFleet(const Flags& flags) {
   const bool health_report =
       flags.GetBool("health-report", false).value_or(false);
   const std::string health_out = flags.GetString("health-out", "");
-  const auto backend =
-      nn::ParseBackendKind(flags.GetString("nn-backend", "blocked"));
-  if (!backend.ok()) {
-    std::cerr << backend.status() << "\n";
-    return 1;
-  }
-  const auto policy =
-      sched::ParseCollectPolicy(flags.GetString("collect-policy", "full"));
-  if (!policy.ok()) {
-    std::cerr << policy.status() << "\n";
-    return 1;
-  }
   config.num_streams = static_cast<int>(streams.value());
-  config.base_seed = static_cast<uint64_t>(seed.value());
-  config.frames_per_stream = frames.value();
   config.batch_size = static_cast<size_t>(batch.value());
   config.max_batch_delay_ticks = max_delay.value();
   config.wave_size = static_cast<int>(wave.value());
   config.threads = static_cast<int>(threads.value());
-  config.confidence = confidence.value();
-  config.coverage = coverage.value();
-  config.fault_profile = flags.GetString("fault-profile", "none");
-  config.fault_seed = static_cast<uint64_t>(fault_seed.value());
-  config.degraded_mode = mode_name == "buffer"
-                             ? cloud::DegradedMode::kBufferAndReplay
-                             : cloud::DegradedMode::kDropWithAccounting;
   config.budget_cap_microusd =
       static_cast<int64_t>(budget_cap.value() * 1e6);
-  config.recal = recal_name == "on";
   config.provenance = provenance_name == "on";
-  config.runner.seed = config.base_seed;
-  config.runner.nn_backend = backend.value();
-  config.runner.collect_policy = policy.value();
 
   std::cerr << "training the shared fleet model on " << task_name << " ("
-            << nn::GetBackend(backend.value()).name << " backend)...\n";
+            << nn::GetBackend(config.runner.nn_backend).name
+            << " backend)...\n";
   fleet::StreamFleet fleet_run(task.value(), config);
   std::cerr << "running " << config.num_streams << " stream(s), batch "
             << config.batch_size << ", max delay "
@@ -1118,18 +1075,16 @@ int RunExplain(const Flags& flags) {
     std::cerr << task.status() << "\n";
     return 1;
   }
+  fleet::FleetConfig config;
+  if (const auto status = ParseStreamFlags(flags, &config); !status.ok()) {
+    std::cerr << status << "\n";
+    return 1;
+  }
   const auto decision = flags.GetInt("decision", -1);
   const auto frame = flags.GetInt("frame", -1);
   const auto stream_flag = flags.GetInt("stream", 0);
-  const auto seed = flags.GetInt("seed", 42);
-  const auto frames = flags.GetInt("frames", 0);
-  const auto confidence = flags.GetDouble("confidence", 0.9);
-  const auto coverage = flags.GetDouble("coverage", 0.5);
-  const auto fault_seed = flags.GetInt("fault-seed", 1234);
   for (const auto* status :
-       {&decision.status(), &frame.status(), &stream_flag.status(),
-        &seed.status(), &frames.status(), &confidence.status(),
-        &coverage.status(), &fault_seed.status()}) {
+       {&decision.status(), &frame.status(), &stream_flag.status()}) {
     if (!status->ok()) {
       std::cerr << *status << "\n";
       return 1;
@@ -1138,28 +1093,6 @@ int RunExplain(const Flags& flags) {
   if (decision.value() < 0 && frame.value() < 0) {
     std::cerr << "explain: pass --decision=ID (from a metric exemplar or "
                  "breach log) or --frame=F\n";
-    return 1;
-  }
-  const std::string mode_name = flags.GetString("degraded-mode", "drop");
-  if (mode_name != "drop" && mode_name != "buffer") {
-    std::cerr << "--degraded-mode must be drop or buffer\n";
-    return 1;
-  }
-  const std::string recal_name = flags.GetString("recal", "off");
-  if (recal_name != "on" && recal_name != "off") {
-    std::cerr << "--recal must be on or off\n";
-    return 1;
-  }
-  const auto backend =
-      nn::ParseBackendKind(flags.GetString("nn-backend", "blocked"));
-  if (!backend.ok()) {
-    std::cerr << backend.status() << "\n";
-    return 1;
-  }
-  const auto policy =
-      sched::ParseCollectPolicy(flags.GetString("collect-policy", "full"));
-  if (!policy.ok()) {
-    std::cerr << policy.status() << "\n";
     return 1;
   }
 
@@ -1173,22 +1106,8 @@ int RunExplain(const Flags& flags) {
     return 1;
   }
 
-  fleet::FleetConfig config;
   config.num_streams = static_cast<int>(stream_index) + 1;
-  config.base_seed = static_cast<uint64_t>(seed.value());
-  config.frames_per_stream = frames.value();
-  config.confidence = confidence.value();
-  config.coverage = coverage.value();
-  config.fault_profile = flags.GetString("fault-profile", "none");
-  config.fault_seed = static_cast<uint64_t>(fault_seed.value());
-  config.degraded_mode = mode_name == "buffer"
-                             ? cloud::DegradedMode::kBufferAndReplay
-                             : cloud::DegradedMode::kDropWithAccounting;
-  config.recal = recal_name == "on";
   config.collect_tick_latency = false;
-  config.runner.seed = config.base_seed;
-  config.runner.nn_backend = backend.value();
-  config.runner.collect_policy = policy.value();
   // A solo replay must retain every boundary: one ring slot per possible
   // anchor of the stream (boundaries are spaced >= 1 frame apart).
   sim::DatasetSpec spec = sim::MakeDatasetSpec(task.value().dataset);
