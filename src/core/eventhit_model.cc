@@ -175,9 +175,9 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
     EVENTHIT_CHECK_EQ(records[b].covariates.size(), steps * d);
   }
   ws.Reset();
-  // Kernel dispatch (nn/backend.h): the blocked table points at the exact
-  // functions the pre-backend code called, so the default stays
-  // bit-identical; int8 swaps each layer for its quantized mirror.
+  // Kernel dispatch (nn/backend.h): every blocked flavour computes the
+  // per-record path's bits, so the default stays bit-identical to Predict;
+  // int8 swaps each layer for its quantized mirror.
   const nn::Backend& backend = nn::GetBackend(backend_kind_);
   const bool int8 = backend_kind_ == nn::BackendKind::kInt8;
   if (int8) EVENTHIT_CHECK(int8_ready_);

@@ -89,8 +89,9 @@ class EventHitModel {
   /// buffer, the LSTM runs two GEMMs per timestep for the whole batch, the
   /// per-event MLP heads run one batched forward each, and the logits are
   /// scattered back into `out[0..count)`. Scratch comes from `ws` (Reset
-  /// per call), so a warm Workspace makes the pass allocation-free apart
-  /// from the EventScores vectors themselves. Per record the results are
+  /// per call); with a warm Workspace and `out` entries reused from an
+  /// earlier call the pass makes no heap allocation
+  /// (tests/predict_alloc_test.cc). Per record the results are
   /// bit-identical to Predict at any batch size (summation-order contract,
   /// nn/matrix.h).
   void PredictBatched(const data::Record* records, size_t count,

@@ -184,6 +184,13 @@ FleetRunResult StreamFleet::Run() {
   sinks.metrics = stream_metrics_.get();
   sinks.log = stream_log_.get();
   sinks.spend_microusd = &budget_spend_microusd_;
+  // Flush scratch, reused across every flush of the run. `scores` only
+  // grows, so a warm entry's existence/occupancy vectors keep their
+  // capacity and PredictBatched fills them without allocating; `records`
+  // is emptied after each PredictBatched.
+  std::vector<data::Record> records;
+  std::vector<core::EventScores> scores;
+  std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) per shard
 
   for (int wave_start = 0; wave_start < config_.num_streams;
        wave_start += config_.wave_size) {
@@ -291,20 +298,19 @@ FleetRunResult StreamFleet::Run() {
             ++stats.flush_final;
             break;
         }
-        std::vector<data::Record> records;
-        records.reserve(n);
         for (auto& request : flush.requests) {
           request_delay_metric_->Observe(
               static_cast<double>(tick - request.enqueue_tick));
           records.push_back(std::move(request.record));
         }
-        std::vector<core::EventScores> scores(n);
+        if (scores.size() < n) scores.resize(n);
         trained_->model->PredictBatched(records.data(), n, scores.data(),
                                         ws_);
+        records.clear();  // frees the scored windows; keeps the capacity
         // Group completions by shard (order within a shard is preserved),
         // then apply shard groups concurrently: different groups touch
         // disjoint pipelines, and each decides with its own strategy.
-        std::vector<std::pair<size_t, size_t>> groups;  // [begin, end)
+        groups.clear();
         for (size_t j = 0; j < n;) {
           size_t end = j + 1;
           while (end < n && flush.requests[end].shard_slot ==

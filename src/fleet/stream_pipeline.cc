@@ -273,11 +273,11 @@ FleetStreamResult RunInline(StreamPipeline& pipeline,
                             const core::EventHitModel& model) {
   nn::Workspace ws;
   data::Record record;
+  core::EventScores scores;  // refilled in place at every boundary
   // Inline scoring: zero residency under the solo flush reason.
   BatchPlacement placement;
   while (pipeline.next_frame() < pipeline.settings().push_frames) {
     if (!pipeline.PushFrame(&record)) continue;
-    core::EventScores scores;
     model.PredictBatched(&record, 1, &scores, ws);
     pipeline.Complete(record.frame, scores, placement);
     ++placement.batch_id;

@@ -11,14 +11,21 @@ namespace eventhit::nn {
 
 #if EVENTHIT_NN_HAVE_AVX2
 // Implemented in backend_simd.cc, which is compiled with -mavx2 -mfma.
-// Declared here (not in a header) so nothing outside the dispatch table can
-// call them without going through the SimdAvailable() cpuid gate.
+// Declared here (not in a header) so nothing outside the dispatch tables
+// can call them without going through the SimdAvailable() cpuid gate.
+// kFma = true is the simd flavour (every multiply-add step fused);
+// kFma = false is the blocked flavour (separate multiply and add, the
+// portable kernels' exact operations).
 namespace detail {
+template <bool kFma>
 void GemmZeroAvx2(size_t m, size_t n, size_t k, const float* a, size_t lda,
                   const float* b, size_t ldb, float* c, size_t ldc);
+template <bool kFma>
 void GemmAvx2(size_t m, size_t n, size_t k, const float* a, size_t lda,
               const float* b, size_t ldb, float* c, size_t ldc);
+template <bool kFma>
 void TanhInPlaceAvx2(float* x, size_t n);
+template <bool kFma>
 void SigmoidInPlaceAvx2(float* x, size_t n);
 void Int8GemmZeroAvx2(size_t m, size_t n, size_t k, const int8_t* a,
                       size_t lda, const int8_t* b, size_t ldb, float scale,
@@ -32,9 +39,11 @@ namespace {
 //
 // Same summation order as the blocked kernels (gemm.cc): for GemmZero the
 // first k-term is a plain multiply, every later term a separate multiply
-// then add, ascending k. With identical float operations in identical order
-// the scalar and blocked backends are bit-identical — scalar is the oracle
-// the tiled/vectorized paths are tested against, not a tolerance partner.
+// then add, ascending k. The activations apply TanhScalar / SigmoidScalar
+// one element at a time. With identical float operations in identical
+// order the scalar and blocked backends are bit-identical — scalar is the
+// oracle the tiled/vectorized paths are tested against, not a tolerance
+// partner.
 
 void ScalarGemmZero(size_t m, size_t n, size_t k, const float* a, size_t lda,
                     const float* b, size_t ldb, float* c, size_t ldc) {
@@ -63,6 +72,14 @@ void ScalarGemm(size_t m, size_t n, size_t k, const float* a, size_t lda,
       crow[j] = acc;
     }
   }
+}
+
+void ScalarTanhInPlace(float* x, size_t n) {
+  for (size_t i = 0; i < n; ++i) x[i] = TanhScalar(x[i]);
+}
+
+void ScalarSigmoidInPlace(float* x, size_t n) {
+  for (size_t i = 0; i < n; ++i) x[i] = SigmoidScalar(x[i]);
 }
 
 // --- generic int8 GEMM -----------------------------------------------------
@@ -101,30 +118,35 @@ void GenericInt8GemmZero(size_t m, size_t n, size_t k, const int8_t* a,
 // --- dispatch tables -------------------------------------------------------
 
 constexpr BackendKernels kScalarKernels = {
-    ScalarGemmZero, ScalarGemm, TanhInPlace, SigmoidInPlace,
+    ScalarGemmZero, ScalarGemm, ScalarTanhInPlace, ScalarSigmoidInPlace,
     GenericInt8GemmZero};
 
-constexpr BackendKernels kBlockedKernels = {
+// The portable blocked kernels: what non-AVX2 and aarch64 hosts run, and
+// the reference the AVX2 flavour is tested against.
+constexpr BackendKernels kPortableBlockedKernels = {
     GemmZero, Gemm, TanhInPlace, SigmoidInPlace, GenericInt8GemmZero};
 
 #if EVENTHIT_NN_HAVE_AVX2
+// blocked on AVX2 hosts: the same IEEE operations in the same order as the
+// portable table, eight columns at a time — identical bits, so the default
+// backend is machine-invariant. The int8 product is integer-exact, so its
+// AVX2 kernel is interchangeable with the generic one too.
+constexpr BackendKernels kAvx2BlockedKernels = {
+    detail::GemmZeroAvx2<false>, detail::GemmAvx2<false>,
+    detail::TanhInPlaceAvx2<false>, detail::SigmoidInPlaceAvx2<false>,
+    detail::Int8GemmZeroAvx2};
+
 constexpr BackendKernels kSimdKernels = {
-    detail::GemmZeroAvx2, detail::GemmAvx2, detail::TanhInPlaceAvx2,
-    detail::SigmoidInPlaceAvx2, detail::Int8GemmZeroAvx2};
+    detail::GemmZeroAvx2<true>, detail::GemmAvx2<true>,
+    detail::TanhInPlaceAvx2<true>, detail::SigmoidInPlaceAvx2<true>,
+    detail::Int8GemmZeroAvx2};
 #endif
 
-// The int8 backend keeps the *blocked* float kernels for activations and
-// bias work even when AVX2 is present: the float side then computes the
-// same bits on every machine, and the int8 GEMM is integer-exact, so int8
-// scores — and the conformal thresholds recalibrated on them — are
-// machine-independent. Only the int8 product itself upgrades to AVX2
-// (identical bits, just faster).
-BackendKernels MakeInt8Kernels() {
-  BackendKernels kernels = kBlockedKernels;
+const BackendKernels* BlockedKernels() {
 #if EVENTHIT_NN_HAVE_AVX2
-  if (SimdAvailable()) kernels.int8_gemm_zero = detail::Int8GemmZeroAvx2;
+  if (SimdAvailable()) return &kAvx2BlockedKernels;
 #endif
-  return kernels;
+  return &kPortableBlockedKernels;
 }
 
 }  // namespace
@@ -145,7 +167,7 @@ const Backend& GetBackend(BackendKind kind) {
   static const Backend scalar{BackendKind::kScalar, BackendKind::kScalar,
                               "scalar", &kScalarKernels};
   static const Backend blocked{BackendKind::kBlocked, BackendKind::kBlocked,
-                               "blocked", &kBlockedKernels};
+                               "blocked", BlockedKernels()};
   // simd falls back to the blocked table when the CPU (or build) lacks
   // AVX2+FMA; `effective` records which kernels actually run.
   static const Backend simd = [] {
@@ -160,12 +182,15 @@ const Backend& GetBackend(BackendKind kind) {
     }
 #endif
     b.effective = BackendKind::kBlocked;
-    b.kernels = &kBlockedKernels;
+    b.kernels = BlockedKernels();
     return b;
   }();
-  static const BackendKernels int8_kernels = MakeInt8Kernels();
+  // int8 runs the blocked table: its float side (activations, bias work)
+  // computes the same bits on every machine and its int8 product is
+  // integer-exact, so int8 scores — and the conformal thresholds
+  // recalibrated on them — are machine-independent.
   static const Backend int8{BackendKind::kInt8, BackendKind::kInt8, "int8",
-                            &int8_kernels};
+                            BlockedKernels()};
   switch (kind) {
     case BackendKind::kScalar:
       return scalar;

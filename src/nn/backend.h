@@ -9,20 +9,24 @@
 //   * scalar  — naive reference loops, no tiling. Same ascending-k float
 //     summation order as `blocked`, so results are bit-identical to it;
 //     exists as the oracle the faster backends are tested against.
-//   * blocked — the PR-3 register-tiled cache-aware kernels (gemm.cc),
-//     auto-vectorized by the baseline build (SSE2 on x86-64, NEON on
-//     aarch64). The default, and the backend every committed baseline and
-//     conformal calibration was produced with.
+//   * blocked — the default, and the backend every committed baseline and
+//     conformal calibration was produced with. Where SimdAvailable() holds
+//     it runs explicit AVX2 kernels (backend_simd.cc) that keep every
+//     multiply and add separate, in scalar's order; elsewhere the portable
+//     register-tiled kernels (gemm.cc, activations.cc), auto-vectorized by
+//     the baseline build (SSE2 on x86-64, NEON on aarch64). Both flavours
+//     compute the same bits, so blocked scores are machine-invariant.
 //   * simd    — explicit AVX2+FMA kernels, chosen only when cpuid reports
 //     both features at startup (SimdAvailable()). Each output element is
 //     still the ascending-k sum of its products, but every term lands via
 //     a fused multiply-add (one rounding per term instead of two), so simd
 //     results are NOT bit-identical to scalar/blocked — they agree within
 //     the documented 1e-5 score bound. Within the simd backend, results
-//     are bit-identical at any batch size: the vector body and the scalar
-//     tail both use FMA with the same operation order, so a column's
-//     result does not depend on its position in the batch (the fleet's
-//     solo==batched digest contract survives backend selection). On
+//     are bit-identical at any batch size: full 8-column panels and the
+//     masked tail panel run the same code, so a column's result does not
+//     depend on its position in the batch (the fleet's solo==batched
+//     digest contract survives backend selection). The kernels are the
+//     blocked AVX2 templates with their multiply-add steps fused. On
 //     non-x86 or pre-AVX2 hardware the simd kind transparently falls back
 //     to the blocked kernels (NEON is the aarch64 baseline, so `blocked`
 //     is already the vectorized path there).
@@ -96,9 +100,10 @@ bool SimdAvailable();
 
 /// The immutable backend singleton for `kind`. For kInt8 the float kernels
 /// (activations and any residual float GEMM) are always the blocked set —
-/// combined with the exact integer GEMM (AVX2-accelerated when available,
-/// identical results either way) this makes int8 scores machine-independent,
-/// so recalibrated conformal thresholds reproduce across hosts.
+/// machine-invariant, and combined with the exact integer GEMM
+/// (AVX2-accelerated when available, identical results either way) this
+/// makes int8 scores machine-independent, so recalibrated conformal
+/// thresholds reproduce across hosts.
 const Backend& GetBackend(BackendKind kind);
 
 /// Canonical lower-case name ("scalar", "blocked", "simd", "int8").

@@ -1,30 +1,43 @@
-// Explicit AVX2+FMA kernels for the `simd` backend (docs/BACKENDS.md).
+// Explicit AVX2 kernels for the `simd` and `blocked` backends
+// (docs/BACKENDS.md).
 //
 // This translation unit is compiled with -mavx2 -mfma (see
 // src/nn/CMakeLists.txt) and must therefore never be entered unless
 // SimdAvailable() reported AVX2+FMA at runtime — backend.cc's dispatch
-// table is the only caller, and it checks first. The TU is also compiled
-// with -ffp-contract=off so the compiler cannot fuse any *other*
-// multiply-add behind our back: the only FMAs are the explicit
-// _mm256_fmadd_ps in the vector bodies and the std::fmaf in the scalar
-// tails, which keeps the two paths bit-identical per element.
+// tables are the only callers, and they check first. Keep it free of
+// standard-library templates: an out-of-line instantiation compiled here
+// with AVX2 could be the copy the linker keeps for the whole program. The
+// TU is also compiled with -ffp-contract=off so the compiler cannot fuse
+// any multiply and add behind our back: the only FMAs are the explicit
+// _mm256_fmadd_ps of MulAdd<true>.
 //
-// Determinism contract (the part the fleet's solo==batched digest relies
-// on): every output element is computed as
+// Every float kernel is a template on kFma, which decides how one
+// multiply-add step of a GEMM k-loop or a Horner polynomial rounds:
 //
-//   GemmZero:  first k-term by one multiply, each later term by one fused
-//              multiply-add, ascending k;
-//   Gemm:      start from the existing C value, every term fused, ascending
-//              k;
+//   kFma = true   (simd)    one fused multiply-add, one rounding per term;
+//   kFma = false  (blocked) a separate multiply then add, two roundings —
+//                           the exact IEEE operations, in the same order,
+//                           of the portable kernels (gemm.cc,
+//                           activations.cc) and the scalar oracle, so the
+//                           blocked backend computes the same bits on AVX2
+//                           and non-AVX2 hosts.
 //
-// in BOTH the 8-wide vector body and the scalar column tail. A column's
-// bits therefore do not depend on where it falls in the batch, so per-
-// record results are invariant under batch composition. Against the
-// blocked backend the values differ (FMA rounds once per term instead of
-// twice) within the documented 1e-5 score bound.
+// The sigmoid's outer 0.5 + 0.5*t is a plain multiply and add in both
+// flavours. Each output element is computed as
+//
+//   GemmZero:  first k-term by one multiply, each later term by one
+//              multiply-add step, ascending k;
+//   Gemm:      start from the existing C value, every term a multiply-add
+//              step, ascending k;
+//
+// and a column tail that is not a multiple of eight runs the same vector
+// code under a lane mask (masked loads and stores), so a column's bits do
+// not depend on where it falls in the batch: per-record results are
+// invariant under batch composition (the fleet's solo==batched digest
+// contract).
 #include <immintrin.h>
 
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -39,9 +52,75 @@ namespace {
 #define EVENTHIT_RESTRICT
 #endif
 
+constexpr size_t kLanes = 8;
+
+// acc + a*b with one rounding (kFma) or two (multiply, then add).
+template <bool kFma>
+inline __m256 MulAdd(__m256 a, __m256 b, __m256 acc) {
+  if constexpr (kFma) {
+    return _mm256_fmadd_ps(a, b, acc);
+  } else {
+    return _mm256_add_ps(_mm256_mul_ps(a, b), acc);
+  }
+}
+
+// Column access for one 8-wide panel: a full panel uses plain unaligned
+// loads and stores, the tail panel the same loads and stores under a lane
+// mask (masked-off lanes read as zero and are never written).
+struct FullPanel {
+  __m256 Load(const float* p) const { return _mm256_loadu_ps(p); }
+  void Store(float* p, __m256 v) const { _mm256_storeu_ps(p, v); }
+};
+
+struct TailPanel {
+  explicit TailPanel(size_t lanes)
+      : mask(_mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(lanes)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))) {}
+  __m256 Load(const float* p) const { return _mm256_maskload_ps(p, mask); }
+  void Store(float* p, __m256 v) const { _mm256_maskstore_ps(p, mask, v); }
+  __m256i mask;
+};
+
+// Runs `panel(j, access)` over the 8-wide column panels of [0, n): full
+// panels first, then one masked panel for the remainder.
+template <class PanelFn>
+inline void ForEachPanel(size_t n, PanelFn&& panel) {
+  size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) panel(j, FullPanel{});
+  if (j < n) panel(j, TailPanel(n - j));
+}
+
 // --- float GEMM ------------------------------------------------------------
 
-template <bool kAccumulate>
+// kRows A rows (4, or 1 for the row remainder: a compile-time count, so
+// the accumulators stay in registers) times one 8-column B panel; C is
+// loaded once (or not at all, for GemmZero) and stored once.
+template <bool kFma, bool kAccumulate, size_t kRows, class Panel>
+inline void GemmRows(size_t k, const float* const* a, const float* b,
+                     size_t ldb, float* const* c, Panel panel) {
+  __m256 acc[kRows];
+  size_t kk;
+  if constexpr (kAccumulate) {
+    for (size_t r = 0; r < kRows; ++r) acc[r] = panel.Load(c[r]);
+    kk = 0;
+  } else {
+    const __m256 b0 = panel.Load(b);
+    for (size_t r = 0; r < kRows; ++r) {
+      acc[r] = _mm256_mul_ps(_mm256_set1_ps(a[r][0]), b0);
+    }
+    kk = 1;
+  }
+  for (; kk < k; ++kk) {
+    const __m256 bv = panel.Load(b + kk * ldb);
+    for (size_t r = 0; r < kRows; ++r) {
+      acc[r] = MulAdd<kFma>(_mm256_set1_ps(a[r][kk]), bv, acc[r]);
+    }
+  }
+  for (size_t r = 0; r < kRows; ++r) panel.Store(c[r], acc[r]);
+}
+
+template <bool kFma, bool kAccumulate>
 void GemmAvx2Impl(size_t m, size_t n, size_t k,
                   const float* EVENTHIT_RESTRICT a, size_t lda,
                   const float* EVENTHIT_RESTRICT b, size_t ldb,
@@ -54,172 +133,106 @@ void GemmAvx2Impl(size_t m, size_t n, size_t k,
     }
     return;
   }
-  size_t j = 0;
-  // 8-column panels: the B panel rows stream once per A row tile and stay
-  // hot in L1; four A rows share each B load.
-  for (; j + 8 <= n; j += 8) {
-    const float* bcol = b + j;
-    float* ccol = c + j;
-    size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = a + i * lda;
-      const float* a1 = a0 + lda;
-      const float* a2 = a1 + lda;
-      const float* a3 = a2 + lda;
-      float* c0p = ccol + i * ldc;
-      float* c1p = c0p + ldc;
-      float* c2p = c1p + ldc;
-      float* c3p = c2p + ldc;
-      __m256 acc0, acc1, acc2, acc3;
-      size_t kk;
-      if constexpr (kAccumulate) {
-        acc0 = _mm256_loadu_ps(c0p);
-        acc1 = _mm256_loadu_ps(c1p);
-        acc2 = _mm256_loadu_ps(c2p);
-        acc3 = _mm256_loadu_ps(c3p);
-        kk = 0;
-      } else {
-        const __m256 b0 = _mm256_loadu_ps(bcol);
-        acc0 = _mm256_mul_ps(_mm256_set1_ps(a0[0]), b0);
-        acc1 = _mm256_mul_ps(_mm256_set1_ps(a1[0]), b0);
-        acc2 = _mm256_mul_ps(_mm256_set1_ps(a2[0]), b0);
-        acc3 = _mm256_mul_ps(_mm256_set1_ps(a3[0]), b0);
-        kk = 1;
-      }
-      for (; kk < k; ++kk) {
-        const __m256 bv = _mm256_loadu_ps(bcol + kk * ldb);
-        acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[kk]), bv, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[kk]), bv, acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[kk]), bv, acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[kk]), bv, acc3);
-      }
-      _mm256_storeu_ps(c0p, acc0);
-      _mm256_storeu_ps(c1p, acc1);
-      _mm256_storeu_ps(c2p, acc2);
-      _mm256_storeu_ps(c3p, acc3);
-    }
-    for (; i < m; ++i) {
-      const float* arow = a + i * lda;
-      float* crow = ccol + i * ldc;
-      __m256 acc;
-      size_t kk;
-      if constexpr (kAccumulate) {
-        acc = _mm256_loadu_ps(crow);
-        kk = 0;
-      } else {
-        acc = _mm256_mul_ps(_mm256_set1_ps(arow[0]), _mm256_loadu_ps(bcol));
-        kk = 1;
-      }
-      for (; kk < k; ++kk) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[kk]),
-                              _mm256_loadu_ps(bcol + kk * ldb), acc);
-      }
-      _mm256_storeu_ps(crow, acc);
-    }
+  // Four-row tiles across every column panel: the tile's A rows stay hot
+  // in L1 while the (small, k x n) B operand streams once per tile.
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const float* rows[4] = {a + i * lda, a + (i + 1) * lda,
+                            a + (i + 2) * lda, a + (i + 3) * lda};
+    ForEachPanel(n, [&](size_t j, auto panel) {
+      float* out[4] = {c + i * ldc + j, c + (i + 1) * ldc + j,
+                       c + (i + 2) * ldc + j, c + (i + 3) * ldc + j};
+      GemmRows<kFma, kAccumulate, 4>(k, rows, b + j, ldb, out, panel);
+    });
   }
-  // Scalar column tail — same op order per element (one multiply for the
-  // first term under !kAccumulate, fused multiply-adds after), so a column
-  // computes the same bits whether it lands here or in the vector body.
-  for (; j < n; ++j) {
-    for (size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * lda;
-      float acc;
-      size_t kk;
-      if constexpr (kAccumulate) {
-        acc = c[i * ldc + j];
-        kk = 0;
-      } else {
-        acc = arow[0] * b[j];
-        kk = 1;
-      }
-      for (; kk < k; ++kk) {
-        acc = std::fmaf(arow[kk], b[kk * ldb + j], acc);
-      }
-      c[i * ldc + j] = acc;
-    }
+  for (; i < m; ++i) {
+    const float* row[1] = {a + i * lda};
+    ForEachPanel(n, [&](size_t j, auto panel) {
+      float* out[1] = {c + i * ldc + j};
+      GemmRows<kFma, kAccumulate, 1>(k, row, b + j, ldb, out, panel);
+    });
   }
 }
 
-// --- activations ------------------------------------------------------------
+// --- activations -----------------------------------------------------------
 //
-// The same rational tanh as activations.cc (coefficients shared via
-// activations_inl.h) with the Horner steps fused. Vector body and scalar
-// tail perform the identical operation sequence: clamp (min/max), x2 = x*x,
-// fused Horner for numerator and denominator, p*x, one divide. Sigmoid is
-// 0.5 + 0.5*tanh(0.5*x) with the multiply and add kept separate (not
-// fused) in both paths.
+// The rational tanh of activations.cc (coefficients shared via
+// activations_inl.h): clamp, x2 = x*x, Horner for numerator and
+// denominator, p*x, one divide. The clamp is max(lo, x) then min(hi, x) in
+// the instructions' operand order, which returns x itself for a NaN or a
+// signed zero — exactly what std::max(x, lo) / std::min(x, hi) do in the
+// portable code. Sigmoid is 0.5 + 0.5*tanh(0.5*x) with its multiplies and
+// add kept separate in both flavours.
 
+template <bool kFma>
 inline __m256 TanhVec(__m256 x) {
-  const __m256 clamp_hi = _mm256_set1_ps(kTanhClamp);
-  const __m256 clamp_lo = _mm256_set1_ps(-kTanhClamp);
-  x = _mm256_min_ps(_mm256_max_ps(x, clamp_lo), clamp_hi);
+  x = _mm256_max_ps(_mm256_set1_ps(-kTanhClamp), x);
+  x = _mm256_min_ps(_mm256_set1_ps(kTanhClamp), x);
   const __m256 x2 = _mm256_mul_ps(x, x);
   __m256 p = _mm256_set1_ps(kTanhNum[0]);
   for (size_t i = 1; i < kTanhNumTerms; ++i) {
-    p = _mm256_fmadd_ps(p, x2, _mm256_set1_ps(kTanhNum[i]));
+    p = MulAdd<kFma>(p, x2, _mm256_set1_ps(kTanhNum[i]));
   }
   p = _mm256_mul_ps(p, x);
   __m256 q = _mm256_set1_ps(kTanhDen[0]);
   for (size_t i = 1; i < kTanhDenTerms; ++i) {
-    q = _mm256_fmadd_ps(q, x2, _mm256_set1_ps(kTanhDen[i]));
+    q = MulAdd<kFma>(q, x2, _mm256_set1_ps(kTanhDen[i]));
   }
   return _mm256_div_ps(p, q);
 }
 
-inline float TanhFma(float x) {
-  x = std::fmin(std::fmax(x, -kTanhClamp), kTanhClamp);
-  const float x2 = x * x;
-  float p = kTanhNum[0];
-  for (size_t i = 1; i < kTanhNumTerms; ++i) {
-    p = std::fmaf(p, x2, kTanhNum[i]);
-  }
-  p = p * x;
-  float q = kTanhDen[0];
-  for (size_t i = 1; i < kTanhDenTerms; ++i) {
-    q = std::fmaf(q, x2, kTanhDen[i]);
-  }
-  return p / q;
-}
-
+template <bool kFma>
 inline __m256 SigmoidVec(__m256 x) {
   const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 t = TanhVec(_mm256_mul_ps(half, x));
+  const __m256 t = TanhVec<kFma>(_mm256_mul_ps(half, x));
   return _mm256_add_ps(half, _mm256_mul_ps(half, t));
 }
 
-inline float SigmoidFma(float x) {
-  const float t = TanhFma(0.5f * x);
-  const float half_t = 0.5f * t;
-  return 0.5f + half_t;
+template <class Fn>
+inline void MapInPlace(float* x, size_t n, Fn fn) {
+  ForEachPanel(n, [&](size_t i, auto panel) {
+    panel.Store(x + i, fn(panel.Load(x + i)));
+  });
 }
 
 }  // namespace
 
+template <bool kFma>
 void GemmZeroAvx2(size_t m, size_t n, size_t k, const float* a, size_t lda,
                   const float* b, size_t ldb, float* c, size_t ldc) {
-  GemmAvx2Impl<false>(m, n, k, a, lda, b, ldb, c, ldc);
+  GemmAvx2Impl<kFma, false>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
+template <bool kFma>
 void GemmAvx2(size_t m, size_t n, size_t k, const float* a, size_t lda,
               const float* b, size_t ldb, float* c, size_t ldc) {
-  GemmAvx2Impl<true>(m, n, k, a, lda, b, ldb, c, ldc);
+  GemmAvx2Impl<kFma, true>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
+template <bool kFma>
 void TanhInPlaceAvx2(float* x, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, TanhVec(_mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) x[i] = TanhFma(x[i]);
+  MapInPlace(x, n, [](__m256 v) { return TanhVec<kFma>(v); });
 }
 
+template <bool kFma>
 void SigmoidInPlaceAvx2(float* x, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, SigmoidVec(_mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) x[i] = SigmoidFma(x[i]);
+  MapInPlace(x, n, [](__m256 v) { return SigmoidVec<kFma>(v); });
 }
+
+// The two flavours backend.cc's tables point at.
+template void GemmZeroAvx2<true>(size_t, size_t, size_t, const float*, size_t,
+                                 const float*, size_t, float*, size_t);
+template void GemmZeroAvx2<false>(size_t, size_t, size_t, const float*,
+                                  size_t, const float*, size_t, float*,
+                                  size_t);
+template void GemmAvx2<true>(size_t, size_t, size_t, const float*, size_t,
+                             const float*, size_t, float*, size_t);
+template void GemmAvx2<false>(size_t, size_t, size_t, const float*, size_t,
+                              const float*, size_t, float*, size_t);
+template void TanhInPlaceAvx2<true>(float*, size_t);
+template void TanhInPlaceAvx2<false>(float*, size_t);
+template void SigmoidInPlaceAvx2<true>(float*, size_t);
+template void SigmoidInPlaceAvx2<false>(float*, size_t);
 
 // --- int8 GEMM --------------------------------------------------------------
 //

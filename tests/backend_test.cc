@@ -1,9 +1,14 @@
 // Contract tests for the runtime-dispatched kernel backends (nn/backend.h,
 // docs/BACKENDS.md):
-//   * scalar replays blocked's summation order — bit-identical outputs;
+//   * scalar replays blocked's summation order — bit-identical outputs for
+//     every GEMM shape the forward pass produces and every activation input
+//     (signed zeros, infinities, NaN, subnormals, the clamp bounds), and a
+//     batched LSTM pass matches the per-record Lstm::Forward per column;
+//   * the dispatched blocked table (AVX2 where available) computes the
+//     portable kernels' bits, so blocked is machine-invariant;
 //   * simd agrees with blocked within the documented 1e-5 bound and is
-//     bit-identical to itself at any batch composition (vector body and
-//     scalar tail share the per-element operation order);
+//     bit-identical to itself at any batch composition (full panels and
+//     the masked tail panel run the same code);
 //   * the int8 GEMM is exact integer arithmetic — it matches an int64
 //     reference to the bit, on every dispatch (generic and AVX2);
 //   * QuantizeInt8 rounds to nearest-even and clamps to [-127, 127].
@@ -14,11 +19,17 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "nn/activations.h"
+#include "nn/activations_inl.h"
+#include "nn/gemm.h"
+#include "nn/lstm.h"
 
 namespace eventhit::nn {
 namespace {
@@ -27,6 +38,58 @@ std::vector<float> RandomBuffer(size_t n, Rng& rng) {
   std::vector<float> buf(n);
   for (auto& v : buf) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
   return buf;
+}
+
+// Index of the first element whose bit pattern differs (NaN-safe), or -1.
+long FirstBitMismatch(const std::vector<float>& a,
+                      const std::vector<float>& b) {
+  if (a.size() != b.size()) return 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+// Batch sizes a flush can have: every size up to 17 (a full 8-column
+// panel, a masked tail, or both), the fleet's batch 24 and 64, and 55.
+std::vector<size_t> BatchSizes() {
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 17; ++n) sizes.push_back(n);
+  for (size_t n : {24, 55, 64}) sizes.push_back(n);
+  return sizes;
+}
+
+// Activation inputs where a clamp or a vector lane could go wrong: signed
+// zeros, infinities, NaNs, subnormals, the tanh clamp bound and its float
+// neighbours, and the same for sigmoid's clamp on x/2.
+std::vector<float> SpecialActivationInputs() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  std::vector<float> values = {0.0f,  -0.0f, inf,     -inf,   nan,
+                               -nan,  sub,   -sub,    1e-39f, -1e-39f,
+                               0.25f, -3.0f, 100.0f, -100.0f};
+  for (const float bound : {detail::kTanhClamp, 2.0f * detail::kTanhClamp}) {
+    for (const float v : {bound, -bound}) {
+      values.push_back(v);
+      values.push_back(std::nextafter(v, 0.0f));
+      values.push_back(std::nextafter(v, 2.0f * v));
+    }
+  }
+  return values;
+}
+
+// Lstm::ForwardBatch of `lstm` under `backend` over batch-minor `inputs`
+// ([steps x d x batch]); returns h as [hd x batch].
+std::vector<float> RunLstmBatch(const Backend& backend, const Lstm& lstm,
+                                const std::vector<float>& inputs,
+                                size_t steps, size_t batch) {
+  std::vector<float> h(lstm.hidden_dim() * batch);
+  Workspace ws;
+  lstm.ForwardBatch(inputs.data(), steps, batch, h.data(), ws, backend);
+  return h;
 }
 
 std::vector<int8_t> RandomInt8Buffer(size_t n, Rng& rng) {
@@ -82,32 +145,159 @@ TEST(BackendDispatchTest, ParseBackendKind) {
 }
 
 // scalar and blocked promise the same float summation order, so their
-// outputs must match to the bit on every shape, including tile remainders.
+// outputs must match to the bit on every shape the forward pass produces:
+// any flush size (panels and masked tails), k from the degenerate 0 to the
+// LSTM's 34, m up to the event head's 1+H = 501 rows.
 TEST(BackendParityTest, ScalarMatchesBlockedBitExact) {
   Rng rng(101);
-  for (const auto [m, n, k] :
-       {std::array<size_t, 3>{1, 1, 1}, std::array<size_t, 3>{4, 8, 16},
-        std::array<size_t, 3>{7, 13, 5}, std::array<size_t, 3>{96, 37, 24},
-        std::array<size_t, 3>{5, 3, 0}}) {
-    const std::vector<float> a = RandomBuffer(m * k, rng);
-    const std::vector<float> b = RandomBuffer(k * n, rng);
-    std::vector<float> c_scalar(m * n, 0.5f), c_blocked(m * n, 0.5f);
-    GetBackend(BackendKind::kScalar)
-        .kernels->gemm_zero(m, n, k, a.data(), k, b.data(), n,
-                            c_scalar.data(), n);
-    GetBackend(BackendKind::kBlocked)
-        .kernels->gemm_zero(m, n, k, a.data(), k, b.data(), n,
-                            c_blocked.data(), n);
-    EXPECT_EQ(c_scalar, c_blocked) << m << "x" << n << "x" << k;
+  const BackendKernels& scalar = *GetBackend(BackendKind::kScalar).kernels;
+  const BackendKernels& blocked = *GetBackend(BackendKind::kBlocked).kernels;
+  for (const size_t m : {1, 3, 4, 7, 96, 501}) {
+    for (const size_t k : {0, 1, 10, 24, 34}) {
+      const std::vector<float> a = RandomBuffer(m * k, rng);
+      for (const size_t n : BatchSizes()) {
+        const std::vector<float> b = RandomBuffer(k * n, rng);
+        std::vector<float> c_scalar(m * n, 0.5f), c_blocked(m * n, 0.5f);
+        scalar.gemm_zero(m, n, k, a.data(), k, b.data(), n, c_scalar.data(),
+                         n);
+        blocked.gemm_zero(m, n, k, a.data(), k, b.data(), n,
+                          c_blocked.data(), n);
+        EXPECT_EQ(FirstBitMismatch(c_scalar, c_blocked), -1)
+            << "gemm_zero " << m << "x" << n << "x" << k;
 
-    std::fill(c_scalar.begin(), c_scalar.end(), 0.25f);
-    std::fill(c_blocked.begin(), c_blocked.end(), 0.25f);
-    GetBackend(BackendKind::kScalar)
-        .kernels->gemm(m, n, k, a.data(), k, b.data(), n, c_scalar.data(), n);
-    GetBackend(BackendKind::kBlocked)
-        .kernels->gemm(m, n, k, a.data(), k, b.data(), n, c_blocked.data(),
-                       n);
-    EXPECT_EQ(c_scalar, c_blocked) << m << "x" << n << "x" << k;
+        std::fill(c_scalar.begin(), c_scalar.end(), 0.25f);
+        std::fill(c_blocked.begin(), c_blocked.end(), 0.25f);
+        scalar.gemm(m, n, k, a.data(), k, b.data(), n, c_scalar.data(), n);
+        blocked.gemm(m, n, k, a.data(), k, b.data(), n, c_blocked.data(), n);
+        EXPECT_EQ(FirstBitMismatch(c_scalar, c_blocked), -1)
+            << "gemm " << m << "x" << n << "x" << k;
+      }
+    }
+  }
+}
+
+// Every special input at every lane position of every length up to 17:
+// the clamp's NaN and signed-zero behaviour, subnormal arithmetic and the
+// masked tail must all agree with the element-at-a-time scalar oracle.
+TEST(BackendParityTest, ScalarMatchesBlockedActivationsBitExact) {
+  const std::vector<float> special = SpecialActivationInputs();
+  const BackendKernels& scalar = *GetBackend(BackendKind::kScalar).kernels;
+  const BackendKernels& blocked = *GetBackend(BackendKind::kBlocked).kernels;
+  for (size_t n = 1; n <= 17; ++n) {
+    for (size_t offset = 0; offset < special.size(); ++offset) {
+      std::vector<float> x(n);
+      for (size_t i = 0; i < n; ++i) {
+        x[i] = special[(offset + i) % special.size()];
+      }
+      for (const bool is_tanh : {true, false}) {
+        std::vector<float> y_scalar = x, y_blocked = x;
+        (is_tanh ? scalar.tanh_inplace : scalar.sigmoid_inplace)(
+            y_scalar.data(), n);
+        (is_tanh ? blocked.tanh_inplace : blocked.sigmoid_inplace)(
+            y_blocked.data(), n);
+        const long bad = FirstBitMismatch(y_scalar, y_blocked);
+        EXPECT_EQ(bad, -1) << (is_tanh ? "tanh" : "sigmoid") << " n=" << n
+                           << " input "
+                           << (bad >= 0 ? x[static_cast<size_t>(bad)] : 0.0f);
+      }
+    }
+  }
+}
+
+// A batched LSTM pass, column by column, against the per-record path
+// (Lstm::Forward, i.e. StepForward over MatVec): bit-identical under
+// scalar and blocked at every batch size; under simd within the score
+// bound and batch-invariant to the bit. Three (input, hidden) widths, so
+// the gate GEMMs run with several k.
+TEST(BackendParityTest, LstmBatchMatchesPerRecordForward) {
+  Rng rng(106);
+  const size_t steps = 5;
+  for (const auto [d, hd] :
+       {std::array<size_t, 2>{10, 24}, std::array<size_t, 2>{3, 5},
+        std::array<size_t, 2>{34, 9}}) {
+    Lstm lstm("l", d, hd, rng);
+    Matrix& bias = lstm.mutable_bias().value;
+    for (size_t i = 0; i < bias.size(); ++i) {
+      bias.data()[i] = static_cast<float>(rng.Gaussian(0.0, 0.5));
+    }
+    for (const size_t batch : BatchSizes()) {
+      std::vector<std::vector<float>> seqs(batch);
+      std::vector<float> inputs(steps * d * batch);
+      for (size_t b = 0; b < batch; ++b) {
+        seqs[b] = RandomBuffer(steps * d, rng);
+        for (size_t td = 0; td < steps * d; ++td) {
+          inputs[td * batch + b] = seqs[b][td];
+        }
+      }
+      for (const BackendKind kind :
+           {BackendKind::kScalar, BackendKind::kBlocked, BackendKind::kSimd}) {
+        const Backend& backend = GetBackend(kind);
+        const std::vector<float> h =
+            RunLstmBatch(backend, lstm, inputs, steps, batch);
+        for (size_t b = 0; b < batch; ++b) {
+          const Vec want = lstm.Forward(seqs[b].data(), steps);
+          std::vector<float> got(hd);
+          for (size_t u = 0; u < hd; ++u) got[u] = h[u * batch + b];
+          if (backend.effective != BackendKind::kSimd) {
+            ASSERT_EQ(FirstBitMismatch(got, want), -1)
+                << backend.name << " d=" << d << " hd=" << hd
+                << " batch=" << batch << " column " << b;
+            continue;
+          }
+          for (size_t u = 0; u < hd; ++u) {
+            EXPECT_NEAR(got[u], want[u], 1e-5f) << u;
+          }
+          const std::vector<float> solo =
+              RunLstmBatch(backend, lstm, seqs[b], steps, /*batch=*/1);
+          ASSERT_EQ(FirstBitMismatch(got, solo), -1)
+              << "simd batch=" << batch << " column " << b;
+        }
+      }
+    }
+  }
+}
+
+// The dispatched blocked table against the portable kernels, reached
+// directly. On an AVX2 host this pins the AVX2 flavour to the bits a
+// non-AVX2 or aarch64 host computes (machine invariance); elsewhere the
+// table is the portable one and the comparison is trivially exact.
+TEST(BackendParityTest, DispatchedBlockedMatchesPortableKernels) {
+  Rng rng(107);
+  const BackendKernels& blocked = *GetBackend(BackendKind::kBlocked).kernels;
+  for (const size_t m : {1, 5, 96, 501}) {
+    for (const size_t k : {0, 1, 10, 34}) {
+      const std::vector<float> a = RandomBuffer(m * k, rng);
+      for (const size_t n : BatchSizes()) {
+        const std::vector<float> b = RandomBuffer(k * n, rng);
+        std::vector<float> want(m * n, 0.5f), got(m * n, 0.5f);
+        GemmZero(m, n, k, a.data(), k, b.data(), n, want.data(), n);
+        blocked.gemm_zero(m, n, k, a.data(), k, b.data(), n, got.data(), n);
+        EXPECT_EQ(FirstBitMismatch(got, want), -1)
+            << "gemm_zero " << m << "x" << n << "x" << k;
+        Gemm(m, n, k, a.data(), k, b.data(), n, want.data(), n);
+        blocked.gemm(m, n, k, a.data(), k, b.data(), n, got.data(), n);
+        EXPECT_EQ(FirstBitMismatch(got, want), -1)
+            << "gemm " << m << "x" << n << "x" << k;
+      }
+    }
+  }
+
+  // Random inputs past the portable loops' chunk size, plus the specials.
+  std::vector<float> x = RandomBuffer(1027, rng);
+  for (float& v : x) v *= 6.0f;
+  const std::vector<float> special = SpecialActivationInputs();
+  x.insert(x.end(), special.begin(), special.end());
+  for (const size_t n : {size_t{1}, size_t{13}, x.size()}) {
+    std::vector<float> want(x.begin(), x.begin() + static_cast<long>(n));
+    std::vector<float> got = want;
+    TanhInPlace(want.data(), n);
+    blocked.tanh_inplace(got.data(), n);
+    EXPECT_EQ(FirstBitMismatch(got, want), -1) << "tanh n=" << n;
+    want.assign(x.begin(), x.begin() + static_cast<long>(n));
+    got = want;
+    SigmoidInPlace(want.data(), n);
+    blocked.sigmoid_inplace(got.data(), n);
+    EXPECT_EQ(FirstBitMismatch(got, want), -1) << "sigmoid n=" << n;
   }
 }
 
@@ -153,7 +343,7 @@ TEST(BackendParityTest, SimdGemmBatchInvariant) {
 }
 
 TEST(BackendParityTest, SimdActivationsWithinBoundAndLengthInvariant) {
-  const size_t n = 1027;  // 8-wide body plus a scalar tail.
+  const size_t n = 1027;  // 8-wide panels plus a masked tail.
   Rng rng(104);
   const std::vector<float> x = RandomBuffer(n, rng);
   const BackendKernels& simd = *GetBackend(BackendKind::kSimd).kernels;
