@@ -99,25 +99,6 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_GemmTN(benchmark::State& state) {
-  const size_t rows = 96, cols = 24;
-  const auto batch = static_cast<size_t>(state.range(0));
-  Rng rng(22);
-  // A stored contraction-major (cols x rows), as a gradient kernel would.
-  eventhit::nn::Matrix w =
-      eventhit::nn::Matrix::GlorotUniform(cols, rows, rng);
-  std::vector<float> x(cols * batch), y(rows * batch, 0.0f);
-  for (auto& v : x) v = static_cast<float>(rng.Uniform());
-  for (auto _ : state) {
-    std::fill(y.begin(), y.end(), 0.0f);
-    eventhit::nn::GemmTN(rows, batch, cols, w.data(), rows, x.data(), batch,
-                         y.data(), batch);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_GemmTN)->Arg(8)->Arg(32)->Arg(128);
-
 // The same GEMM shape through each runtime-dispatched kernel backend
 // (nn/backend.h): scalar replays blocked's summation order without the
 // register tiling, simd is the explicit AVX2+FMA path (silently the
@@ -301,8 +282,13 @@ BENCHMARK_CAPTURE(BM_EventHitPredictBatchBackend, simd,
 BENCHMARK_CAPTURE(BM_EventHitPredictBatchBackend, int8,
                   eventhit::nn::BackendKind::kInt8)->Arg(32);
 
-void BM_EventHitTrainEpoch(benchmark::State& state) {
+// One epoch over 100 positive records (the batched training path), at the
+// THUMOS shape (M=10, H=200) and the Breakfast shape (M=50, H=500) that
+// dominates the long-window fleet's set-up.
+void BM_EventHitTrainEpoch(benchmark::State& state, int window, int horizon) {
   core::EventHitConfig config = ThumosModelConfig();
+  config.collection_window = window;
+  config.horizon = horizon;
   config.epochs = 1;
   Rng rng(4);
   std::vector<data::Record> records;
@@ -317,8 +303,13 @@ void BM_EventHitTrainEpoch(benchmark::State& state) {
     core::EventHitModel model(config);
     benchmark::DoNotOptimize(model.Train(records));
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(records.size()));
 }
-BENCHMARK(BM_EventHitTrainEpoch)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EventHitTrainEpoch, thumos, 10, 200)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EventHitTrainEpoch, breakfast, 50, 500)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ConformalPValue(benchmark::State& state) {
   Rng rng(5);

@@ -22,6 +22,41 @@ double WeightFor(const std::vector<double>& weights, size_t k) {
   return weights[k];
 }
 
+// Fills the L1/L2 targets and weights of event k for one record: logit 0
+// is the existence score b_k, logits 1..H the per-frame occupancy theta.
+void FillLossTargets(const data::EventLabel& label, size_t k,
+                     const EventHitConfig& config, nn::Vec& targets,
+                     nn::Vec& weights) {
+  const auto horizon = static_cast<size_t>(config.horizon);
+  // L1: existence BCE on b_k (logit index 0).
+  targets[0] = label.present ? 1.0f : 0.0f;
+  weights[0] = static_cast<float>(WeightFor(config.beta, k));
+
+  // L2: per-frame BCE on theta (logit indices 1..H), positive records
+  // only, with the paper's inside/outside normalisation.
+  if (label.present) {
+    EVENTHIT_CHECK_GE(label.start, 1);
+    EVENTHIT_CHECK_LE(label.start, label.end);
+    EVENTHIT_CHECK_LE(label.end, config.horizon);
+    const double gamma = WeightFor(config.gamma, k);
+    const auto inside = static_cast<double>(label.end - label.start + 1);
+    const double outside = static_cast<double>(horizon) - inside;
+    const auto w_in = static_cast<float>(gamma / inside);
+    const auto w_out =
+        outside > 0.0 ? static_cast<float>(gamma / outside) : 0.0f;
+    for (size_t v = 1; v <= horizon; ++v) {
+      const bool occupied = static_cast<int>(v) >= label.start &&
+                            static_cast<int>(v) <= label.end;
+      targets[v] = occupied ? 1.0f : 0.0f;
+      weights[v] = occupied ? w_in : w_out;
+    }
+  } else {
+    // Absent events contribute no L2 terms (1[E_k in L_n] gate).
+    std::fill(targets.begin() + 1, targets.end(), 0.0f);
+    std::fill(weights.begin() + 1, weights.end(), 0.0f);
+  }
+}
+
 }  // namespace
 
 EventHitModel::EventHitModel(const EventHitConfig& config)
@@ -247,90 +282,110 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
   }
 }
 
-std::pair<double, double> EventHitModel::TrainStep(const data::Record& record,
-                                                   Rng& rng) {
+struct EventHitModel::TrainScratch {
+  nn::Workspace ws;
+  std::vector<nn::Mlp::BatchTape> head_tapes;
+  // One record's logits, targets, weights and logit gradients.
+  nn::Vec logits, targets, weights, dlogits;
+  // Per-record L1 and L2 of the current minibatch, summed over events.
+  std::vector<double> existence, occupancy;
+};
+
+void EventHitModel::TrainMinibatch(const std::vector<data::Record>& records,
+                                   const size_t* rows, size_t count, Rng& rng,
+                                   TrainScratch& scratch,
+                                   TrainEpochStats& stats) {
   const auto steps = static_cast<size_t>(config_.collection_window);
-  EVENTHIT_CHECK_EQ(record.labels.size(), config_.num_events);
-  EVENTHIT_CHECK_EQ(record.covariates.size(), steps * config_.feature_dim);
-  const float* covariates = record.covariates.data();
+  const size_t d = config_.feature_dim;
+  for (size_t b = 0; b < count; ++b) {
+    const data::Record& record = records[rows[b]];
+    EVENTHIT_CHECK_EQ(record.labels.size(), config_.num_events);
+    EVENTHIT_CHECK_EQ(record.covariates.size(), steps * d);
+  }
+  nn::Workspace& ws = scratch.ws;
+  ws.Reset();
+  // Always the blocked table: its bits are the per-record path's on every
+  // host, which is what keeps the trained weights machine-invariant.
+  const nn::Backend& blocked = nn::GetBackend(nn::BackendKind::kBlocked);
 
-  // --- Forward (training mode) ---
-  const nn::Vec h = lstm_.ForwardCached(covariates, steps);
-  nn::Vec z;
-  shared_fc_.Forward(h.data(), z);
-  nn::TanhInPlace(z.data(), z.size());
-  nn::Vec zd;
-  dropout_.ForwardTrain(z.data(), z.size(), rng, zd);
+  // --- Forward (training mode), batch-minor as in PredictBatched ---
+  float* x = ws.Alloc(steps * d * count);
+  for (size_t b = 0; b < count; ++b) {
+    const float* cov = records[rows[b]].covariates.data();
+    for (size_t td = 0; td < steps * d; ++td) x[td * count + b] = cov[td];
+  }
+  const size_t hd = lstm_.hidden_dim();
+  float* h = ws.Alloc(hd * count);
+  nn::Lstm::BatchTape lstm_tape;
+  lstm_.ForwardBatch(x, steps, count, h, ws, blocked, &lstm_tape);
+  const size_t z_rows = shared_fc_.out_dim();
+  float* z = ws.Alloc(z_rows * count);
+  shared_fc_.ForwardBatch(h, count, z, blocked);
+  blocked.kernels->tanh_inplace(z, z_rows * count);
 
-  nn::Vec u(zd.size() + config_.feature_dim);
-  std::copy(zd.begin(), zd.end(), u.begin());
-  const float* x_last = covariates + (steps - 1) * config_.feature_dim;
-  std::copy(x_last, x_last + config_.feature_dim, u.begin() + zd.size());
+  // u = dropout(z) ++ x_last. Dropout, train_rng's only consumer, draws
+  // record by record, so the rng sequence is the per-record loop's.
+  const size_t u_rows = z_rows + d;
+  float* u = ws.Alloc(u_rows * count);
+  float* mask = ws.Alloc(z_rows * count);
+  dropout_.ForwardTrainBatch(z, z_rows, count, rng, u, mask);
+  const size_t last_offset = (steps - 1) * d;
+  for (size_t j = 0; j < d; ++j) {
+    float* row = u + (z_rows + j) * count;
+    for (size_t b = 0; b < count; ++b) {
+      row[b] = records[rows[b]].covariates[last_offset + j];
+    }
+  }
 
+  // --- Event heads: per-record losses, batched backward into du ---
+  // du accumulates head by head in event order, as the per-record loop's
+  // running du does.
   const auto horizon = static_cast<size_t>(config_.horizon);
   const size_t out_dim = 1 + horizon;
-  nn::Vec logits;
-  nn::Vec dlogits(out_dim);
-  nn::Vec targets(out_dim);
-  nn::Vec weights(out_dim);
-  nn::Vec du(u.size(), 0.0f);
-
-  double loss_existence = 0.0;
-  double loss_occupancy = 0.0;
-
+  float* logits = ws.Alloc(out_dim * count);
+  float* dlogits = ws.Alloc(out_dim * count);
+  float* du = ws.Alloc(u_rows * count);
+  std::fill(du, du + u_rows * count, 0.0f);
+  scratch.existence.assign(count, 0.0);
+  scratch.occupancy.assign(count, 0.0);
   for (size_t k = 0; k < config_.num_events; ++k) {
-    const data::EventLabel& label = record.labels[k];
-    event_nets_[k].ForwardCached(u.data(), logits);
-
-    // L1: existence BCE on b_k (logit index 0).
-    targets[0] = label.present ? 1.0f : 0.0f;
-    weights[0] = static_cast<float>(WeightFor(config_.beta, k));
-
-    // L2: per-frame BCE on theta (logit indices 1..H), positive records
-    // only, with the paper's inside/outside normalisation.
-    if (label.present) {
-      EVENTHIT_CHECK_GE(label.start, 1);
-      EVENTHIT_CHECK_LE(label.start, label.end);
-      EVENTHIT_CHECK_LE(label.end, config_.horizon);
-      const double gamma = WeightFor(config_.gamma, k);
-      const auto inside = static_cast<double>(label.end - label.start + 1);
-      const double outside = static_cast<double>(horizon) - inside;
-      const auto w_in = static_cast<float>(gamma / inside);
-      const auto w_out =
-          outside > 0.0 ? static_cast<float>(gamma / outside) : 0.0f;
-      for (size_t v = 1; v <= horizon; ++v) {
-        const bool occupied = static_cast<int>(v) >= label.start &&
-                              static_cast<int>(v) <= label.end;
-        targets[v] = occupied ? 1.0f : 0.0f;
-        weights[v] = occupied ? w_in : w_out;
+    nn::Mlp& net = event_nets_[k];
+    nn::Mlp::BatchTape& tape = scratch.head_tapes[k];
+    net.ForwardBatch(u, count, logits, ws, blocked, &tape);
+    for (size_t b = 0; b < count; ++b) {
+      for (size_t v = 0; v < out_dim; ++v) {
+        scratch.logits[v] = logits[v * count + b];
       }
-    } else {
-      // Absent events contribute no L2 terms (1[E_k in L_n] gate).
-      std::fill(targets.begin() + 1, targets.end(), 0.0f);
-      std::fill(weights.begin() + 1, weights.end(), 0.0f);
+      FillLossTargets(records[rows[b]].labels[k], k, config_, scratch.targets,
+                      scratch.weights);
+      scratch.existence[b] +=
+          nn::BceWithLogits(scratch.logits[0], scratch.targets[0],
+                            scratch.weights[0], &scratch.dlogits[0]);
+      scratch.occupancy[b] += nn::BceWithLogitsVector(
+          scratch.logits.data() + 1, scratch.targets.data() + 1,
+          scratch.weights.data() + 1, horizon, scratch.dlogits.data() + 1);
+      for (size_t v = 0; v < out_dim; ++v) {
+        dlogits[v * count + b] = scratch.dlogits[v];
+      }
     }
-
-    loss_existence += nn::BceWithLogits(logits[0], targets[0], weights[0],
-                                        &dlogits[0]);
-    loss_occupancy +=
-        nn::BceWithLogitsVector(logits.data() + 1, targets.data() + 1,
-                                weights.data() + 1, horizon, dlogits.data() + 1);
-
-    event_nets_[k].Backward(u.data(), dlogits.data(), du.data());
+    net.BackwardBatch(tape, u, dlogits, count, du, ws);
   }
 
   // --- Backward through the shared trunk ---
   // du splits into the z part (through dropout and tanh) and x_last (input
   // data; no gradient needed).
-  nn::Vec dz(zd.size());
-  dropout_.Backward(du.data(), dz.data());
-  nn::Vec dz_pre(z.size());
-  nn::TanhBackward(z.data(), dz.data(), dz_pre.data(), z.size());
-  nn::Vec dh(h.size(), 0.0f);
-  shared_fc_.Backward(h.data(), dz_pre.data(), dh.data());
-  lstm_.Backward(dh.data());
+  float* dz = ws.Alloc(z_rows * count);
+  for (size_t i = 0; i < z_rows * count; ++i) dz[i] = du[i] * mask[i];
+  nn::TanhBackward(z, dz, dz, z_rows * count);
+  float* dh = ws.Alloc(hd * count);
+  std::fill(dh, dh + hd * count, 0.0f);
+  shared_fc_.BackwardBatch(h, dz, count, dh, ws);
+  lstm_.BackwardBatch(lstm_tape, dh, ws);
 
-  return {loss_existence, loss_occupancy};
+  for (size_t b = 0; b < count; ++b) {
+    stats.existence_loss += scratch.existence[b];
+    stats.occupancy_loss += scratch.occupancy[b];
+  }
 }
 
 std::vector<TrainEpochStats> EventHitModel::Train(
@@ -346,6 +401,14 @@ std::vector<TrainEpochStats> EventHitModel::Train(
   std::vector<size_t> order(records.size());
   std::iota(order.begin(), order.end(), 0);
 
+  TrainScratch scratch;
+  scratch.head_tapes.resize(config_.num_events);
+  const size_t out_dim = 1 + static_cast<size_t>(config_.horizon);
+  for (nn::Vec* v : {&scratch.logits, &scratch.targets, &scratch.weights,
+                     &scratch.dlogits}) {
+    v->resize(out_dim);
+  }
+
   std::vector<TrainEpochStats> history;
   const auto batch = static_cast<size_t>(std::max(config_.batch_size, 1));
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -354,11 +417,8 @@ std::vector<TrainEpochStats> EventHitModel::Train(
     size_t steps = 0;
     for (size_t begin = 0; begin < order.size(); begin += batch) {
       const size_t end = std::min(begin + batch, order.size());
-      for (size_t i = begin; i < end; ++i) {
-        const auto [l1, l2] = TrainStep(records[order[i]], train_rng);
-        stats.existence_loss += l1;
-        stats.occupancy_loss += l2;
-      }
+      TrainMinibatch(records, order.data() + begin, end - begin, train_rng,
+                     scratch, stats);
       nn::ScaleGradients(Parameters(), 1.0f / static_cast<float>(end - begin));
       stats.grad_norm += optimizer.Step();
       ++steps;

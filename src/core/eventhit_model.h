@@ -50,7 +50,10 @@ class EventHitModel {
   const EventHitConfig& config() const { return config_; }
 
   /// Trains end-to-end on `records` (their covariates must be
-  /// M x feature_dim). Returns per-epoch statistics.
+  /// M x feature_dim). Returns per-epoch statistics. Each minibatch runs as
+  /// one batched forward and backward pass on the blocked kernel table,
+  /// whatever the inference backend; the trained weights are bit-identical
+  /// to a per-record loop over ForwardCached/Backward (DESIGN.md §5c).
   std::vector<TrainEpochStats> Train(const std::vector<data::Record>& records);
 
   /// Inference: raw scores for one covariate block. Routed through the
@@ -109,8 +112,16 @@ class EventHitModel {
   // concatenated sub-network input u = z ++ x_last.
   void TrunkForward(const float* covariates, nn::Vec& z, nn::Vec& u) const;
 
-  // One training example: forward + loss + backward. Returns (L1, L2).
-  std::pair<double, double> TrainStep(const data::Record& record, Rng& rng);
+  // Scratch of one Train call (arena, head tapes, loss buffers), reused
+  // across its minibatches and freed when it returns.
+  struct TrainScratch;
+
+  // One minibatch, records[rows[0..count)]: batched forward, per-record
+  // losses, batched backward. Accumulates the parameter gradients and adds
+  // each record's L1 and L2 to `stats` in record order.
+  void TrainMinibatch(const std::vector<data::Record>& records,
+                      const size_t* rows, size_t count, Rng& rng,
+                      TrainScratch& scratch, TrainEpochStats& stats);
 
   nn::ParameterRefs Parameters();
   nn::ConstParameterRefs Parameters() const;

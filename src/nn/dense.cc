@@ -53,6 +53,29 @@ void Dense::Backward(const float* x, const float* dy, float* dx) {
   }
 }
 
+void Dense::BackwardBatch(const float* x, const float* dy, size_t batch,
+                          float* dx, Workspace& ws) {
+  EVENTHIT_CHECK_GT(batch, 0u);
+  const size_t in = in_dim();
+  const size_t out = out_dim();
+  const BackendKernels& kern = *GetBackend(BackendKind::kBlocked).kernels;
+  // Backward skips a zero dy row; the GEMMs add its ±0 products instead,
+  // which leaves a sum that started at +0 unchanged (DESIGN.md §5e).
+  float* x_rows = ws.Alloc(batch * in);
+  Transpose(x, in, batch, x_rows);
+  kern.gemm(out, in, batch, dy, batch, x_rows, in, weight_.grad.data(), in);
+  float* db = bias_.grad.data();
+  for (size_t i = 0; i < out; ++i) {
+    const float* row = dy + i * batch;
+    for (size_t b = 0; b < batch; ++b) db[i] += row[b];
+  }
+  if (dx != nullptr) {
+    float* w_t = ws.Alloc(in * out);
+    Transpose(weight_.value.data(), out, in, w_t);
+    kern.gemm(in, batch, out, w_t, out, dy, batch, dx, batch);
+  }
+}
+
 void Dense::CollectParameters(ParameterRefs& out) {
   out.push_back(&weight_);
   out.push_back(&bias_);

@@ -9,6 +9,7 @@
 #include "nn/backend.h"
 #include "nn/matrix.h"
 #include "nn/parameter.h"
+#include "nn/workspace.h"
 
 namespace eventhit::nn {
 
@@ -44,6 +45,16 @@ class Dense {
   /// accumulates dW, db and adds W^T dy into `dx` (which must be sized
   /// in_dim(); pass nullptr to skip input-gradient computation).
   void Backward(const float* x, const float* dy, float* dx);
+
+  /// Batched Backward over `batch` columns stored batch-minor: `x` is
+  /// [in_dim() x batch], `dy` [out_dim() x batch], and `dx` (nullable)
+  /// [in_dim() x batch] receives += W^T dy. Runs dW += dY·X^T and
+  /// dX += W^T·dY as accumulating GEMMs on the blocked kernel table, with
+  /// scratch from `ws`; their k runs over the columns (resp. the output
+  /// rows) in ascending order, so every element receives the adds of
+  /// `batch` Backward calls in column order, bit for bit.
+  void BackwardBatch(const float* x, const float* dy, size_t batch, float* dx,
+                     Workspace& ws);
 
   /// Registers this layer's parameters into `out`.
   void CollectParameters(ParameterRefs& out);

@@ -20,6 +20,14 @@ class Dropout {
   /// masked activations to `y` (resized to n).
   void ForwardTrain(const float* x, size_t n, Rng& rng, Vec& y);
 
+  /// Training-mode forward over `batch` columns stored batch-minor
+  /// ([n x batch]): writes the masked activations to `y` and the scaled
+  /// keep mask to `mask`, both [n x batch]. Column 0's n draws come first,
+  /// then column 1's, so `rng` advances exactly as under `batch`
+  /// ForwardTrain calls in column order.
+  void ForwardTrainBatch(const float* x, size_t n, size_t batch, Rng& rng,
+                         float* y, float* mask) const;
+
   /// Inference-mode forward: identity (inverted dropout).
   void ForwardEval(const float* x, size_t n, Vec& y) const;
 

@@ -25,7 +25,7 @@ template <bool kAccumulate>
 inline void GemmTile4(size_t n, size_t k, const float* EVENTHIT_RESTRICT a0,
                       const float* EVENTHIT_RESTRICT a1,
                       const float* EVENTHIT_RESTRICT a2,
-                      const float* EVENTHIT_RESTRICT a3, size_t astride,
+                      const float* EVENTHIT_RESTRICT a3,
                       const float* EVENTHIT_RESTRICT b, size_t ldb,
                       float* EVENTHIT_RESTRICT c0,
                       float* EVENTHIT_RESTRICT c1,
@@ -55,10 +55,10 @@ inline void GemmTile4(size_t n, size_t k, const float* EVENTHIT_RESTRICT a0,
     kk = 1;
   }
   for (; kk < k; ++kk) {
-    const float a0k = a0[kk * astride];
-    const float a1k = a1[kk * astride];
-    const float a2k = a2[kk * astride];
-    const float a3k = a3[kk * astride];
+    const float a0k = a0[kk];
+    const float a1k = a1[kk];
+    const float a2k = a2[kk];
+    const float a3k = a3[kk];
     const float* EVENTHIT_RESTRICT brow = b + kk * ldb;
     for (size_t j = 0; j < n; ++j) {
       c0[j] += a0k * brow[j];
@@ -71,8 +71,8 @@ inline void GemmTile4(size_t n, size_t k, const float* EVENTHIT_RESTRICT a0,
 
 template <bool kAccumulate>
 inline void GemmTile1(size_t n, size_t k, const float* EVENTHIT_RESTRICT a0,
-                      size_t astride, const float* EVENTHIT_RESTRICT b,
-                      size_t ldb, float* EVENTHIT_RESTRICT c0) {
+                      const float* EVENTHIT_RESTRICT b, size_t ldb,
+                      float* EVENTHIT_RESTRICT c0) {
   size_t kk = 0;
   if constexpr (!kAccumulate) {
     if (k == 0) {
@@ -84,7 +84,7 @@ inline void GemmTile1(size_t n, size_t k, const float* EVENTHIT_RESTRICT a0,
     kk = 1;
   }
   for (; kk < k; ++kk) {
-    const float a0k = a0[kk * astride];
+    const float a0k = a0[kk];
     const float* EVENTHIT_RESTRICT brow = b + kk * ldb;
     for (size_t j = 0; j < n; ++j) {
       c0[j] += a0k * brow[j];
@@ -95,18 +95,15 @@ inline void GemmTile1(size_t n, size_t k, const float* EVENTHIT_RESTRICT a0,
 template <bool kAccumulate>
 void GemmImpl(size_t m, size_t n, size_t k, const float* a, size_t lda,
               const float* b, size_t ldb, float* c, size_t ldc) {
-  // A row i starts at a + i*lda and advances by 1 per k (astride == 1).
   size_t i = 0;
   for (; i + kRowTile <= m; i += kRowTile) {
     GemmTile4<kAccumulate>(n, k, a + i * lda, a + (i + 1) * lda,
-                           a + (i + 2) * lda, a + (i + 3) * lda,
-                           /*astride=*/1, b, ldb, c + i * ldc,
-                           c + (i + 1) * ldc, c + (i + 2) * ldc,
+                           a + (i + 2) * lda, a + (i + 3) * lda, b, ldb,
+                           c + i * ldc, c + (i + 1) * ldc, c + (i + 2) * ldc,
                            c + (i + 3) * ldc);
   }
   for (; i < m; ++i) {
-    GemmTile1<kAccumulate>(n, k, a + i * lda, /*astride=*/1, b, ldb,
-                           c + i * ldc);
+    GemmTile1<kAccumulate>(n, k, a + i * lda, b, ldb, c + i * ldc);
   }
 }
 
@@ -120,22 +117,6 @@ void Gemm(size_t m, size_t n, size_t k, const float* a, size_t lda,
 void GemmZero(size_t m, size_t n, size_t k, const float* a, size_t lda,
               const float* b, size_t ldb, float* c, size_t ldc) {
   GemmImpl<false>(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void GemmTN(size_t m, size_t n, size_t k, const float* a, size_t lda,
-            const float* b, size_t ldb, float* c, size_t ldc) {
-  // Effective A row i is stored column i: starts at a + i, advances by lda
-  // per k. Same tile, different stride — the k-order (and therefore the
-  // summation-order contract) is unchanged.
-  size_t i = 0;
-  for (; i + kRowTile <= m; i += kRowTile) {
-    GemmTile4<true>(n, k, a + i, a + i + 1, a + i + 2, a + i + 3,
-                    /*astride=*/lda, b, ldb, c + i * ldc, c + (i + 1) * ldc,
-                    c + (i + 2) * ldc, c + (i + 3) * ldc);
-  }
-  for (; i < m; ++i) {
-    GemmTile1<true>(n, k, a + i, /*astride=*/lda, b, ldb, c + i * ldc);
-  }
 }
 
 }  // namespace eventhit::nn

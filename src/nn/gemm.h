@@ -44,17 +44,6 @@ void Gemm(size_t m, size_t n, size_t k, const float* a, size_t lda,
 void GemmZero(size_t m, size_t n, size_t k, const float* a, size_t lda,
               const float* b, size_t ldb, float* c, size_t ldc);
 
-/// C += A^T * B, with A stored k x m (leading dimension `lda` >= m).
-///
-/// The transposed-first-operand form: column i of the stored A is row i of
-/// the effective operand, so A is walked down its rows while C and B stream
-/// unit-stride — no transpose copy needed for contraction-major operands
-/// (e.g. a batched weight gradient dW += dY^T * X with activations stored
-/// batch-minor). Same shape conventions, aliasing rules and summation-order
-/// contract as Gemm.
-void GemmTN(size_t m, size_t n, size_t k, const float* a, size_t lda,
-            const float* b, size_t ldb, float* c, size_t ldc);
-
 }  // namespace eventhit::nn
 
 #endif  // EVENTHIT_NN_GEMM_H_

@@ -20,9 +20,16 @@ double BceWithLogits(float logit, float target, float weight, float* dlogit) {
   // loss = -(y * log p + (1-y) * log(1-p)), p = sigmoid(logit)
   //      = y * (-log p) + (1-y) * (-log(1-p))
   // with -log p = LogSigmoidNeg(logit), -log(1-p) = LogSigmoidNeg(-logit).
-  const double loss =
-      weight * (target * LogSigmoidNeg(logit) +
-                (1.0 - target) * LogSigmoidNeg(-logit));
+  // A 0/1 target keeps one term: the other is finite and non-negative, so
+  // the two-term sum multiplies it by exactly 0 to +0 and adds that to the
+  // kept term unchanged — skipping it gives the same bits for one exp and
+  // one log1p instead of two each.
+  const double terms =
+      target == 1.0f   ? LogSigmoidNeg(logit)
+      : target == 0.0f ? LogSigmoidNeg(-logit)
+                       : target * LogSigmoidNeg(logit) +
+                             (1.0 - target) * LogSigmoidNeg(-logit);
+  const double loss = weight * terms;
   const float p = SigmoidScalar(logit);
   *dlogit = weight * (p - target);
   return loss;

@@ -1,5 +1,6 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -9,6 +10,43 @@
 #include "nn/gemm.h"
 
 namespace eventhit::nn {
+namespace {
+
+#if defined(__GNUC__) || defined(__clang__)
+#define EVENTHIT_RESTRICT __restrict__
+#else
+#define EVENTHIT_RESTRICT
+#endif
+
+// One BPTT step's per-element expressions over n = Hd * batch elements
+// (batch 1 in Backward): dpre gets the four gate blocks, each n wide in
+// [i, f, g, o] order, and dc steps back to c_{t-1}. The non-aliasing
+// pointers let the compiler vectorize; each element sees the same IEEE
+// operations either way.
+void StepBackward(size_t n, const float* EVENTHIT_RESTRICT gate_i,
+                  const float* EVENTHIT_RESTRICT gate_f,
+                  const float* EVENTHIT_RESTRICT gate_g,
+                  const float* EVENTHIT_RESTRICT gate_o,
+                  const float* EVENTHIT_RESTRICT tanh_c,
+                  const float* EVENTHIT_RESTRICT c_prev,
+                  const float* EVENTHIT_RESTRICT dh,
+                  float* EVENTHIT_RESTRICT dc, float* EVENTHIT_RESTRICT dpre) {
+  for (size_t idx = 0; idx < n; ++idx) {
+    const float tc = tanh_c[idx];
+    const float d_o = dh[idx] * tc;
+    const float dc_total = dc[idx] + dh[idx] * gate_o[idx] * (1.0f - tc * tc);
+    const float d_i = dc_total * gate_g[idx];
+    const float d_f = dc_total * c_prev[idx];
+    const float d_g = dc_total * gate_i[idx];
+    dpre[idx] = d_i * gate_i[idx] * (1.0f - gate_i[idx]);
+    dpre[n + idx] = d_f * gate_f[idx] * (1.0f - gate_f[idx]);
+    dpre[2 * n + idx] = d_g * (1.0f - gate_g[idx] * gate_g[idx]);
+    dpre[3 * n + idx] = d_o * gate_o[idx] * (1.0f - gate_o[idx]);
+    dc[idx] = dc_total * gate_f[idx];
+  }
+}
+
+}  // namespace
 
 Lstm::Lstm(std::string name, size_t input_dim, size_t hidden_dim, Rng& rng)
     : wx_(name + ".Wx", Matrix::GlorotUniform(4 * hidden_dim, input_dim, rng)),
@@ -98,31 +136,64 @@ void Lstm::ForwardBatch(const float* inputs, size_t steps, size_t batch,
 }
 
 void Lstm::ForwardBatch(const float* inputs, size_t steps, size_t batch,
-                        float* h_out, Workspace& ws,
-                        const Backend& backend) const {
+                        float* h_out, Workspace& ws, const Backend& backend,
+                        BatchTape* tape) const {
   EVENTHIT_CHECK_GT(steps, 0u);
   EVENTHIT_CHECK_GT(batch, 0u);
   const size_t hd = hidden_dim();
   const size_t d = input_dim();
   const size_t gate_rows = 4 * hd;
+  const size_t state = hd * batch;
   const BackendKernels& kern = *backend.kernels;
 
   // All scratch is [rows x batch], batch-minor. `gates` carries the packed
   // pre-activations then (in place) the activated gates; `rec` holds the
   // recurrent term separately so the combination below can replay the
   // scalar path's operation order: (Wx·x) + (Wh·h) summed per element,
-  // then + bias (see StepForward and the matrix.h contract).
-  float* gates = ws.Alloc(gate_rows * batch);
-  float* rec = ws.Alloc(gate_rows * batch);
-  float* h_prev = ws.Alloc(hd * batch);
-  float* c_prev = ws.Alloc(hd * batch);
-  float* h_cur = ws.Alloc(hd * batch);
-  float* c_cur = ws.Alloc(hd * batch);
-  std::memset(h_prev, 0, hd * batch * sizeof(float));
-  std::memset(c_prev, 0, hd * batch * sizeof(float));
+  // then + bias (see StepForward and the matrix.h contract). Inference
+  // ping-pongs two state slots (slot 0 starts as the zero state; step t
+  // writes slot (t + 1) & 1) and keeps tanh(c_t) in h_t's buffer; training
+  // gives every step its own tape slots and starts from a zero buffer.
+  float* gates = nullptr;
+  float* rec = nullptr;
+  float* h_slots[2] = {nullptr, nullptr};
+  float* c_slots[2] = {nullptr, nullptr};
+  const float* h_prev = nullptr;
+  const float* c_prev = nullptr;
+  if (tape != nullptr) {
+    rec = ws.Alloc(gate_rows * batch);
+    float* zeros = ws.Alloc(state);
+    std::memset(zeros, 0, state * sizeof(float));
+    h_prev = zeros;
+    c_prev = zeros;
+    *tape = BatchTape{inputs,
+                      steps,
+                      batch,
+                      ws.Alloc(steps * gate_rows * batch),
+                      ws.Alloc(steps * state),
+                      ws.Alloc(steps * state),
+                      ws.Alloc(steps * state)};
+  } else {
+    gates = ws.Alloc(gate_rows * batch);
+    rec = ws.Alloc(gate_rows * batch);
+    for (size_t slot = 0; slot < 2; ++slot) {
+      h_slots[slot] = ws.Alloc(state);
+      c_slots[slot] = ws.Alloc(state);
+    }
+    std::memset(h_slots[0], 0, state * sizeof(float));
+    std::memset(c_slots[0], 0, state * sizeof(float));
+    h_prev = h_slots[0];
+    c_prev = c_slots[0];
+  }
 
   const float* bias = bias_.value.data();
   for (size_t t = 0; t < steps; ++t) {
+    const size_t slot = (t + 1) & 1;
+    float* h_cur = tape != nullptr ? tape->hidden + t * state : h_slots[slot];
+    float* c_cur = tape != nullptr ? tape->cell + t * state : c_slots[slot];
+    float* tanh_c = tape != nullptr ? tape->tanh_c + t * state : h_cur;
+    if (tape != nullptr) gates = tape->gates + t * gate_rows * batch;
+
     const float* x_t = inputs + t * d * batch;
     kern.gemm_zero(gate_rows, batch, d, wx_.value.data(), d, x_t, batch,
                    gates, batch);
@@ -137,28 +208,33 @@ void Lstm::ForwardBatch(const float* inputs, size_t steps, size_t batch,
 
     // Gate layout [i, f, g, o]: i and f are adjacent, so one sigmoid pass
     // covers both contiguous row blocks.
-    kern.sigmoid_inplace(gates, 2 * hd * batch);
-    kern.tanh_inplace(gates + 2 * hd * batch, hd * batch);
-    kern.sigmoid_inplace(gates + 3 * hd * batch, hd * batch);
+    kern.sigmoid_inplace(gates, 2 * state);
+    kern.tanh_inplace(gates + 2 * state, state);
+    kern.sigmoid_inplace(gates + 3 * state, state);
 
     const float* gate_i = gates;
-    const float* gate_f = gates + hd * batch;
-    const float* gate_g = gates + 2 * hd * batch;
-    const float* gate_o = gates + 3 * hd * batch;
-    for (size_t idx = 0; idx < hd * batch; ++idx) {
+    const float* gate_f = gates + state;
+    const float* gate_g = gates + 2 * state;
+    const float* gate_o = gates + 3 * state;
+    for (size_t idx = 0; idx < state; ++idx) {
       c_cur[idx] = gate_f[idx] * c_prev[idx] + gate_i[idx] * gate_g[idx];
-      h_cur[idx] = c_cur[idx];
+      tanh_c[idx] = c_cur[idx];
     }
     // tanh(c) via the vectorized kernel, then the output gate — same
     // per-element operations as StepForward, so still bit-identical.
-    kern.tanh_inplace(h_cur, hd * batch);
-    for (size_t idx = 0; idx < hd * batch; ++idx) {
-      h_cur[idx] *= gate_o[idx];
+    // Inference, whose tanh(c) already sits in h_cur, multiplies in place.
+    kern.tanh_inplace(tanh_c, state);
+    if (tape == nullptr) {
+      for (size_t idx = 0; idx < state; ++idx) h_cur[idx] *= gate_o[idx];
+    } else {
+      for (size_t idx = 0; idx < state; ++idx) {
+        h_cur[idx] = tanh_c[idx] * gate_o[idx];
+      }
     }
-    std::swap(h_prev, h_cur);
-    std::swap(c_prev, c_cur);
+    h_prev = h_cur;
+    c_prev = c_cur;
   }
-  std::memcpy(h_out, h_prev, hd * batch * sizeof(float));
+  std::memcpy(h_out, h_prev, state * sizeof(float));
 }
 
 void Lstm::Backward(const float* dh_final, float* dinputs) {
@@ -182,19 +258,8 @@ void Lstm::Backward(const float* dh_final, float* dinputs) {
     const float* c_prev = t == 0 ? zeros.data() : cache_[t - 1].cell.data();
     const float* h_prev = t == 0 ? zeros.data() : cache_[t - 1].hidden.data();
 
-    for (size_t j = 0; j < hd; ++j) {
-      const float tc = cache.tanh_c[j];
-      const float d_o = dh[j] * tc;
-      const float dc_total = dc[j] + dh[j] * gate_o[j] * (1.0f - tc * tc);
-      const float d_i = dc_total * gate_g[j];
-      const float d_f = dc_total * c_prev[j];
-      const float d_g = dc_total * gate_i[j];
-      dpre[j] = d_i * gate_i[j] * (1.0f - gate_i[j]);
-      dpre[hd + j] = d_f * gate_f[j] * (1.0f - gate_f[j]);
-      dpre[2 * hd + j] = d_g * (1.0f - gate_g[j] * gate_g[j]);
-      dpre[3 * hd + j] = d_o * gate_o[j] * (1.0f - gate_o[j]);
-      dc[j] = dc_total * gate_f[j];
-    }
+    StepBackward(hd, gate_i, gate_f, gate_g, gate_o, cache.tanh_c.data(),
+                 c_prev, dh.data(), dc.data(), dpre.data());
 
     OuterAccum(wx_.grad, dpre.data(), cached_inputs_ + t * d);
     OuterAccum(wh_.grad, dpre.data(), h_prev);
@@ -207,6 +272,94 @@ void Lstm::Backward(const float* dh_final, float* dinputs) {
     std::fill(dh_prev.begin(), dh_prev.end(), 0.0f);
     MatTVecAccum(wh_.value, dpre.data(), dh_prev.data());
     dh = dh_prev;
+  }
+}
+
+void Lstm::BackwardBatch(const BatchTape& tape, const float* dh_final,
+                         Workspace& ws) {
+  EVENTHIT_CHECK(tape.inputs != nullptr);
+  const size_t hd = hidden_dim();
+  const size_t d = input_dim();
+  const size_t gate_rows = 4 * hd;
+  const size_t steps = tape.steps;
+  const size_t batch = tape.batch;
+  const size_t state = hd * batch;
+  const size_t cols = steps * batch;
+  const BackendKernels& kern = *GetBackend(BackendKind::kBlocked).kernels;
+
+  // Row k = b * steps + (steps - 1 - t) of `dpre_rows` holds sequence b's
+  // dpre at step t: sequences ascending, each in Backward's descending-t
+  // order. Every sum over k below therefore adds its terms in the
+  // per-record loop's order. (Accumulating t-major across the batch, the
+  // obvious batched order, would not.)
+  float* dpre_rows = ws.Alloc(cols * gate_rows);
+  float* dpre = ws.Alloc(gate_rows * batch);
+  float* dh = ws.Alloc(state);
+  float* dc = ws.Alloc(state);
+  float* zeros = ws.Alloc(state);
+  float* wh_t = ws.Alloc(hd * gate_rows);
+  std::memcpy(dh, dh_final, state * sizeof(float));
+  std::memset(dc, 0, state * sizeof(float));
+  std::memset(zeros, 0, state * sizeof(float));
+  Transpose(wh_.value.data(), gate_rows, hd, wh_t);
+
+  for (size_t t = steps; t-- > 0;) {
+    const float* gate_i = tape.gates + t * gate_rows * batch;
+    const float* gate_f = gate_i + state;
+    const float* gate_g = gate_i + 2 * state;
+    const float* gate_o = gate_i + 3 * state;
+    const float* tanh_c = tape.tanh_c + t * state;
+    const float* c_prev = t == 0 ? zeros : tape.cell + (t - 1) * state;
+    StepBackward(state, gate_i, gate_f, gate_g, gate_o, tanh_c, c_prev, dh,
+                 dc, dpre);
+    const size_t s = steps - 1 - t;
+    for (size_t b = 0; b < batch; ++b) {
+      float* row = dpre_rows + (b * steps + s) * gate_rows;
+      for (size_t r = 0; r < gate_rows; ++r) row[r] = dpre[r * batch + b];
+    }
+    // dh_{t-1} = Wh^T dpre from +0, as Backward's zero-filled dh_prev: the
+    // accumulating GEMM, not GemmZero, whose first term could leave a -0.
+    if (t > 0) {
+      std::memset(dh, 0, state * sizeof(float));
+      kern.gemm(hd, batch, gate_rows, wh_t, gate_rows, dpre, batch, dh,
+                batch);
+    }
+  }
+
+  // Backward's OuterAccum operands with one column per dpre_rows row: x_t,
+  // and h_{t-1} (zero at t = 0, as Backward sees it).
+  float* xs = ws.Alloc(d * cols);
+  float* hs = ws.Alloc(hd * cols);
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t s = 0; s < steps; ++s) {
+      const size_t t = steps - 1 - s;
+      const size_t k = b * steps + s;
+      for (size_t j = 0; j < d; ++j) {
+        xs[j * cols + k] = tape.inputs[(t * d + j) * batch + b];
+      }
+      for (size_t j = 0; j < hd; ++j) {
+        hs[j * cols + k] =
+            t == 0 ? 0.0f : tape.hidden[(t - 1) * state + j * batch + b];
+      }
+    }
+  }
+  // dW^T += operand · dpre_rows, k over the rows in order. The GEMM adds
+  // onto its output, so the gradient is transposed out and back — exact
+  // copies — rather than zero-filled and summed separately.
+  float* grad_t = ws.Alloc(std::max(d, hd) * gate_rows);
+  const auto accumulate = [&](Parameter& w, const float* operand,
+                              size_t in) {
+    Transpose(w.grad.data(), gate_rows, in, grad_t);
+    kern.gemm(in, gate_rows, cols, operand, cols, dpre_rows, gate_rows,
+              grad_t, gate_rows);
+    Transpose(grad_t, in, gate_rows, w.grad.data());
+  };
+  accumulate(wx_, xs, d);
+  accumulate(wh_, hs, hd);
+  float* db = bias_.grad.data();
+  for (size_t k = 0; k < cols; ++k) {
+    const float* row = dpre_rows + k * gate_rows;
+    for (size_t r = 0; r < gate_rows; ++r) db[r] += row[r];
   }
 }
 

@@ -49,18 +49,47 @@ class Lstm {
   void ForwardBatch(const float* inputs, size_t steps, size_t batch,
                     float* h_out, Workspace& ws) const;
 
+  /// Every timestep's activations of a training-mode ForwardBatch, kept
+  /// for BackwardBatch. The buffers are batch-minor and live in the
+  /// Workspace passed to ForwardBatch (valid until its next Reset); step
+  /// t's block starts t blocks in.
+  struct BatchTape {
+    const float* inputs = nullptr;  // As passed to ForwardBatch.
+    size_t steps = 0;
+    size_t batch = 0;
+    float* gates = nullptr;   // [4*Hd x batch] per step: activated i, f, g, o.
+    float* cell = nullptr;    // [Hd x batch] per step: c_t.
+    float* tanh_c = nullptr;  // [Hd x batch] per step: tanh(c_t).
+    float* hidden = nullptr;  // [Hd x batch] per step: h_t.
+  };
+
   /// Same, dispatching GEMMs and activations through `backend`'s kernel
   /// table (nn/backend.h). The blocked backend reproduces the overload
   /// above bit-for-bit; simd agrees within the documented tolerance and is
-  /// itself batch-size invariant.
+  /// itself batch-size invariant. With a non-null `tape` (training) every
+  /// step writes its own tape buffers instead of ping-ponging two, so the
+  /// arithmetic — and h_out — is unchanged.
   void ForwardBatch(const float* inputs, size_t steps, size_t batch,
-                    float* h_out, Workspace& ws, const Backend& backend) const;
+                    float* h_out, Workspace& ws, const Backend& backend,
+                    BatchTape* tape = nullptr) const;
 
   /// BPTT from the gradient of the final hidden state. Must follow a
   /// ForwardCached call; accumulates parameter gradients. If `dinputs` is
   /// non-null it must hold steps*input_dim floats and receives +=
-  /// gradients w.r.t. the inputs.
+  /// gradients w.r.t. the inputs. The per-record reference for
+  /// BackwardBatch.
   void Backward(const float* dh_final, float* dinputs = nullptr);
+
+  /// Batched BPTT over a tape written by ForwardBatch, from the final
+  /// hidden state's gradient `dh_final` ([hidden_dim() x batch],
+  /// batch-minor). Accumulates the Wx, Wh and b gradients (no input
+  /// gradients) through the blocked kernel table, with scratch from `ws`.
+  /// Each gradient element receives exactly the adds that ForwardCached +
+  /// Backward over the tape's sequences, one after another, would make, in
+  /// the same order, so the gradients match that loop bit for bit
+  /// (DESIGN.md §5c).
+  void BackwardBatch(const BatchTape& tape, const float* dh_final,
+                     Workspace& ws);
 
   void CollectParameters(ParameterRefs& out);
   void CollectParameters(ConstParameterRefs& out) const;

@@ -82,4 +82,10 @@ void OuterAccum(Matrix& dw, const float* dy, const float* x) {
   }
 }
 
+void Transpose(const float* a, size_t rows, size_t cols, float* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) out[c * rows + r] = a[r * cols + c];
+  }
+}
+
 }  // namespace eventhit::nn

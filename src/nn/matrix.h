@@ -83,6 +83,12 @@ void MatTVecAccum(const Matrix& w, const float* dy, float* dx);
 /// dW += dy * x^T (outer product), the weight gradient of y = W x.
 void OuterAccum(Matrix& dw, const float* dy, const float* x);
 
+/// out = A^T for a row-major rows x cols `a`: `out` is cols x rows,
+/// row-major. The batched backward passes use it to build W^T and
+/// record-major copies of batch-minor activations, so every GEMM operand
+/// streams unit-stride.
+void Transpose(const float* a, size_t rows, size_t cols, float* out);
+
 }  // namespace eventhit::nn
 
 #endif  // EVENTHIT_NN_MATRIX_H_

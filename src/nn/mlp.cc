@@ -1,5 +1,7 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "nn/activations.h"
 
@@ -59,7 +61,9 @@ void Mlp::ForwardBatch(const float* x, size_t batch, float* logits,
 }
 
 void Mlp::ForwardBatch(const float* x, size_t batch, float* logits,
-                       Workspace& ws, const Backend& backend) const {
+                       Workspace& ws, const Backend& backend,
+                       BatchTape* tape) const {
+  if (tape != nullptr) tape->hidden.resize(layers_.size() - 1);
   const float* current = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     const bool last = i + 1 == layers_.size();
@@ -69,6 +73,7 @@ void Mlp::ForwardBatch(const float* x, size_t batch, float* logits,
     if (!last) {
       backend.kernels->tanh_inplace(buffer, out * batch);
       current = buffer;
+      if (tape != nullptr) tape->hidden[i] = buffer;
     }
   }
 }
@@ -92,6 +97,24 @@ void Mlp::Backward(const float* x, const float* dlogits, float* dx) {
       dcurrent = std::move(dpre);
     }
   }
+}
+
+void Mlp::BackwardBatch(const BatchTape& tape, const float* x,
+                        const float* dlogits, size_t batch, float* dx,
+                        Workspace& ws) {
+  EVENTHIT_CHECK_EQ(tape.hidden.size(), layers_.size() - 1);
+  const float* dcurrent = dlogits;
+  for (size_t i = layers_.size(); i-- > 1;) {
+    // Into a zero-filled input gradient, then through the tanh of layer
+    // i - 1 in place — Backward's dinput and dpre.
+    const size_t n = layers_[i].in_dim() * batch;
+    float* dinput = ws.Alloc(n);
+    std::fill(dinput, dinput + n, 0.0f);
+    layers_[i].BackwardBatch(tape.hidden[i - 1], dcurrent, batch, dinput, ws);
+    TanhBackward(tape.hidden[i - 1], dinput, dinput, n);
+    dcurrent = dinput;
+  }
+  layers_[0].BackwardBatch(x, dcurrent, batch, dx, ws);
 }
 
 void Mlp::CollectParameters(ParameterRefs& out) {

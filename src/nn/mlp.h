@@ -40,15 +40,34 @@ class Mlp {
   void ForwardBatch(const float* x, size_t batch, float* logits,
                     Workspace& ws) const;
 
+  /// The hidden activations of a training-mode ForwardBatch, kept for
+  /// BackwardBatch: hidden[i] is layer i's tanh output, [out x batch] in
+  /// the forward's Workspace. Reusing one tape across batches keeps the
+  /// pass allocation-free.
+  struct BatchTape {
+    std::vector<const float*> hidden;
+  };
+
   /// Same, dispatching GEMMs and the inter-layer tanh through `backend`'s
-  /// kernel table (nn/backend.h).
+  /// kernel table (nn/backend.h). A non-null `tape` records the hidden
+  /// activations for BackwardBatch.
   void ForwardBatch(const float* x, size_t batch, float* logits, Workspace& ws,
-                    const Backend& backend) const;
+                    const Backend& backend, BatchTape* tape = nullptr) const;
 
   /// Backward from dlogits; accumulates parameter gradients. `dx` (size
   /// in_dim()) receives += input gradients when non-null. Must follow
-  /// ForwardCached with the same `x`.
+  /// ForwardCached with the same `x`. The per-record reference for
+  /// BackwardBatch.
   void Backward(const float* x, const float* dlogits, float* dx);
+
+  /// Batched Backward over `batch` columns stored batch-minor, after a
+  /// ForwardBatch with the same `x` that filled `tape`: `dlogits` is
+  /// [out_dim() x batch] and `dx` (nullable) [in_dim() x batch] receives
+  /// += input gradients. Layer by layer through Dense::BackwardBatch, so the
+  /// gradients match `batch` Backward calls in column order bit for bit.
+  void BackwardBatch(const BatchTape& tape, const float* x,
+                     const float* dlogits, size_t batch, float* dx,
+                     Workspace& ws);
 
   void CollectParameters(ParameterRefs& out);
   void CollectParameters(ConstParameterRefs& out) const;

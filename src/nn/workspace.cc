@@ -14,10 +14,12 @@ constexpr size_t kMinBlockFloats = 1024;
 float* Workspace::Alloc(size_t n) {
   if (blocks_.empty() || blocks_.back().used + n > blocks_.back().size) {
     // Grow geometrically so warm-up settles in O(log) heap allocations;
-    // Reset() will fold the blocks into one.
+    // Reset() will fold the blocks into one. Blocks stay uninitialised
+    // (Alloc promises no contents), so slack a pass never touches never
+    // becomes resident memory.
     const size_t grown = std::max({n, kMinBlockFloats, 2 * capacity()});
     Block block;
-    block.data = std::make_unique<float[]>(grown);
+    block.data = std::make_unique_for_overwrite<float[]>(grown);
     block.size = grown;
     blocks_.push_back(std::move(block));
   }
@@ -31,7 +33,7 @@ void Workspace::Reset() {
   if (blocks_.size() > 1) {
     const size_t total = capacity();
     Block merged;
-    merged.data = std::make_unique<float[]>(total);
+    merged.data = std::make_unique_for_overwrite<float[]>(total);
     merged.size = total;
     blocks_.clear();
     blocks_.push_back(std::move(merged));

@@ -70,6 +70,33 @@ TEST(DropoutTest, BackwardUsesSameMask) {
   }
 }
 
+TEST(DropoutTest, ForwardTrainBatchDrawsColumnByColumn) {
+  // A [n x batch] batch-minor block must see the masks of `batch`
+  // ForwardTrain calls made column by column from the same rng state.
+  const size_t n = 7, batch = 5;
+  Dropout dropout(0.3);
+  Rng data_rng(5);
+  Vec x(n * batch);
+  for (auto& v : x) v = static_cast<float>(data_rng.Gaussian());
+  Rng rng_batched(6);
+  Rng rng_columns(6);
+  Vec y(n * batch), mask(n * batch);
+  dropout.ForwardTrainBatch(x.data(), n, batch, rng_batched, y.data(),
+                            mask.data());
+  for (size_t b = 0; b < batch; ++b) {
+    Vec column(n), y_column;
+    for (size_t i = 0; i < n; ++i) column[i] = x[i * batch + b];
+    dropout.ForwardTrain(column.data(), n, rng_columns, y_column);
+    Vec ones(n, 1.0f), column_mask(n);
+    dropout.Backward(ones.data(), column_mask.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(y[i * batch + b], y_column[i]) << "unit " << i << " col " << b;
+      EXPECT_EQ(mask[i * batch + b], column_mask[i]);
+    }
+  }
+  EXPECT_EQ(rng_batched.NextUint64(), rng_columns.NextUint64());
+}
+
 TEST(DropoutTest, RateValidation) {
   EXPECT_DEATH(Dropout(-0.1), "CHECK failed");
   EXPECT_DEATH(Dropout(1.0), "CHECK failed");

@@ -1,12 +1,25 @@
 #include "core/eventhit_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <numeric>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "nn/activations.h"
+#include "nn/adam.h"
+#include "nn/dense.h"
+#include "nn/dropout.h"
+#include "nn/loss.h"
+#include "nn/lstm.h"
+#include "nn/mlp.h"
+#include "nn/serialize.h"
 
 namespace eventhit::core {
 namespace {
@@ -298,6 +311,219 @@ TEST(EventHitModelTest, FullHorizonOccupancyHasNoOutsideTerm) {
   record.labels[0].end = kHorizon;
   const auto history = model.Train({record});
   EXPECT_TRUE(std::isfinite(history.back().total_loss));
+}
+
+// The per-record training loop that Train() must reproduce bit for bit,
+// written from the layers' per-record API: the same layers from the same
+// seed forks, one ForwardCached/Backward pass per record, one Adam step per
+// minibatch.
+class PerRecordTrainer {
+ public:
+  explicit PerRecordTrainer(const EventHitConfig& config)
+      : config_(config), dropout_(config.dropout), rng_(config.seed) {
+    Rng init_rng(rng_.Fork(1));
+    lstm_ = nn::Lstm("lstm", config.feature_dim, config.lstm_hidden, init_rng);
+    shared_fc_ =
+        nn::Dense("shared", config.lstm_hidden, config.shared_dim, init_rng);
+    const size_t u_dim = config.shared_dim + config.feature_dim;
+    const size_t out_dim = 1 + static_cast<size_t>(config.horizon);
+    for (size_t k = 0; k < config.num_events; ++k) {
+      event_nets_.emplace_back(
+          "event" + std::to_string(k),
+          std::vector<size_t>{u_dim, config.event_hidden, out_dim}, init_rng);
+    }
+  }
+
+  std::vector<TrainEpochStats> Train(const std::vector<data::Record>& records) {
+    nn::AdamOptions adam_options;
+    adam_options.learning_rate = config_.learning_rate;
+    adam_options.clip_norm = config_.grad_clip_norm;
+    nn::AdamOptimizer optimizer(Parameters(), adam_options);
+    Rng train_rng(rng_.Fork(2));
+    std::vector<size_t> order(records.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<TrainEpochStats> history;
+    const auto batch = static_cast<size_t>(std::max(config_.batch_size, 1));
+    for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+      train_rng.Shuffle(order);
+      TrainEpochStats stats;
+      size_t steps = 0;
+      for (size_t begin = 0; begin < order.size(); begin += batch) {
+        const size_t end = std::min(begin + batch, order.size());
+        for (size_t i = begin; i < end; ++i) {
+          const auto [l1, l2] = Step(records[order[i]], train_rng);
+          stats.existence_loss += l1;
+          stats.occupancy_loss += l2;
+        }
+        nn::ScaleGradients(Parameters(),
+                           1.0f / static_cast<float>(end - begin));
+        stats.grad_norm += optimizer.Step();
+        ++steps;
+      }
+      const auto n = static_cast<double>(records.size());
+      stats.existence_loss /= n;
+      stats.occupancy_loss /= n;
+      stats.total_loss = stats.existence_loss + stats.occupancy_loss;
+      stats.grad_norm /= static_cast<double>(std::max<size_t>(steps, 1));
+      history.push_back(stats);
+    }
+    return history;
+  }
+
+  Status Save(const std::string& path) {
+    const nn::ParameterRefs params = Parameters();
+    return nn::SaveParameters(
+        nn::ConstParameterRefs(params.begin(), params.end()), path);
+  }
+
+ private:
+  nn::ParameterRefs Parameters() {
+    nn::ParameterRefs params;
+    lstm_.CollectParameters(params);
+    shared_fc_.CollectParameters(params);
+    for (nn::Mlp& net : event_nets_) net.CollectParameters(params);
+    return params;
+  }
+
+  // One record: forward, L1 + L2, backward. Returns (L1, L2).
+  std::pair<double, double> Step(const data::Record& record, Rng& rng) {
+    const auto steps = static_cast<size_t>(config_.collection_window);
+    const float* covariates = record.covariates.data();
+    const nn::Vec h = lstm_.ForwardCached(covariates, steps);
+    nn::Vec z, zd;
+    shared_fc_.Forward(h.data(), z);
+    nn::TanhInPlace(z.data(), z.size());
+    dropout_.ForwardTrain(z.data(), z.size(), rng, zd);
+    nn::Vec u(zd);
+    const float* x_last = covariates + (steps - 1) * config_.feature_dim;
+    u.insert(u.end(), x_last, x_last + config_.feature_dim);
+
+    const auto horizon = static_cast<size_t>(config_.horizon);
+    nn::Vec logits, dlogits(1 + horizon), targets(1 + horizon),
+        weights(1 + horizon), du(u.size(), 0.0f);
+    double l1 = 0.0, l2 = 0.0;
+    for (size_t k = 0; k < config_.num_events; ++k) {
+      const data::EventLabel& label = record.labels[k];
+      event_nets_[k].ForwardCached(u.data(), logits);
+      targets[0] = label.present ? 1.0f : 0.0f;
+      weights[0] = config_.beta.empty()
+                       ? 1.0f
+                       : static_cast<float>(config_.beta[k]);
+      const double gamma = config_.gamma.empty() ? 1.0 : config_.gamma[k];
+      const auto inside = static_cast<double>(label.end - label.start + 1);
+      const double outside = static_cast<double>(horizon) - inside;
+      for (size_t v = 1; v <= horizon; ++v) {
+        const bool occupied = label.present &&
+                              static_cast<int>(v) >= label.start &&
+                              static_cast<int>(v) <= label.end;
+        targets[v] = occupied ? 1.0f : 0.0f;
+        if (!label.present) {
+          weights[v] = 0.0f;
+        } else if (occupied) {
+          weights[v] = static_cast<float>(gamma / inside);
+        } else {
+          weights[v] = outside > 0.0 ? static_cast<float>(gamma / outside)
+                                     : 0.0f;
+        }
+      }
+      l1 += nn::BceWithLogits(logits[0], targets[0], weights[0], &dlogits[0]);
+      l2 += nn::BceWithLogitsVector(logits.data() + 1, targets.data() + 1,
+                                    weights.data() + 1, horizon,
+                                    dlogits.data() + 1);
+      event_nets_[k].Backward(u.data(), dlogits.data(), du.data());
+    }
+    nn::Vec dz(zd.size()), dz_pre(z.size()), dh(h.size(), 0.0f);
+    dropout_.Backward(du.data(), dz.data());
+    nn::TanhBackward(z.data(), dz.data(), dz_pre.data(), z.size());
+    shared_fc_.Backward(h.data(), dz_pre.data(), dh.data());
+    lstm_.Backward(dh.data());
+    return {l1, l2};
+  }
+
+  EventHitConfig config_;
+  nn::Lstm lstm_;
+  nn::Dense shared_fc_;
+  nn::Dropout dropout_;
+  std::vector<nn::Mlp> event_nets_;
+  Rng rng_;
+};
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Three events per record: event k is present about half the time, with
+// an interval anywhere in the horizon, some of them censored at its end.
+std::vector<data::Record> MakeThreeEventDataset(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<data::Record> records;
+  for (size_t i = 0; i < n; ++i) {
+    data::Record record = MakeToyRecord(rng.Uniform(0.0, 1.0), rng);
+    record.labels.resize(3);
+    for (size_t k = 1; k < 3; ++k) {
+      data::EventLabel& label = record.labels[k];
+      label.present = rng.Bernoulli(0.5);
+      if (!label.present) continue;
+      label.start = static_cast<int>(rng.UniformInt(1, kHorizon));
+      label.end = rng.Bernoulli(0.2)
+                      ? kHorizon
+                      : std::min(kHorizon, label.start +
+                                               static_cast<int>(
+                                                   rng.UniformInt(0, 8)));
+    }
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+TEST(EventHitModelTest, TrainIsBitIdenticalToPerRecordLoop) {
+  struct Case {
+    size_t events;
+    int batch;
+    size_t records;  // 37 leaves a partial last minibatch of 5 at batch 16.
+    int epochs;
+  };
+  for (const Case c : {Case{1, 16, 37, 3}, Case{1, 1, 12, 2},
+                       Case{3, 16, 37, 3}, Case{3, 1, 12, 2}}) {
+    SCOPED_TRACE("events=" + std::to_string(c.events) + " batch=" +
+                 std::to_string(c.batch) + " records=" +
+                 std::to_string(c.records));
+    EventHitConfig config = SmallConfig(c.events);
+    config.batch_size = c.batch;
+    config.epochs = c.epochs;
+    if (c.events == 3) {
+      // A zero gamma masks event 1's L2 terms: all-zero gradient rows.
+      config.beta = {1.0, 0.5, 2.0};
+      config.gamma = {1.0, 0.0, 0.5};
+    }
+    const std::vector<data::Record> records =
+        c.events == 1 ? MakeToyDataset(c.records, 41)
+                      : MakeThreeEventDataset(c.records, 43);
+
+    EventHitModel model(config);
+    const auto history = model.Train(records);
+    PerRecordTrainer reference(config);
+    const auto reference_history = reference.Train(records);
+
+    ASSERT_EQ(history.size(), reference_history.size());
+    for (size_t e = 0; e < history.size(); ++e) {
+      EXPECT_EQ(history[e].existence_loss, reference_history[e].existence_loss);
+      EXPECT_EQ(history[e].occupancy_loss, reference_history[e].occupancy_loss);
+      EXPECT_EQ(history[e].grad_norm, reference_history[e].grad_norm);
+    }
+    const std::string dir = ::testing::TempDir();
+    const std::string trained = dir + "/train_batched.bin";
+    const std::string expected = dir + "/train_per_record.bin";
+    ASSERT_TRUE(model.Save(trained).ok());
+    ASSERT_TRUE(reference.Save(expected).ok());
+    const std::string trained_bytes = FileBytes(trained);
+    EXPECT_FALSE(trained_bytes.empty());
+    EXPECT_TRUE(trained_bytes == FileBytes(expected))
+        << "trained weights differ from the per-record loop";
+    std::remove(trained.c_str());
+    std::remove(expected.c_str());
+  }
 }
 
 }  // namespace

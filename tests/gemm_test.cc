@@ -160,34 +160,6 @@ TEST(GemmZeroTest, ZeroKZeroFillsDestination) {
   }
 }
 
-TEST(GemmTNTest, MatchesExplicitTranspose) {
-  // GemmTN with A stored k x m must equal Gemm on the materialised
-  // transpose, bit-for-bit (the k-order is identical in both kernels).
-  const size_t shapes[][3] = {{4, 8, 4}, {5, 3, 9}, {1, 6, 7}, {13, 2, 5}};
-  uint64_t seed = 300;
-  for (const auto& s : shapes) {
-    const size_t m = s[0], n = s[1], k = s[2];
-    Rng rng(seed++);
-    const std::vector<float> a_t = RandomBuffer(k * m, rng);  // k x m stored.
-    const std::vector<float> b = RandomBuffer(k * n, rng);
-    std::vector<float> c = RandomBuffer(m * n, rng);
-    std::vector<float> c_ref = c;
-
-    // Materialise A = (stored)^T as m x k for the reference product.
-    std::vector<float> a(m * k);
-    for (size_t p = 0; p < k; ++p) {
-      for (size_t i = 0; i < m; ++i) a[i * k + p] = a_t[p * m + i];
-    }
-
-    GemmTN(m, n, k, a_t.data(), m, b.data(), n, c.data(), n);
-    NaiveGemm(m, n, k, a.data(), k, b.data(), n, c_ref.data(), n);
-    for (size_t i = 0; i < m * n; ++i) {
-      EXPECT_EQ(c[i], c_ref[i])
-          << "m=" << m << " n=" << n << " k=" << k << " elem " << i;
-    }
-  }
-}
-
 TEST(WorkspaceTest, AllocReturnsDistinctWritableBuffers) {
   Workspace ws;
   float* a = ws.Alloc(100);

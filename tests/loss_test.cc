@@ -1,6 +1,7 @@
 #include "nn/loss.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +81,48 @@ TEST(LossTest, PerfectPredictionHasNearZeroLoss) {
   float dlogit;
   EXPECT_LT(BceWithLogits(20.0f, 1.0f, 1.0f, &dlogit), 1e-6);
   EXPECT_LT(BceWithLogits(-20.0f, 0.0f, 1.0f, &dlogit), 1e-6);
+}
+
+// BceWithLogits as it was before it learned to skip the term a 0/1 target
+// multiplies by zero: both -log p and -log(1-p), always.
+double TwoTermBce(float logit, float target, float weight) {
+  const auto log_sigmoid_neg = [](float x) {
+    const double ax = std::fabs(static_cast<double>(x));
+    const double base = std::log1p(std::exp(-ax));
+    return x >= 0.0f ? base : base + ax;
+  };
+  return weight * (target * log_sigmoid_neg(logit) +
+                   (1.0 - target) * log_sigmoid_neg(-logit));
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(LossTest, ZeroOneTargetsMatchTwoTermFormulaBitwise) {
+  for (const float logit :
+       {0.0f, -0.0f, 1e-3f, -1e-3f, 20.0f, -20.0f, 100.0f, -100.0f}) {
+    for (const float target : {0.0f, 1.0f}) {
+      for (const float weight : {0.0f, 1.0f, 0.37f, 2.5f}) {
+        float dlogit = 0.0f;
+        const double loss = BceWithLogits(logit, target, weight, &dlogit);
+        EXPECT_TRUE(SameBits(loss, TwoTermBce(logit, target, weight)))
+            << "logit " << logit << " target " << target << " weight "
+            << weight << ": " << loss;
+      }
+    }
+  }
+}
+
+TEST(LossTest, FractionalTargetKeepsBothTerms) {
+  for (const float logit : {-3.0f, -1e-3f, 0.0f, 0.5f, 20.0f}) {
+    for (const float target : {0.25f, 0.5f, 0.9f}) {
+      float dlogit = 0.0f;
+      EXPECT_TRUE(SameBits(BceWithLogits(logit, target, 1.5f, &dlogit),
+                           TwoTermBce(logit, target, 1.5f)))
+          << "logit " << logit << " target " << target;
+    }
+  }
 }
 
 }  // namespace

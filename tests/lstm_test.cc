@@ -1,12 +1,14 @@
 #include "nn/lstm.h"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "gradient_check.h"
+#include "nn/backend.h"
 #include "nn/workspace.h"
 
 namespace eventhit::nn {
@@ -221,6 +223,129 @@ TEST(LstmTest, ForwardBatchDeterministicWithWarmWorkspace) {
   lstm.ForwardBatch(packed.data(), steps, batch, h1.data(), ws);
   // Steady state: capacity has stopped growing (allocation-free reuse).
   EXPECT_EQ(ws.capacity(), capacity_after_two);
+}
+
+// Byte equality, so a -0 where +0 was expected (or any last-bit drift)
+// fails: the batched backward's contract is the per-record loop's bits.
+void ExpectSameBytes(const Matrix& a, const Matrix& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+      << what;
+}
+
+TEST(LstmTest, BackwardBatchIsBitIdenticalToPerRecordLoop) {
+  struct Dims {
+    size_t d, hd;
+  };
+  for (const Dims dims : {Dims{10, 24}, Dims{3, 5}}) {
+    for (const size_t steps : {1u, 10u, 50u}) {
+      for (const size_t batch : {1u, 2u, 3u, 16u, 17u}) {
+        SCOPED_TRACE("d=" + std::to_string(dims.d) + " hd=" +
+                     std::to_string(dims.hd) + " steps=" +
+                     std::to_string(steps) + " batch=" +
+                     std::to_string(batch));
+        Rng rng(40 + steps + batch);
+        Lstm reference("l", dims.d, dims.hd, rng);
+        Lstm batched = reference;
+        Rng data_rng(41 + steps * batch);
+        std::vector<Vec> seqs;
+        Vec dh_final(dims.hd * batch);
+        for (size_t b = 0; b < batch; ++b) {
+          Vec seq = RandomSequence(steps, dims.d, data_rng);
+          // Sequence 0 opens with an all-zero input step; sequence 1 is
+          // scaled until its gates saturate to exactly 0 or 1, so whole
+          // dpre entries vanish and Backward's zero-row skip runs.
+          if (b == 0) std::fill(seq.begin(), seq.begin() + dims.d, 0.0f);
+          if (b == 1) {
+            for (float& v : seq) v *= 200.0f;
+          }
+          seqs.push_back(std::move(seq));
+          for (size_t j = 0; j < dims.hd; ++j) {
+            dh_final[j * batch + b] =
+                static_cast<float>(data_rng.Gaussian(0.0, 1.0));
+          }
+        }
+        // The last sequence (of three or more) gets a zero final gradient:
+        // every one of its dpre rows is skipped per record.
+        if (batch >= 3) {
+          for (size_t j = 0; j < dims.hd; ++j) {
+            dh_final[j * batch + batch - 1] = 0.0f;
+          }
+        }
+
+        for (size_t b = 0; b < batch; ++b) {
+          Vec dh(dims.hd);
+          for (size_t j = 0; j < dims.hd; ++j) dh[j] = dh_final[j * batch + b];
+          reference.ForwardCached(seqs[b].data(), steps);
+          reference.Backward(dh.data());
+        }
+
+        const Vec packed = PackBatchMinor(seqs, steps, dims.d);
+        Workspace ws;
+        Lstm::BatchTape tape;
+        Vec h(dims.hd * batch);
+        batched.ForwardBatch(packed.data(), steps, batch, h.data(), ws,
+                             GetBackend(BackendKind::kBlocked), &tape);
+        batched.BackwardBatch(tape, dh_final.data(), ws);
+
+        for (size_t b = 0; b < batch; ++b) {
+          const Vec h_ref = reference.Forward(seqs[b].data(), steps);
+          for (size_t j = 0; j < dims.hd; ++j) {
+            EXPECT_EQ(h_ref[j], h[j * batch + b]) << "seq " << b;
+          }
+        }
+        ExpectSameBytes(reference.wx().grad, batched.wx().grad, "Wx grad");
+        ExpectSameBytes(reference.wh().grad, batched.wh().grad, "Wh grad");
+        ExpectSameBytes(reference.bias().grad, batched.bias().grad, "b grad");
+        if (batch >= 2) {
+          // The saturated sequence really produced exact 0/1 gates.
+          size_t saturated = 0;
+          for (size_t i = 0; i < steps * 4 * dims.hd * batch; ++i) {
+            saturated += tape.gates[i] == 0.0f || tape.gates[i] == 1.0f;
+          }
+          EXPECT_GT(saturated, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(LstmTest, BatchedParameterGradientsMatchFiniteDifferences) {
+  // ParameterGradientsMatchFiniteDifferences through the batched path:
+  // three sequences, loss = sum over them of the weighted final state.
+  const size_t steps = 5, dim = 3, hidden = 4, batch = 3;
+  Rng rng(14);
+  Lstm lstm("l", dim, hidden, rng);
+  Rng data_rng(15);
+  std::vector<Vec> seqs;
+  for (size_t b = 0; b < batch; ++b) {
+    seqs.push_back(RandomSequence(steps, dim, data_rng));
+  }
+  Vec loss_weights(hidden * batch);
+  for (auto& w : loss_weights) w = static_cast<float>(data_rng.Gaussian());
+
+  auto loss_fn = [&]() {
+    double loss = 0.0;
+    for (size_t b = 0; b < batch; ++b) {
+      const Vec h = lstm.Forward(seqs[b].data(), steps);
+      for (size_t j = 0; j < hidden; ++j) {
+        loss += static_cast<double>(loss_weights[j * batch + b]) * h[j];
+      }
+    }
+    return loss;
+  };
+
+  ParameterRefs params;
+  lstm.CollectParameters(params);
+  ZeroGradients(params);
+  const Vec packed = PackBatchMinor(seqs, steps, dim);
+  Workspace ws;
+  Lstm::BatchTape tape;
+  Vec h(hidden * batch);
+  lstm.ForwardBatch(packed.data(), steps, batch, h.data(), ws,
+                    GetBackend(BackendKind::kBlocked), &tape);
+  lstm.BackwardBatch(tape, loss_weights.data(), ws);
+  ExpectParameterGradientsMatch(params, loss_fn);
 }
 
 TEST(LstmTest, LongerSequencePropagatesEarlySignal) {
