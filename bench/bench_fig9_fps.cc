@@ -184,7 +184,6 @@ int main() {
     const auto& train = env.train_records();
     const auto n = static_cast<double>(test.size());
     const bool simd_available = nn::SimdAvailable();
-    model.CalibrateInt8(env.calib_records());
 
     // Every timed variant runs in rounds: one repetition of each per
     // round, the first variant rotating from round to round, each keeping
@@ -198,8 +197,7 @@ int main() {
     };
     std::vector<eventhit::core::EventScores> per_record(test.size());
     std::vector<eventhit::core::EventScores> batched, batched_parallel;
-    std::vector<eventhit::core::EventScores> scalar_scores, simd_scores,
-        int8_scores;
+    std::vector<eventhit::core::EventScores> scalar_scores, simd_scores;
     const eventhit::ExecutionContext pooled_ctx(threads, config.seed);
     auto batched_under = [&](nn::BackendKind kind,
                              std::vector<eventhit::core::EventScores>* out) {
@@ -211,8 +209,8 @@ int main() {
     // Training throughput: one Train of a fresh model on the train split,
     // as eval::TrainEventHit runs it at set-up (nothing trained is kept).
     const eventhit::core::EventHitConfig train_config = model.config();
-    enum { kPerRecord, kBatched, kParallel, kScalar, kSimd, kInt8, kTrain };
-    std::vector<Variant> variants(7);
+    enum { kPerRecord, kBatched, kParallel, kScalar, kSimd, kTrain };
+    std::vector<Variant> variants(6);
     variants[kPerRecord].body = [&] {
       model.SetInferenceBackend(nn::BackendKind::kBlocked);
       for (size_t i = 0; i < test.size(); ++i) {
@@ -227,7 +225,6 @@ int main() {
     variants[kScalar].body =
         batched_under(nn::BackendKind::kScalar, &scalar_scores);
     variants[kSimd].body = batched_under(nn::BackendKind::kSimd, &simd_scores);
-    variants[kInt8].body = batched_under(nn::BackendKind::kInt8, &int8_scores);
     variants[kTrain].body = [&] {
       eventhit::core::EventHitModel fresh(train_config);
       fresh.Train(train);
@@ -288,10 +285,9 @@ int main() {
     // same test slice scored through each kernel backend. `batched` above
     // holds the blocked (default) scores, so each backend's score drift vs
     // blocked is measured here too and emitted into the baseline — the
-    // documented contracts (scalar bit-exact, simd within 1e-5, int8 within
-    // its quantization bound) become machine-checkable in CI. On AVX2+FMA
-    // hosts simd must not lose to blocked (the release job asserts
-    // simd >= blocked); int8 trades the score drift for bandwidth.
+    // documented contracts (scalar bit-exact, simd within 1e-5) become
+    // machine-checkable in CI. On AVX2+FMA hosts simd must not lose to
+    // blocked (the release job asserts simd >= blocked).
     auto score_diff_vs_blocked =
         [&](const std::vector<eventhit::core::EventScores>& scores) {
           double diff = 0.0;
@@ -311,10 +307,8 @@ int main() {
         };
     const double scalar_diff = score_diff_vs_blocked(scalar_scores);
     const double simd_diff = score_diff_vs_blocked(simd_scores);
-    const double int8_diff = score_diff_vs_blocked(int8_scores);
     const double scalar_fps = n / variants[kScalar].best_s;
     const double simd_fps = n / variants[kSimd].best_s;
-    const double int8_fps = n / variants[kInt8].best_s;
     // Record-epochs per second: one record's forward, loss and backward.
     const double train_fps = static_cast<double>(train.size()) *
                              train_config.epochs / variants[kTrain].best_s;
@@ -333,9 +327,6 @@ int main() {
     backend_table.AddRow({"simd", Fmt(simd_fps, 0),
                           Fmt(simd_fps / batched_fps, 2) + "x",
                           Fmt(simd_diff, 8)});
-    backend_table.AddRow({"int8", Fmt(int8_fps, 0),
-                          Fmt(int8_fps / batched_fps, 2) + "x",
-                          Fmt(int8_diff, 8)});
     backend_table.Print(std::cout);
 
     std::cout << "\n### Training throughput (one Train, " << train.size()
@@ -362,12 +353,10 @@ int main() {
          << "  \"simd_available\": " << (simd_available ? 1 : 0) << ",\n"
          << "  \"batched_fps_scalar\": " << scalar_fps << ",\n"
          << "  \"batched_fps_simd\": " << simd_fps << ",\n"
-         << "  \"batched_fps_int8\": " << int8_fps << ",\n"
          << "  \"simd_speedup_vs_blocked\": " << simd_fps / batched_fps
          << ",\n"
          << "  \"scalar_scores_max_abs_diff\": " << scalar_diff << ",\n"
          << "  \"simd_scores_max_abs_diff\": " << simd_diff << ",\n"
-         << "  \"int8_scores_max_abs_diff\": " << int8_diff << ",\n"
          << "  \"train_fps\": " << train_fps << ",\n"
          << "  \"speedup_train_vs_per_record\": " << train_fps / per_record_fps
          << ",\n"

@@ -16,7 +16,8 @@
 //   fleet_solo_digest_diff  streams whose fleet digests differ from their
 //                           solo run (must stay 0)         (lower-better)
 //   fleet100_prov_overhead_diff  relative fps cost of the provenance
-//                           ledger at 100 streams: (fps_off - fps_on) /
+//                           ledger at 100 streams: the median over
+//                           interleaved off/on pairs of (fps_off - fps_on) /
 //                           fps_off, gated <= a few percent (lower-better)
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/stats.h"
 #include "common/table_printer.h"
 #include "data/tasks.h"
 #include "fleet/stream_fleet.h"
@@ -33,6 +35,7 @@
 namespace {
 
 using ::eventhit::Fmt;
+using ::eventhit::OrderStatQuantile;
 using ::eventhit::TablePrinter;
 namespace bench = ::eventhit::bench;
 namespace data = ::eventhit::data;
@@ -112,29 +115,40 @@ int main() {
   std::cout << "solo digest cross-check: " << total_mismatches
             << " mismatch(es) across " << legs.size() << " leg(s)\n";
 
-  // Provenance overhead: the decision ledger must be near-free. Measure
-  // the 100-stream leg back to back with the ledger off and on; the
-  // relative fps cost is gated in CI (<= 3% absolute band).
-  double prov_fps_off = 0.0;
-  double prov_fps_on = 0.0;
-  for (const bool armed : {false, true}) {
-    fleet::FleetConfig prov_config = config;
-    prov_config.num_streams = 100;
-    prov_config.provenance = armed;
-    fleet::StreamFleet prov_runner(task, prov_config);
-    const double fps = prov_runner.Run().stats.frames_per_sec;
-    (armed ? prov_fps_on : prov_fps_off) = fps;
+  // Provenance overhead: the decision ledger must be near-free. Synthesis
+  // dominates one Run() of the 100-stream leg, so a single off/on pair
+  // times the VM more than the ledger. Both fleets are built once and
+  // warmed by an untimed Run(); then kProvPairs off/on pairs run, the
+  // first side alternating, and the gated value is the median per-pair
+  // cost (fps_off - fps_on) / fps_off (CI: <= 3% absolute band).
+  constexpr int kProvPairs = 41;
+  fleet::FleetConfig prov_config = config;
+  prov_config.num_streams = 100;
+  prov_config.provenance = false;
+  fleet::StreamFleet prov_off(task, prov_config);
+  prov_config.provenance = true;
+  fleet::StreamFleet prov_on(task, prov_config);
+  prov_off.Run();
+  prov_on.Run();
+  std::vector<double> prov_costs;
+  for (int pair = 0; pair < kProvPairs; ++pair) {
+    double fps[2] = {0.0, 0.0};  // Ledger off, on.
+    for (const int armed : {pair % 2, 1 - pair % 2}) {
+      fps[armed] = (armed ? prov_on : prov_off).Run().stats.frames_per_sec;
+    }
+    prov_costs.push_back((fps[0] - fps[1]) / fps[0]);
   }
-  const double prov_overhead_raw =
-      prov_fps_off > 0.0 ? (prov_fps_off - prov_fps_on) / prov_fps_off : 0.0;
+  // With an odd pair count the 0.5 order statistic is the exact median.
+  const double prov_overhead_raw = OrderStatQuantile(prov_costs, 0.5);
   // Negative overhead is measurement noise, not a property to bake into
   // the baseline: clamp at 0 so the gate reads "overhead <= tolerance"
   // against a stable zero baseline.
   const double prov_overhead = std::max(0.0, prov_overhead_raw);
-  std::cout << "provenance overhead at 100 streams: "
-            << Fmt(prov_overhead_raw * 100.0, 2) << "% ("
-            << Fmt(prov_fps_off, 0) << " fps off, " << Fmt(prov_fps_on, 0)
-            << " fps on)\n";
+  std::cout << "provenance overhead at 100 streams: median "
+            << Fmt(prov_overhead_raw * 100.0, 2) << "% (quartiles "
+            << Fmt(OrderStatQuantile(prov_costs, 0.25) * 100.0, 2) << "% to "
+            << Fmt(OrderStatQuantile(prov_costs, 0.75) * 100.0, 2) << "%, "
+            << kProvPairs << " off/on pairs)\n";
 
   // Machine-readable baseline for CI and for tracking in-repo.
   std::ofstream json("BENCH_fleet.json");

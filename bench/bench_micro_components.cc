@@ -13,7 +13,6 @@
 #include "common/table_printer.h"
 #include "nn/backend.h"
 #include "nn/gemm.h"
-#include "nn/int8.h"
 #include "nn/matrix.h"
 #include "nn/workspace.h"
 #include "core/c_classify.h"
@@ -103,8 +102,7 @@ BENCHMARK(BM_Gemm)->Arg(8)->Arg(32)->Arg(128);
 // (nn/backend.h): scalar replays blocked's summation order without the
 // register tiling, simd is the explicit AVX2+FMA path (silently the
 // blocked table when the CPU lacks it — compare against BM_BackendGemm/
-// blocked to tell), int8 is measured separately below because its
-// operands are quantized.
+// blocked to tell).
 void BM_BackendGemm(benchmark::State& state, eventhit::nn::BackendKind kind) {
   const size_t rows = 96, cols = 24;
   const auto batch = static_cast<size_t>(state.range(0));
@@ -127,33 +125,6 @@ BENCHMARK_CAPTURE(BM_BackendGemm, blocked, eventhit::nn::BackendKind::kBlocked)
     ->Arg(32)->Arg(128);
 BENCHMARK_CAPTURE(BM_BackendGemm, simd, eventhit::nn::BackendKind::kSimd)
     ->Arg(32)->Arg(128);
-
-// The int8 GEMM with pre-quantized operands: int32 accumulation + one
-// float dequant per output. Same shape as BM_BackendGemm for a direct
-// bandwidth comparison (the operands are 4x smaller).
-void BM_BackendInt8Gemm(benchmark::State& state) {
-  const size_t rows = 96, cols = 24;
-  const auto batch = static_cast<size_t>(state.range(0));
-  Rng rng(21);
-  const eventhit::nn::Matrix w =
-      eventhit::nn::Matrix::GlorotUniform(rows, cols, rng);
-  const eventhit::nn::Int8Tensor qw = eventhit::nn::QuantizeTensor(w);
-  std::vector<float> x(cols * batch);
-  for (auto& v : x) v = static_cast<float>(rng.Uniform());
-  std::vector<int8_t> qx(x.size());
-  eventhit::nn::QuantizeInt8(x.data(), x.size(), 127.0f, qx.data());
-  std::vector<float> y(rows * batch, 0.0f);
-  const auto& backend =
-      eventhit::nn::GetBackend(eventhit::nn::BackendKind::kInt8);
-  const float scale = qw.scale * (1.0f / 127.0f);
-  for (auto _ : state) {
-    backend.kernels->int8_gemm_zero(rows, batch, cols, qw.data.data(), cols,
-                                    qx.data(), batch, scale, y.data(), batch);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_BackendInt8Gemm)->Arg(32)->Arg(128);
 
 void BM_LstmForward(benchmark::State& state) {
   Rng rng(1);
@@ -248,9 +219,7 @@ void BM_EventHitPredictBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventHitPredictBatch)->Arg(8)->Arg(32)->Arg(128);
 
-// End-to-end batched inference per kernel backend. int8 quantizes the
-// weights from the same random records it then scores (the calibrated
-// statistic is only the covariate max-abs, nn/int8.h).
+// End-to-end batched inference per kernel backend.
 void BM_EventHitPredictBatchBackend(benchmark::State& state,
                                     eventhit::nn::BackendKind kind) {
   const core::EventHitConfig config = ThumosModelConfig();
@@ -259,9 +228,6 @@ void BM_EventHitPredictBatchBackend(benchmark::State& state,
   std::vector<data::Record> records;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
     records.push_back(RandomRecord(config, rng));
-  }
-  if (kind == eventhit::nn::BackendKind::kInt8) {
-    model.CalibrateInt8(records);
   }
   model.SetInferenceBackend(kind);
   std::vector<core::EventScores> scores(records.size());
@@ -279,8 +245,6 @@ BENCHMARK_CAPTURE(BM_EventHitPredictBatchBackend, blocked,
                   eventhit::nn::BackendKind::kBlocked)->Arg(32);
 BENCHMARK_CAPTURE(BM_EventHitPredictBatchBackend, simd,
                   eventhit::nn::BackendKind::kSimd)->Arg(32);
-BENCHMARK_CAPTURE(BM_EventHitPredictBatchBackend, int8,
-                  eventhit::nn::BackendKind::kInt8)->Arg(32);
 
 // One epoch over 100 positive records (the batched training path), at the
 // THUMOS shape (M=10, H=200) and the Breakfast shape (M=50, H=500) that

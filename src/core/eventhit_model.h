@@ -25,7 +25,6 @@
 #include "nn/backend.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
-#include "nn/int8.h"
 #include "nn/lstm.h"
 #include "nn/mlp.h"
 #include "nn/workspace.h"
@@ -58,7 +57,7 @@ class EventHitModel {
 
   /// Inference: raw scores for one covariate block. Routed through the
   /// selected backend (SetInferenceBackend): scalar/blocked use the
-  /// per-record float path; simd/int8 run the batched path at batch 1 so
+  /// per-record float path; simd runs the batched path at batch 1 so
   /// per-record and batched scores stay bit-identical under every backend.
   EventScores Predict(const data::Record& record) const;
 
@@ -68,24 +67,14 @@ class EventHitModel {
   EventScores PredictCovariates(const float* covariates) const;
 
   /// Selects the kernel backend used by Predict/PredictBatched
-  /// (nn/backend.h; docs/BACKENDS.md). kInt8 requires CalibrateInt8 first.
+  /// (nn/backend.h; docs/BACKENDS.md). The choice survives Train and Load.
   /// Scores change across backends (within documented bounds), so conformal
   /// calibrators must be built from scores produced under the same backend
   /// they will guard — eval::TrainEventHit sets the backend before
   /// calibration for exactly this reason.
-  void SetInferenceBackend(nn::BackendKind kind);
+  void SetInferenceBackend(nn::BackendKind kind) { backend_kind_ = kind; }
 
   nn::BackendKind inference_backend() const { return backend_kind_; }
-
-  /// Builds the int8-quantized weights (per-tensor symmetric, nn/int8.h).
-  /// Weight scales come from the weights themselves; the only calibrated
-  /// activation statistic is the max-abs covariate over up to `max_records`
-  /// of `calibration` (LSTM hidden states and tanh activations are bounded
-  /// in (-1,1), so they use the analytic scale). Invalidated by Train/Load.
-  void CalibrateInt8(const std::vector<data::Record>& calibration,
-                     size_t max_records = 256);
-
-  bool int8_calibrated() const { return int8_ready_; }
 
   /// Batched inference: scores `count` records in one pass through the
   /// GEMM path (nn/gemm.h) — covariates are gathered into a batch-minor
@@ -126,26 +115,13 @@ class EventHitModel {
   nn::ParameterRefs Parameters();
   nn::ConstParameterRefs Parameters() const;
 
-  // Drops the quantized weights (and falls back to the blocked backend if
-  // int8 was selected) — called whenever the float weights change.
-  void InvalidateInt8();
-
   EventHitConfig config_;
   nn::Lstm lstm_;
   nn::Dense shared_fc_;
   nn::Dropout dropout_;
   std::vector<nn::Mlp> event_nets_;
   mutable Rng rng_;  // Dropout masks and shuffling during Train.
-
-  // Quantized mirror of the inference layers, built by CalibrateInt8.
-  struct Int8State {
-    nn::Int8Lstm lstm;
-    nn::Int8Dense shared_fc;
-    std::vector<nn::Int8Mlp> event_nets;
-  };
   nn::BackendKind backend_kind_ = nn::BackendKind::kBlocked;
-  Int8State int8_;
-  bool int8_ready_ = false;
 };
 
 /// Default batch size for PredictBatch (the `--predict-batch` CLI flag and

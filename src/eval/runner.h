@@ -51,9 +51,9 @@ struct RunnerConfig {
   size_t predict_batch = core::kDefaultPredictBatch;
   /// Inference kernel backend (nn/backend.h; `--nn-backend` in the CLI).
   /// Set *before* conformal calibration: TrainEventHit selects it on the
-  /// model right after training (quantizing the weights for kInt8), so
-  /// C-CLASSIFY/C-REGRESS thresholds are calibrated on scores from the
-  /// same backend that later produces the test scores (docs/BACKENDS.md).
+  /// model right after training, so C-CLASSIFY/C-REGRESS thresholds are
+  /// calibrated on scores from the same backend that later produces the
+  /// test scores (docs/BACKENDS.md).
   nn::BackendKind nn_backend = nn::BackendKind::kBlocked;
   /// Collection scheduling policy (sched/collect_policy.h; the CLI's
   /// `--collect-policy`). kFull keeps the legacy every-boundary path

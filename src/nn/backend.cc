@@ -1,9 +1,5 @@
 #include "nn/backend.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-
 #include "nn/activations.h"
 #include "nn/gemm.h"
 
@@ -27,9 +23,6 @@ template <bool kFma>
 void TanhInPlaceAvx2(float* x, size_t n);
 template <bool kFma>
 void SigmoidInPlaceAvx2(float* x, size_t n);
-void Int8GemmZeroAvx2(size_t m, size_t n, size_t k, const int8_t* a,
-                      size_t lda, const int8_t* b, size_t ldb, float scale,
-                      float* c, size_t ldc);
 }  // namespace detail
 #endif  // EVENTHIT_NN_HAVE_AVX2
 
@@ -82,64 +75,27 @@ void ScalarSigmoidInPlace(float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] = SigmoidScalar(x[i]);
 }
 
-// --- generic int8 GEMM -----------------------------------------------------
-//
-// int32 accumulation is exact (|a*b| <= 127*127, k is at most a few
-// hundred, so sums stay far from overflow) and integer addition is
-// associative — any vectorization of this loop nest, and the AVX2 variant
-// in backend_simd.cc, produce identical bits. The column-block accumulator
-// keeps the inner loops unit-stride so the baseline build auto-vectorizes.
-constexpr size_t kInt8ColBlock = 256;
-
-void GenericInt8GemmZero(size_t m, size_t n, size_t k, const int8_t* a,
-                         size_t lda, const int8_t* b, size_t ldb, float scale,
-                         float* c, size_t ldc) {
-  int32_t acc[kInt8ColBlock];
-  for (size_t j0 = 0; j0 < n; j0 += kInt8ColBlock) {
-    const size_t nb = std::min(kInt8ColBlock, n - j0);
-    for (size_t i = 0; i < m; ++i) {
-      std::memset(acc, 0, nb * sizeof(int32_t));
-      const int8_t* arow = a + i * lda;
-      for (size_t kk = 0; kk < k; ++kk) {
-        const int32_t aik = arow[kk];
-        const int8_t* brow = b + kk * ldb + j0;
-        for (size_t j = 0; j < nb; ++j) {
-          acc[j] += aik * static_cast<int32_t>(brow[j]);
-        }
-      }
-      float* crow = c + i * ldc + j0;
-      for (size_t j = 0; j < nb; ++j) {
-        crow[j] = scale * static_cast<float>(acc[j]);
-      }
-    }
-  }
-}
-
 // --- dispatch tables -------------------------------------------------------
 
 constexpr BackendKernels kScalarKernels = {
-    ScalarGemmZero, ScalarGemm, ScalarTanhInPlace, ScalarSigmoidInPlace,
-    GenericInt8GemmZero};
+    ScalarGemmZero, ScalarGemm, ScalarTanhInPlace, ScalarSigmoidInPlace};
 
 // The portable blocked kernels: what non-AVX2 and aarch64 hosts run, and
 // the reference the AVX2 flavour is tested against.
 constexpr BackendKernels kPortableBlockedKernels = {
-    GemmZero, Gemm, TanhInPlace, SigmoidInPlace, GenericInt8GemmZero};
+    GemmZero, Gemm, TanhInPlace, SigmoidInPlace};
 
 #if EVENTHIT_NN_HAVE_AVX2
 // blocked on AVX2 hosts: the same IEEE operations in the same order as the
 // portable table, eight columns at a time — identical bits, so the default
-// backend is machine-invariant. The int8 product is integer-exact, so its
-// AVX2 kernel is interchangeable with the generic one too.
+// backend is machine-invariant.
 constexpr BackendKernels kAvx2BlockedKernels = {
     detail::GemmZeroAvx2<false>, detail::GemmAvx2<false>,
-    detail::TanhInPlaceAvx2<false>, detail::SigmoidInPlaceAvx2<false>,
-    detail::Int8GemmZeroAvx2};
+    detail::TanhInPlaceAvx2<false>, detail::SigmoidInPlaceAvx2<false>};
 
 constexpr BackendKernels kSimdKernels = {
     detail::GemmZeroAvx2<true>, detail::GemmAvx2<true>,
-    detail::TanhInPlaceAvx2<true>, detail::SigmoidInPlaceAvx2<true>,
-    detail::Int8GemmZeroAvx2};
+    detail::TanhInPlaceAvx2<true>, detail::SigmoidInPlaceAvx2<true>};
 #endif
 
 const BackendKernels* BlockedKernels() {
@@ -185,12 +141,6 @@ const Backend& GetBackend(BackendKind kind) {
     b.kernels = BlockedKernels();
     return b;
   }();
-  // int8 runs the blocked table: its float side (activations, bias work)
-  // computes the same bits on every machine and its int8 product is
-  // integer-exact, so int8 scores — and the conformal thresholds
-  // recalibrated on them — are machine-independent.
-  static const Backend int8{BackendKind::kInt8, BackendKind::kInt8, "int8",
-                            BlockedKernels()};
   switch (kind) {
     case BackendKind::kScalar:
       return scalar;
@@ -198,8 +148,6 @@ const Backend& GetBackend(BackendKind kind) {
       return blocked;
     case BackendKind::kSimd:
       return simd;
-    case BackendKind::kInt8:
-      return int8;
   }
   return blocked;  // unreachable; keeps -Wreturn-type quiet
 }
@@ -212,8 +160,6 @@ const char* BackendKindName(BackendKind kind) {
       return "blocked";
     case BackendKind::kSimd:
       return "simd";
-    case BackendKind::kInt8:
-      return "int8";
   }
   return "unknown";
 }
@@ -222,28 +168,16 @@ Result<BackendKind> ParseBackendKind(const std::string& name) {
   if (name == "scalar") return BackendKind::kScalar;
   if (name == "blocked") return BackendKind::kBlocked;
   if (name == "simd") return BackendKind::kSimd;
-  if (name == "int8") return BackendKind::kInt8;
   if (name == "auto") {
     return SimdAvailable() ? BackendKind::kSimd : BackendKind::kBlocked;
   }
   return InvalidArgumentError(
       "unknown nn backend '" + name +
-      "' (choices: scalar, blocked, simd, int8, auto)");
+      "' (choices: scalar, blocked, simd, auto)");
 }
 
 std::vector<BackendKind> AllBackendKinds() {
-  return {BackendKind::kScalar, BackendKind::kBlocked, BackendKind::kSimd,
-          BackendKind::kInt8};
-}
-
-void QuantizeInt8(const float* x, size_t n, float inv_scale, int8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    // nearbyintf honours the default round-to-nearest-even mode; the clamp
-    // keeps the range symmetric at ±127 so negation stays exact.
-    float v = std::nearbyintf(x[i] * inv_scale);
-    v = std::min(std::max(v, -127.0f), 127.0f);
-    out[i] = static_cast<int8_t>(v);
-  }
+  return {BackendKind::kScalar, BackendKind::kBlocked, BackendKind::kSimd};
 }
 
 }  // namespace eventhit::nn

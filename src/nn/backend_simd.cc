@@ -38,7 +38,6 @@
 #include <immintrin.h>
 
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 
 #include "nn/activations_inl.h"
@@ -233,80 +232,5 @@ template void TanhInPlaceAvx2<true>(float*, size_t);
 template void TanhInPlaceAvx2<false>(float*, size_t);
 template void SigmoidInPlaceAvx2<true>(float*, size_t);
 template void SigmoidInPlaceAvx2<false>(float*, size_t);
-
-// --- int8 GEMM --------------------------------------------------------------
-//
-// Integer accumulation is exact, so this kernel is bit-identical to
-// backend.cc's GenericInt8GemmZero (and to any other vectorization): the
-// only float operations are the final int32 -> float conversion and one
-// multiply by `scale`, performed identically in the vector body, scalar
-// tail, and generic kernel.
-
-void Int8GemmZeroAvx2(size_t m, size_t n, size_t k, const int8_t* a,
-                      size_t lda, const int8_t* b, size_t ldb, float scale,
-                      float* c, size_t ldc) {
-  const __m256 vscale = _mm256_set1_ps(scale);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const int8_t* bcol = b + j;
-    float* ccol = c + j;
-    size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const int8_t* a0 = a + i * lda;
-      const int8_t* a1 = a0 + lda;
-      const int8_t* a2 = a1 + lda;
-      const int8_t* a3 = a2 + lda;
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      __m256i acc3 = _mm256_setzero_si256();
-      for (size_t kk = 0; kk < k; ++kk) {
-        const __m128i b8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(bcol + kk * ldb));
-        const __m256i bv = _mm256_cvtepi8_epi32(b8);
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_mullo_epi32(_mm256_set1_epi32(a0[kk]), bv));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_mullo_epi32(_mm256_set1_epi32(a1[kk]), bv));
-        acc2 = _mm256_add_epi32(
-            acc2, _mm256_mullo_epi32(_mm256_set1_epi32(a2[kk]), bv));
-        acc3 = _mm256_add_epi32(
-            acc3, _mm256_mullo_epi32(_mm256_set1_epi32(a3[kk]), bv));
-      }
-      float* c0p = ccol + i * ldc;
-      _mm256_storeu_ps(c0p, _mm256_mul_ps(_mm256_cvtepi32_ps(acc0), vscale));
-      _mm256_storeu_ps(c0p + ldc,
-                       _mm256_mul_ps(_mm256_cvtepi32_ps(acc1), vscale));
-      _mm256_storeu_ps(c0p + 2 * ldc,
-                       _mm256_mul_ps(_mm256_cvtepi32_ps(acc2), vscale));
-      _mm256_storeu_ps(c0p + 3 * ldc,
-                       _mm256_mul_ps(_mm256_cvtepi32_ps(acc3), vscale));
-    }
-    for (; i < m; ++i) {
-      const int8_t* arow = a + i * lda;
-      __m256i acc = _mm256_setzero_si256();
-      for (size_t kk = 0; kk < k; ++kk) {
-        const __m128i b8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(bcol + kk * ldb));
-        const __m256i bv = _mm256_cvtepi8_epi32(b8);
-        acc = _mm256_add_epi32(
-            acc, _mm256_mullo_epi32(_mm256_set1_epi32(arow[kk]), bv));
-      }
-      _mm256_storeu_ps(ccol + i * ldc,
-                       _mm256_mul_ps(_mm256_cvtepi32_ps(acc), vscale));
-    }
-  }
-  for (; j < n; ++j) {
-    for (size_t i = 0; i < m; ++i) {
-      const int8_t* arow = a + i * lda;
-      int32_t acc = 0;
-      for (size_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<int32_t>(arow[kk]) *
-               static_cast<int32_t>(b[kk * ldb + j]);
-      }
-      c[i * ldc + j] = scale * static_cast<float>(acc);
-    }
-  }
-}
 
 }  // namespace eventhit::nn::detail

@@ -14,7 +14,6 @@
 #define EVENTHIT_NN_WORKSPACE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -32,13 +31,6 @@ class Workspace {
   /// Returns an uninitialised buffer of `n` floats, valid until Reset().
   /// `n == 0` returns a non-null dummy pointer.
   float* Alloc(size_t n);
-
-  /// Returns an uninitialised buffer of `n` int8 values from the same
-  /// arena (carved out of float storage, so alignment is 4 bytes — more
-  /// than int8 needs). Used by the quantized inference path (nn/int8.h).
-  int8_t* AllocInt8(size_t n) {
-    return reinterpret_cast<int8_t*>(Alloc((n + 3) / 4));
-  }
 
   /// Rewinds the arena: every pointer handed out so far becomes invalid.
   /// If allocation overflowed into extra blocks since the last Reset, the

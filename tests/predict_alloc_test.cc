@@ -68,7 +68,6 @@ TEST(PredictAllocTest, WarmPredictBatchedMakesNoHeapAllocation) {
   config.num_events = kEvents;
   EventHitModel model(config);
   const std::vector<data::Record> records = MakeRecords(24);
-  model.CalibrateInt8(records);
 
   for (const nn::BackendKind kind : nn::AllBackendKinds()) {
     model.SetInferenceBackend(kind);

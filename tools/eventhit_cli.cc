@@ -155,14 +155,12 @@ void PrintUsage(std::ostream& os) {
       "  --predict-batch=B  records per batch for the batched GEMM\n"
       "               inference path (default 32; scores are identical\n"
       "               for every B >= 1)\n"
-      "  --nn-backend=scalar|blocked|simd|int8|auto  inference kernel\n"
+      "  --nn-backend=scalar|blocked|simd|auto  inference kernel\n"
       "               backend (default blocked; docs/BACKENDS.md). simd\n"
       "               needs AVX2+FMA and falls back to blocked elsewhere;\n"
-      "               auto picks simd when available. int8 quantizes the\n"
-      "               weights and recalibrates the conformal thresholds\n"
-      "               on int8 scores. Scores differ across backends\n"
-      "               within documented bounds; all backends are\n"
-      "               deterministic and batch-invariant.\n"
+      "               auto picks simd when available. Scores differ\n"
+      "               across backends within documented bounds; all\n"
+      "               backends are deterministic and batch-invariant.\n"
       "  --collect-policy=full|duty:<d>|adaptive  collection scheduling\n"
       "               policy (evaluate + fleet; DESIGN.md 5i). full scores\n"
       "               every prediction boundary (default; byte-identical\n"
