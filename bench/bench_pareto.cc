@@ -1,8 +1,9 @@
 // Local-FLOPs-vs-REC Pareto curve of the collection scheduling policies
 // (src/sched/, DESIGN.md §5i) on TA10: duty cycles {1.0, 0.5, 0.25} and
 // the adaptive hysteresis policy, each with its conformal thresholds
-// calibrated under the same policy used at test time, walked over a
-// stream-cadence (stride = H) sweep of the test range.
+// calibrated under the same policy used at test time, and each replayed
+// over the test range through the marshaller (eval::WalkPolicy), one
+// prediction boundary every H frames.
 //
 // Expected shape: every policy cuts frames scored ≥ (H / M)x against the
 // legacy full-rate path (scored boundaries only extract their M window
@@ -34,13 +35,11 @@
 #include "common/table_printer.h"
 #include "core/eventhit_model.h"
 #include "core/strategies.h"
-#include "data/record_extractor.h"
 #include "data/tasks.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "obs/audit.h"
 #include "sched/collect_policy.h"
-#include "sched/cost_model.h"
 
 namespace {
 
@@ -60,7 +59,7 @@ constexpr double kCoverage = 0.5;
 struct Leg {
   std::string key;   // JSON key suffix (full/duty50/duty25/adaptive).
   sched::CollectPolicySpec spec;
-  eval::PolicyWalkStats walk;
+  core::MarshallerStats walk;
   eval::Metrics metrics;
   int64_t audit_breaches = 0;
 };
@@ -80,13 +79,10 @@ int main() {
   // way it would actually deploy.
   const eval::TaskEnvironment env =
       eval::TaskEnvironment::Build(task, base_config);
-  const std::vector<data::Record> sweep = data::StridedRecords(
-      env.video(), env.task(), env.extractor(), env.splits().test,
-      env.horizon());
 
   std::cout << "=== Local-compute vs REC Pareto: collection policies on "
-            << task.name << " (" << threads << " thread(s), "
-            << sweep.size() << " stream-cadence test boundaries) ===\n";
+            << task.name << " (" << threads
+            << " thread(s), marshaller walks of the test range) ===\n";
 
   std::vector<Leg> legs;
   legs.push_back({"full", sched::CollectPolicySpec{}, {}, {}, 0});
@@ -120,30 +116,21 @@ int main() {
         trained.model.get(), trained.cclassify.get(), trained.cregress.get(),
         options);
 
-    sched::LocalCostModel cost;
-    const core::EventHitConfig& mc = trained.model->config();
-    cost.forward_mflops_per_boundary = sched::EstimateForwardMflops(
-        env.collection_window(), static_cast<int>(env.video().feature_dim()),
-        mc.lstm_hidden, mc.shared_dim, mc.event_hidden,
-        static_cast<int>(env.task().event_indices.size()), env.horizon());
-
-    const std::vector<core::EventScores> scores = core::PredictBatch(
-        *trained.model, sweep, ctx, config.predict_batch);
-    const std::vector<core::MarshalDecision> decisions =
-        eval::DecisionsWithPolicy(strategy, scores, leg.spec,
-                                  env.collection_window(), env.horizon(),
-                                  cost, &leg.walk, ctx);
-    leg.metrics = eval::ComputeMetrics(sweep, decisions, env.horizon());
+    const eval::PolicyWalk walk =
+        eval::WalkPolicy(env, env.splits().test, strategy, leg.spec);
+    leg.walk = walk.stats;
+    leg.metrics =
+        eval::ComputeMetrics(walk.records, walk.decisions, env.horizon());
 
     obs::AuditConfig audit_config;
     audit_config.confidence = kConfidence;
     audit_config.coverage = kCoverage;
     obs::GuarantyAuditor auditor(audit_config);
     for (const obs::AuditOutcome& outcome :
-         eval::BuildAuditOutcomes(sweep, decisions)) {
+         eval::BuildAuditOutcomes(walk.records, walk.decisions)) {
       auditor.Observe(outcome);
     }
-    auditor.Finalize(static_cast<int64_t>(sweep.size()));
+    auditor.Finalize(static_cast<int64_t>(walk.records.size()));
     leg.audit_breaches = auditor.breach_count();
   }
 
@@ -162,12 +149,13 @@ int main() {
         speedup(static_cast<double>(full.walk.frames_scored),
                 static_cast<double>(leg.walk.frames_scored));
     const double mflops_x =
-        speedup(full.walk.local_mflops, leg.walk.local_mflops);
+        speedup(static_cast<double>(full.walk.local_mflops),
+                static_cast<double>(leg.walk.local_mflops));
     const double rec_diff = std::abs(leg.metrics.rec - full.metrics.rec);
     table.AddRow({sched::CollectPolicyName(leg.spec),
-                  Fmt(leg.walk.horizons_scored),
+                  Fmt(leg.walk.horizons_predicted - leg.walk.horizons_reused),
                   Fmt(leg.walk.horizons_reused),
-                  Fmt(leg.walk.frames_scored), Fmt(leg.walk.local_mflops, 0),
+                  Fmt(leg.walk.frames_scored), Fmt(leg.walk.local_mflops),
                   Fmt(frames_x, 2), Fmt(mflops_x, 2), Fmt(leg.metrics.rec),
                   Fmt(rec_diff, 4), Fmt(leg.metrics.spl),
                   Fmt(leg.audit_breaches)});
@@ -183,7 +171,7 @@ int main() {
   json << "{\n"
        << "  \"task\": \"" << task.name << "\",\n"
        << "  \"threads\": " << threads << ",\n"
-       << "  \"test_boundaries\": " << sweep.size() << ",\n"
+       << "  \"test_boundaries\": " << full.walk.horizons_predicted << ",\n"
        << "  \"pareto_audit_breach_diff\": " << total_breaches << ",\n";
   for (const Leg& leg : legs) {
     json << "  \"pareto_rec_" << leg.key << "\": " << leg.metrics.rec
@@ -191,14 +179,16 @@ int main() {
          << "  \"pareto_frames_scored_" << leg.key
          << "\": " << leg.walk.frames_scored << ",\n"
          << "  \"pareto_local_mflops_" << leg.key
-         << "\": " << leg.walk.local_mflops << ",\n";
+         << "\": " << static_cast<double>(leg.walk.local_mflops) << ",\n";
     if (leg.key == "full") continue;
     json << "  \"speedup_frames_" << leg.key << "\": "
          << speedup(static_cast<double>(full.walk.frames_scored),
                     static_cast<double>(leg.walk.frames_scored))
          << ",\n"
          << "  \"speedup_mflops_" << leg.key << "\": "
-         << speedup(full.walk.local_mflops, leg.walk.local_mflops) << ",\n"
+         << speedup(static_cast<double>(full.walk.local_mflops),
+                    static_cast<double>(leg.walk.local_mflops))
+         << ",\n"
          << "  \"pareto_rec_diff_" << leg.key << "\": "
          << std::abs(leg.metrics.rec - full.metrics.rec) << ",\n";
   }

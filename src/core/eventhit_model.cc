@@ -417,4 +417,14 @@ std::vector<EventScores> PredictBatch(const EventHitModel& model,
   return scores;
 }
 
+sched::LocalCostModel LocalCostModelFor(const EventHitConfig& config) {
+  sched::LocalCostModel cost;
+  cost.forward_mflops_per_boundary = sched::EstimateForwardMflops(
+      config.collection_window, static_cast<int>(config.feature_dim),
+      static_cast<int>(config.lstm_hidden), static_cast<int>(config.shared_dim),
+      static_cast<int>(config.event_hidden),
+      static_cast<int>(config.num_events), config.horizon);
+  return cost;
+}
+
 }  // namespace eventhit::core

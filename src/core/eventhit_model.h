@@ -28,6 +28,7 @@
 #include "nn/lstm.h"
 #include "nn/mlp.h"
 #include "nn/workspace.h"
+#include "sched/cost_model.h"
 
 namespace eventhit::core {
 
@@ -141,6 +142,12 @@ std::vector<EventScores> PredictBatch(const EventHitModel& model,
                                       const std::vector<data::Record>& records,
                                       const ExecutionContext& ctx = ExecutionContext(),
                                       size_t batch_size = kDefaultPredictBatch);
+
+/// Local-compute rates of a marshaller that scores with a model of this
+/// shape: the default per-frame extraction cost plus one forward pass
+/// (sched::EstimateForwardMflops) per scored boundary. Fleet streams and
+/// eval::WalkPolicy price their sched.flops.* accounting with it.
+sched::LocalCostModel LocalCostModelFor(const EventHitConfig& config);
 
 }  // namespace eventhit::core
 

@@ -288,16 +288,21 @@ void Marshaller::CompletePredictionInternal(const MarshalDecision& decision,
   const int64_t frames_skipped = segment - frames_scored;
   stats_.frames_scored += frames_scored;
   stats_.frames_skipped += frames_skipped;
-  const double local_mflops =
+  // Exact running totals, rounded once: a forward pass costs a fraction of
+  // an MFLOP, which per-boundary rounding would drop every time. The
+  // counters add the change in the rounded total, so they track the stats.
+  local_mflops_total_ +=
       static_cast<double>(frames_scored) * cost_.feature_mflops_per_frame +
       (reused ? 0.0 : cost_.forward_mflops_per_boundary);
-  const double saved_mflops =
+  saved_mflops_total_ +=
       static_cast<double>(frames_skipped) * cost_.feature_mflops_per_frame +
       (reused ? cost_.forward_mflops_per_boundary : 0.0);
-  stats_.local_mflops += std::llround(local_mflops);
-  stats_.saved_mflops += std::llround(saved_mflops);
-  sched_flops_local_metric_->Add(std::llround(local_mflops));
-  sched_flops_saved_metric_->Add(std::llround(saved_mflops));
+  const int64_t local_mflops = std::llround(local_mflops_total_);
+  const int64_t saved_mflops = std::llround(saved_mflops_total_);
+  sched_flops_local_metric_->Add(local_mflops - stats_.local_mflops);
+  sched_flops_saved_metric_->Add(saved_mflops - stats_.saved_mflops);
+  stats_.local_mflops = local_mflops;
+  stats_.saved_mflops = saved_mflops;
   sched_frames_scored_metric_->Add(frames_scored);
   sched_frames_skipped_metric_->Add(frames_skipped);
   if (reused) {

@@ -40,6 +40,7 @@ struct MarshallerStats {
   int64_t horizons_reused = 0;  // Boundaries that replayed the last decision.
   int64_t frames_scored = 0;    // Frames charged feature-extraction cost.
   int64_t frames_skipped = 0;   // Frames whose extraction the policy saved.
+  // The MFLOPs fields are the stream's exact running totals, rounded.
   int64_t local_mflops = 0;     // Estimated local compute actually spent.
   int64_t saved_mflops = 0;     // Estimated local compute avoided.
 };
@@ -190,6 +191,9 @@ class Marshaller {
 
   MarshalDecision last_decision_;
   MarshallerStats stats_;
+  // Unrounded sched.flops.* totals behind stats_.local/saved_mflops.
+  double local_mflops_total_ = 0.0;
+  double saved_mflops_total_ = 0.0;
 
   // Cached telemetry handles (valid for the registry's lifetime).
   obs::Counter* frames_total_metric_;

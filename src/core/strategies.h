@@ -63,6 +63,7 @@ class EventHitStrategy : public MarshalStrategy {
   /// sees either the old pair or the new pair, never a mix.
   void set_calibrators(const CClassify* cclassify, const CRegress* cregress);
 
+  const EventHitModel* model() const { return model_; }
   const CClassify* cclassify() const { return cclassify_; }
   const CRegress* cregress() const { return cregress_; }
 

@@ -134,18 +134,4 @@ std::vector<Record> SampleBalancedRecords(const sim::SyntheticVideo& video,
   return records;
 }
 
-std::vector<Record> StridedRecords(const sim::SyntheticVideo& video,
-                                   const Task& task,
-                                   const ExtractorConfig& config,
-                                   const sim::Interval& range,
-                                   int64_t stride) {
-  EVENTHIT_CHECK(!range.empty());
-  EVENTHIT_CHECK_GT(stride, 0);
-  std::vector<Record> records;
-  for (int64_t frame = range.start; frame <= range.end; frame += stride) {
-    records.push_back(BuildRecord(video, task, config, frame));
-  }
-  return records;
-}
-
 }  // namespace eventhit::data

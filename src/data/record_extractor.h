@@ -65,13 +65,6 @@ std::vector<Record> SampleBalancedRecords(const sim::SyntheticVideo& video,
                                           size_t count,
                                           double positive_fraction, Rng& rng);
 
-/// Deterministic anchors every `stride` frames across `range` (used when a
-/// full sweep of the stream is wanted, e.g. cost accounting).
-std::vector<Record> StridedRecords(const sim::SyntheticVideo& video,
-                                   const Task& task,
-                                   const ExtractorConfig& config,
-                                   const sim::Interval& range, int64_t stride);
-
 }  // namespace eventhit::data
 
 #endif  // EVENTHIT_DATA_RECORD_EXTRACTOR_H_

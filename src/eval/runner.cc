@@ -1,9 +1,11 @@
 #include "eval/runner.h"
 
-#include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "core/audit_feed.h"
+#include "obs/metrics.h"
 #include "obs/schema.h"
 #include "obs/trace.h"
 #include "sim/datasets.h"
@@ -16,43 +18,6 @@ namespace {
 // quantile (ceil((n+1)*0.95) <= n needs n >= 19); below this floor the
 // policy-scored subset is abandoned for the full uniform calibration set.
 constexpr size_t kMinPolicyCalibRecords = 20;
-
-// Scored subset of a stream-cadence (stride = H) sweep of the calibration
-// range walked under the runner's collection policy — the records whose
-// scores the deployed marshaller would actually act on. Conformal
-// thresholds do not exist yet at calibration time, so the policy's
-// feedback loop runs on a raw-score proxy: any_open = (max existence
-// score >= 0.5), the same default existence threshold the uncalibrated
-// strategy uses.
-std::vector<data::Record> PolicyScoredCalibRecords(
-    const TaskEnvironment& env, const RunnerConfig& config,
-    const core::EventHitModel& model, const ExecutionContext& ctx) {
-  std::vector<data::Record> sweep = data::StridedRecords(
-      env.video(), env.task(), env.extractor(), env.splits().calib,
-      env.horizon());
-  const std::vector<core::EventScores> scores =
-      core::PredictBatch(model, sweep, ctx, config.predict_batch);
-  std::unique_ptr<sched::CollectPolicy> policy =
-      sched::MakeCollectPolicy(config.collect_policy);
-  std::vector<data::Record> scored;
-  scored.reserve(sweep.size());
-  bool have_last = false;
-  for (size_t h = 0; h < sweep.size(); ++h) {
-    if (have_last && !policy->ShouldScore(static_cast<int64_t>(h))) continue;
-    have_last = true;
-    double max_existence = 0.0;
-    for (const double b : scores[h].existence) {
-      max_existence = std::max(max_existence, b);
-    }
-    sched::ScoreObservation observation;
-    observation.horizon_index = static_cast<int64_t>(h);
-    observation.max_existence = max_existence;
-    observation.any_open = max_existence >= 0.5;
-    policy->Observe(observation);
-    scored.push_back(std::move(sweep[h]));
-  }
-  return scored;
-}
 
 }  // namespace
 
@@ -126,8 +91,16 @@ TrainedEventHit TrainEventHit(const TaskEnvironment& env,
     const std::vector<data::Record>* calib = &env.calib_records();
     std::vector<data::Record> policy_calib;
     if (config.collect_policy.kind != sched::CollectPolicyKind::kFull) {
-      policy_calib =
-          PolicyScoredCalibRecords(env, config, *trained.model, ctx);
+      // No conformal thresholds exist yet, so the policy's feedback runs
+      // on the uncalibrated strategy: existence threshold tau1 = 0.5.
+      const core::EventHitStrategy uncalibrated(
+          trained.model.get(), nullptr, nullptr,
+          core::EventHitStrategyOptions());
+      PolicyWalk walk = WalkPolicy(env, env.splits().calib, uncalibrated,
+                                   config.collect_policy);
+      for (size_t i = 0; i < walk.records.size(); ++i) {
+        if (!walk.reused[i]) policy_calib.push_back(std::move(walk.records[i]));
+      }
       if (policy_calib.size() >= kMinPolicyCalibRecords) {
         calib = &policy_calib;
       }
@@ -178,78 +151,43 @@ std::vector<core::MarshalDecision> DecisionsFromScores(
   return decisions;
 }
 
-std::vector<core::MarshalDecision> DecisionsWithPolicy(
-    const core::EventHitStrategy& strategy,
-    const std::vector<core::EventScores>& scores,
-    const sched::CollectPolicySpec& spec, int collection_window, int horizon,
-    const sched::LocalCostModel& cost, PolicyWalkStats* stats,
-    const ExecutionContext& ctx) {
-  if (stats != nullptr) *stats = PolicyWalkStats();
-  if (spec.kind == sched::CollectPolicyKind::kFull) {
-    // Full rate: same decisions (and parallel schedule) as the legacy
-    // path, with every frame charged to the local side of the ledger.
-    std::vector<core::MarshalDecision> decisions =
-        DecisionsFromScores(strategy, scores, ctx);
-    if (stats != nullptr) {
-      for (size_t h = 0; h < scores.size(); ++h) {
-        const int64_t segment =
-            h == 0 ? static_cast<int64_t>(collection_window)
-                   : static_cast<int64_t>(horizon);
-        ++stats->horizons_scored;
-        stats->frames_scored += segment;
-        stats->local_mflops +=
-            static_cast<double>(segment) * cost.feature_mflops_per_frame +
-            cost.forward_mflops_per_boundary;
-      }
-    }
-    return decisions;
+PolicyWalk WalkPolicy(const TaskEnvironment& env, const sim::Interval& range,
+                      const core::EventHitStrategy& strategy,
+                      const sched::CollectPolicySpec& spec) {
+  EVENTHIT_CHECK(!range.empty());
+  const int window = env.collection_window();
+  const int horizon = env.horizon();
+  // Local frame M-1, the first boundary, is video frame range.start.
+  const int64_t first_frame = range.start - (window - 1);
+  const int64_t boundaries = (range.end - range.start) / horizon + 1;
+  obs::MetricsRegistry metrics;
+  core::Marshaller marshaller(&strategy, window, horizon,
+                              env.video().feature_dim(),
+                              env.task().event_indices.size(), &metrics);
+  if (spec.kind != sched::CollectPolicyKind::kFull) {
+    marshaller.set_collect_policy(sched::MakeCollectPolicy(spec));
   }
-  // The policy's schedule feeds on its own scored observations, so the
-  // walk is inherently sequential.
-  obs::TraceSpan span(obs::names::kSpanRunnerDecideBatch);
-  std::unique_ptr<sched::CollectPolicy> policy = sched::MakeCollectPolicy(spec);
-  std::vector<core::MarshalDecision> decisions;
-  decisions.reserve(scores.size());
-  for (size_t h = 0; h < scores.size(); ++h) {
-    const bool scored =
-        decisions.empty() || policy->ShouldScore(static_cast<int64_t>(h));
-    const int64_t segment = h == 0 ? static_cast<int64_t>(collection_window)
-                                   : static_cast<int64_t>(horizon);
-    if (scored) {
-      decisions.push_back(strategy.DecideFromScores(scores[h]));
-      const core::MarshalDecision& decision = decisions.back();
-      sched::ScoreObservation observation;
-      observation.horizon_index = static_cast<int64_t>(h);
-      observation.max_existence = decision.max_existence;
-      for (const bool open : decision.exists) {
-        if (open) observation.any_open = true;
-      }
-      policy->Observe(observation);
-      if (stats != nullptr) {
-        // A scored boundary only needs the M window frames extracted —
-        // frames outside every window are skipped even at full duty.
-        const int64_t frames = std::min<int64_t>(collection_window, segment);
-        ++stats->horizons_scored;
-        stats->frames_scored += frames;
-        stats->frames_skipped += segment - frames;
-        stats->local_mflops +=
-            static_cast<double>(frames) * cost.feature_mflops_per_frame +
-            cost.forward_mflops_per_boundary;
-        stats->saved_mflops += static_cast<double>(segment - frames) *
-                               cost.feature_mflops_per_frame;
-      }
-    } else {
-      decisions.push_back(decisions.back());
-      if (stats != nullptr) {
-        ++stats->horizons_reused;
-        stats->frames_skipped += segment;
-        stats->saved_mflops +=
-            static_cast<double>(segment) * cost.feature_mflops_per_frame +
-            cost.forward_mflops_per_boundary;
-      }
-    }
+  marshaller.set_cost_model(
+      core::LocalCostModelFor(strategy.model()->config()));
+  PolicyWalk walk;
+  walk.records.reserve(static_cast<size_t>(boundaries));
+  walk.decisions.reserve(static_cast<size_t>(boundaries));
+  marshaller.set_decision_callback(
+      [&](int64_t anchor, const core::MarshalDecision& decision,
+          bool reused) {
+        walk.records.push_back(data::BuildRecord(
+            env.video(), env.task(), env.extractor(), first_frame + anchor));
+        walk.decisions.push_back(decision);
+        walk.reused.push_back(reused);
+      });
+  const int64_t frames = window + (boundaries - 1) * horizon;
+  for (int64_t f = 0; f < frames; ++f) {
+    marshaller.PushFrame(marshaller.NextFrameNeedsFeatures()
+                             ? env.video().FrameFeatures(first_frame + f)
+                             : nullptr);
   }
-  return decisions;
+  walk.stats = marshaller.stats();
+  return walk;
 }
 
 std::vector<obs::AuditOutcome> BuildAuditOutcomes(

@@ -11,6 +11,7 @@
 #include "core/c_classify.h"
 #include "core/c_regress.h"
 #include "core/eventhit_model.h"
+#include "core/marshaller.h"
 #include "core/prediction.h"
 #include "core/strategies.h"
 #include "data/record_extractor.h"
@@ -19,7 +20,6 @@
 #include "nn/backend.h"
 #include "obs/audit.h"
 #include "sched/collect_policy.h"
-#include "sched/cost_model.h"
 #include "sim/synthetic_video.h"
 
 namespace eventhit::eval {
@@ -58,9 +58,9 @@ struct RunnerConfig {
   /// Collection scheduling policy (sched/collect_policy.h; the CLI's
   /// `--collect-policy`). kFull keeps the legacy every-boundary path
   /// byte-identical. Anything else makes TrainEventHit calibrate the
-  /// conformal wrappers on the *scored subset* of a stream-cadence
-  /// (stride = H) sweep of the calibration range walked under this same
-  /// policy, so thresholds see the score distribution deployment sees.
+  /// conformal wrappers on the *scored boundaries* of a WalkPolicy run
+  /// over the calibration range under this same policy, so thresholds see
+  /// the score distribution deployment sees.
   sched::CollectPolicySpec collect_policy;
   /// Master seed; vary per trial.
   uint64_t seed = 42;
@@ -135,35 +135,27 @@ std::vector<core::MarshalDecision> DecisionsFromScores(
     const std::vector<core::EventScores>& scores,
     const ExecutionContext& ctx = ExecutionContext());
 
-/// Local-compute accounting of one policy walk over a stream-cadence
-/// record sequence — the record-clock mirror of MarshallerStats'
-/// sched fields (same segment attribution: the first boundary covers M
-/// frames, every later one H).
-struct PolicyWalkStats {
-  int64_t horizons_scored = 0;
-  int64_t horizons_reused = 0;
-  int64_t frames_scored = 0;    // Frames charged feature extraction.
-  int64_t frames_skipped = 0;   // Frames whose extraction was saved.
-  double local_mflops = 0.0;    // Estimated local compute spent.
-  double saved_mflops = 0.0;    // Estimated local compute avoided.
+/// The prediction boundaries of one WalkPolicy run, in stream order:
+/// each boundary's record (with its true labels), the decision the
+/// marshaller acted on, and whether that decision was a policy replay.
+struct PolicyWalk {
+  std::vector<data::Record> records;
+  std::vector<core::MarshalDecision> decisions;
+  std::vector<bool> reused;
+  core::MarshallerStats stats;
 };
 
-/// Walks `scores` in sequence as consecutive prediction boundaries of one
-/// stream under `spec`: scored boundaries take a fresh decision from the
-/// strategy and feed the policy's observation loop; skipped boundaries
-/// reuse the previous decision verbatim. `scores` must therefore come
-/// from a stream-cadence sweep (data::StridedRecords with stride = H) —
-/// uniformly sampled record sets have no temporal adjacency to reuse
-/// across. kFull short-circuits to DecisionsFromScores (byte-identical
-/// decisions, full-rate accounting). `stats` (optional) receives the
-/// frames/FLOPs split under `cost`.
-std::vector<core::MarshalDecision> DecisionsWithPolicy(
-    const core::EventHitStrategy& strategy,
-    const std::vector<core::EventScores>& scores,
-    const sched::CollectPolicySpec& spec, int collection_window, int horizon,
-    const sched::LocalCostModel& cost = sched::LocalCostModel(),
-    PolicyWalkStats* stats = nullptr,
-    const ExecutionContext& ctx = ExecutionContext());
+/// Streams `range` of the environment's video through a core::Marshaller
+/// that decides with `strategy` under `spec`, inline: each scored
+/// boundary runs EventHitModel::Predict on the marshaller's window. The
+/// walk starts at frame range.start - (M-1), so the boundaries fall on
+/// range.start + kH up to range.end. As in a fleet stream, the policy is
+/// installed only when `spec` is not kFull and feature-free frames are
+/// pushed as nullptr; every walk, full rate included, is priced with
+/// core::LocalCostModelFor. Telemetry goes to a private registry.
+PolicyWalk WalkPolicy(const TaskEnvironment& env, const sim::Interval& range,
+                      const core::EventHitStrategy& strategy,
+                      const sched::CollectPolicySpec& spec);
 
 /// Converts (record, decision) pairs into guarantee-audit outcomes on the
 /// record clock (sim_time = record index): one outcome per (record,

@@ -10,10 +10,11 @@
 //     `batch_size` so the GEMM stays as full as possible);
 //   * final       — end of wave: everything still pending flushes.
 //
-// The batcher is plain serial state driven from the fleet's tick loop; all
-// cross-thread handoff happens upstream in the MPSC queue. Requests flush
-// strictly in enqueue order, so each stream's requests complete in FIFO
-// order — the Marshaller::CompletePrediction contract.
+// The batcher is plain serial state driven from the fleet's tick loop,
+// which enqueues each tick's requests in shard-slot order once the parallel
+// push phase has joined. Requests flush strictly in enqueue order, so each
+// stream's requests complete in FIFO order — the
+// Marshaller::CompletePrediction contract.
 #ifndef EVENTHIT_FLEET_DYNAMIC_BATCHER_H_
 #define EVENTHIT_FLEET_DYNAMIC_BATCHER_H_
 
@@ -31,7 +32,7 @@ namespace eventhit::fleet {
 /// batched GEMM flush.
 struct InferenceRequest {
   int shard_slot = -1;       // Wave-local shard index (canonical order key).
-  int64_t seq = 0;           // Per-stream request counter.
+  int64_t seq = 0;           // Optional caller numbering; unused here.
   int64_t anchor_frame = 0;  // Local stream frame of the prediction point.
   int64_t enqueue_tick = 0;  // Fleet tick the request entered the batcher.
   data::Record record;       // Covariate window (labels unknown).

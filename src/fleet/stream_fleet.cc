@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <type_traits>
@@ -13,7 +14,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "fleet/dynamic_batcher.h"
-#include "fleet/mpsc_queue.h"
 #include "fleet/shard_arena.h"
 #include "fleet/stream_pipeline.h"
 #include "obs/schema.h"
@@ -62,7 +62,6 @@ double Percentile(std::vector<double> values, double q) {
 struct StreamFleet::Shard {
   std::unique_ptr<sim::SyntheticVideo> video;
   std::optional<StreamPipeline> pipeline;
-  int64_t seq = 0;  // Requests issued.
   data::Record pending_record;  // Scratch between push and enqueue.
 };
 
@@ -225,11 +224,12 @@ FleetRunResult StreamFleet::Run() {
       active_delta[static_cast<size_t>(s.phase + s.push_frames)] -= 1;
     }
 
-    MpscQueue<InferenceRequest> queue(static_cast<size_t>(wave_n));
     DynamicBatcher batcher(config_.batch_size,
                            config_.max_batch_delay_ticks);
-    std::vector<InferenceRequest> drained;
-    drained.reserve(static_cast<size_t>(wave_n));
+    // fresh[i] != 0: this tick's push left a window in shard i. The flags
+    // live outside the shards so the serial scan reads wave_n bytes, not
+    // one cache line per shard.
+    std::vector<uint8_t> fresh(static_cast<size_t>(wave_n), 0);
 
     int64_t active = 0;
     for (int64_t tick = 0; tick < max_ticks; ++tick) {
@@ -237,37 +237,34 @@ FleetRunResult StreamFleet::Run() {
       active += active_delta[static_cast<size_t>(tick)];
       streams_active_metric_->Set(static_cast<double>(active));
 
-      // Push phase: every resident stream advances one local frame; the
-      // prediction boundaries fan into the MPSC queue.
+      // Push phase: every resident stream advances one local frame; a
+      // prediction boundary leaves its window in the shard.
       ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
         Shard& shard = arena[i];
         StreamPipeline& pipeline = *shard.pipeline;
         const int64_t frame = tick - pipeline.settings().phase;
         if (frame < 0 || frame >= pipeline.settings().push_frames) return;
         EVENTHIT_CHECK_EQ(frame, pipeline.next_frame());
-        if (pipeline.PushFrame(&shard.pending_record)) {
-          InferenceRequest request;
-          request.shard_slot = static_cast<int>(i);
-          request.seq = shard.seq++;
-          request.anchor_frame = shard.pending_record.frame;
-          request.enqueue_tick = tick;
-          request.record = std::move(shard.pending_record);
-          EVENTHIT_CHECK(queue.TryPush(std::move(request)));
-        }
+        if (pipeline.PushFrame(&shard.pending_record)) fresh[i] = 1;
       });
 
-      // Batching phase (serial): canonical order, then flush decisions.
-      drained.clear();
-      queue.DrainTo(&drained);
-      std::sort(drained.begin(), drained.end(),
-                [](const InferenceRequest& a, const InferenceRequest& b) {
-                  return a.shard_slot < b.shard_slot;
-                });
-      requests_metric_->Add(static_cast<int64_t>(drained.size()));
-      stats.requests += static_cast<int64_t>(drained.size());
-      for (auto& request : drained) {
+      // Batching phase (serial): the push barrier published every shard;
+      // enqueueing in slot order makes the batch order canonical.
+      int64_t enqueued = 0;
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        if (fresh[i] == 0) continue;
+        fresh[i] = 0;
+        Shard& shard = arena[i];
+        InferenceRequest request;
+        request.shard_slot = static_cast<int>(i);
+        request.anchor_frame = shard.pending_record.frame;
+        request.enqueue_tick = tick;
+        request.record = std::move(shard.pending_record);
         batcher.Enqueue(std::move(request));
+        ++enqueued;
       }
+      requests_metric_->Add(enqueued);
+      stats.requests += enqueued;
 
       const bool final_tick = tick == max_ticks - 1;
       for (BatchFlush& flush : batcher.TakeReady(tick, final_tick)) {

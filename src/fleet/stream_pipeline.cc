@@ -8,7 +8,6 @@
 #include "nn/backend.h"
 #include "nn/workspace.h"
 #include "sched/collect_policy.h"
-#include "sched/cost_model.h"
 
 namespace eventhit::fleet {
 namespace {
@@ -120,14 +119,8 @@ StreamPipeline::StreamPipeline(const FleetConfig& config,
                       static_cast<int64_t>(settings_.spec.horizon));
     marshaller_.set_collect_policy(
         sched::MakeCollectPolicy(config.runner.collect_policy));
-    const core::EventHitConfig& mc = trained.model->config();
-    sched::LocalCostModel cost;
-    cost.forward_mflops_per_boundary = sched::EstimateForwardMflops(
-        settings_.spec.collection_window,
-        static_cast<int>(video.feature_dim()), mc.lstm_hidden, mc.shared_dim,
-        mc.event_hidden, static_cast<int>(task.event_indices.size()),
-        settings_.spec.horizon);
-    marshaller_.set_cost_model(cost);
+    marshaller_.set_cost_model(
+        core::LocalCostModelFor(trained.model->config()));
   }
 }
 

@@ -364,6 +364,46 @@ TEST(MarshallerPolicyTest, CostAccountingAndSchedMetrics) {
                    2.0);
 }
 
+TEST(MarshallerPolicyTest, FractionalForwardCostsAccumulateExactly) {
+  // A forward pass costs a fraction of an MFLOP; rounding each boundary's
+  // charge would drop every one of them.
+  sched::LocalCostModel cost;
+  cost.feature_mflops_per_frame = 1.0;
+  cost.forward_mflops_per_boundary = 0.4;
+
+  RecordingStrategy duty_strategy;
+  obs::MetricsRegistry duty_metrics;
+  core::Marshaller duty(&duty_strategy, kWindow, kHorizon, kFeatureDim, 1,
+                        &duty_metrics);
+  duty.set_collect_policy(
+      sched::MakeCollectPolicy(sched::ParseCollectPolicy("duty:0.5").value()));
+  duty.set_cost_model(cost);
+  Drive(duty, 80);  // Boundaries 3, 13, ..., 73: four scored, four reused.
+  // 16 window frames + 4 forwards * 0.4 = 17.6; 58 skipped frames + 4
+  // avoided forwards * 0.4 = 59.6.
+  EXPECT_EQ(duty.stats().local_mflops, 18);
+  EXPECT_EQ(duty.stats().saved_mflops, 60);
+  EXPECT_EQ(
+      duty_metrics.GetCounter(obs::names::kSchedFlopsLocalMflops)->Value(),
+      18);
+  EXPECT_EQ(
+      duty_metrics.GetCounter(obs::names::kSchedFlopsSavedMflops)->Value(),
+      60);
+
+  // Full rate: 74 frames + 8 forwards * 0.4 = 77.2.
+  RecordingStrategy full_strategy;
+  obs::MetricsRegistry full_metrics;
+  core::Marshaller full(&full_strategy, kWindow, kHorizon, kFeatureDim, 1,
+                        &full_metrics);
+  full.set_cost_model(cost);
+  Drive(full, 80);
+  EXPECT_EQ(full.stats().local_mflops, 77);
+  EXPECT_EQ(full.stats().saved_mflops, 0);
+  EXPECT_EQ(
+      full_metrics.GetCounter(obs::names::kSchedFlopsLocalMflops)->Value(),
+      77);
+}
+
 TEST(MarshallerPolicyTest, EstimateForwardMflopsScalesWithModel) {
   const double small = sched::EstimateForwardMflops(10, 10, 24, 24, 24, 1,
                                                     200);

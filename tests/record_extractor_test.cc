@@ -172,17 +172,6 @@ TEST(RecordExtractorTest, BalancedSamplingRaisesPositiveRate) {
   EXPECT_NEAR(positive_fraction(balanced), 0.5, 0.15);
 }
 
-TEST(RecordExtractorTest, StridedRecordsCoverRange) {
-  const sim::SyntheticVideo video = SmallVideo();
-  const Task task = FindTask("TA10").value();
-  const ExtractorConfig config = SmallConfig();
-  const auto records =
-      StridedRecords(video, task, config, sim::Interval{1000, 3000}, 500);
-  ASSERT_EQ(records.size(), 5u);
-  EXPECT_EQ(records[0].frame, 1000);
-  EXPECT_EQ(records[4].frame, 3000);
-}
-
 TEST(RecordExtractorTest, AnchorBoundsEnforced) {
   const sim::SyntheticVideo video = SmallVideo();
   const Task task = FindTask("TA10").value();

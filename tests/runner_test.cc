@@ -7,6 +7,7 @@
 
 #include "baselines/oracle.h"
 #include "eval/curves.h"
+#include "sched/collect_policy.h"
 
 namespace eventhit::eval {
 namespace {
@@ -150,6 +151,102 @@ TEST_F(RunnerTest, DeterministicAcrossRebuilds) {
   const TrainedEventHit trained2 = TrainEventHit(env2, *config_);
   EXPECT_DOUBLE_EQ(trained2.test_scores[0].existence[0],
                    trained_->test_scores[0].existence[0]);
+}
+
+core::EventHitStrategy EhcrOf(const TrainedEventHit& trained) {
+  core::EventHitStrategyOptions options;
+  options.use_cclassify = true;
+  options.use_cregress = true;
+  return core::EventHitStrategy(trained.model.get(), trained.cclassify.get(),
+                                trained.cregress.get(), options);
+}
+
+void ExpectSameDecision(const core::MarshalDecision& a,
+                        const core::MarshalDecision& b) {
+  EXPECT_EQ(a.exists, b.exists);
+  EXPECT_EQ(a.intervals, b.intervals);
+  EXPECT_EQ(a.max_existence, b.max_existence);
+}
+
+TEST_F(RunnerTest, FullRateWalkDecidesLikeBatchedScores) {
+  const core::EventHitStrategy ehcr = EhcrOf(*trained_);
+  const sim::Interval range = env_->splits().test;
+  const PolicyWalk walk =
+      WalkPolicy(*env_, range, ehcr, sched::CollectPolicySpec{});
+  const int64_t n = static_cast<int64_t>(walk.records.size());
+  ASSERT_GT(n, 1);
+  for (int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(walk.records[i].frame, range.start + i * env_->horizon());
+    EXPECT_FALSE(walk.reused[i]);
+  }
+  EXPECT_GT(range.start + n * env_->horizon(), range.end);
+
+  // Per-record Predict inside the marshaller, batched scores outside.
+  const std::vector<core::MarshalDecision> batched = DecisionsFromScores(
+      ehcr, core::PredictBatch(*trained_->model, walk.records));
+  ASSERT_EQ(static_cast<int64_t>(batched.size()), n);
+  for (int64_t i = 0; i < n; ++i) {
+    ExpectSameDecision(walk.decisions[i], batched[i]);
+  }
+  EXPECT_EQ(walk.stats.horizons_predicted, n);
+  EXPECT_EQ(walk.stats.horizons_reused, 0);
+  EXPECT_EQ(walk.stats.frames_scored + walk.stats.frames_skipped,
+            env_->collection_window() + (n - 1) * env_->horizon());
+}
+
+TEST_F(RunnerTest, DutyWalkReplaysEachScoredDecisionOnce) {
+  const core::EventHitStrategy ehcr = EhcrOf(*trained_);
+  const sched::CollectPolicySpec duty =
+      sched::ParseCollectPolicy("duty:0.5").value();
+  const PolicyWalk walk = WalkPolicy(*env_, env_->splits().test, ehcr, duty);
+  const PolicyWalk full = WalkPolicy(*env_, env_->splits().test, ehcr,
+                                     sched::CollectPolicySpec{});
+  const size_t n = walk.records.size();
+  ASSERT_EQ(n, full.records.size());
+  ASSERT_GT(n, 2u);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(walk.records[i].frame, full.records[i].frame);
+    EXPECT_EQ(walk.reused[i], i % 2 == 1) << "boundary " << i;
+    // Scored boundaries decide on their own window, replays carry the
+    // preceding scored decision.
+    ExpectSameDecision(walk.decisions[i], full.decisions[i - i % 2]);
+  }
+  EXPECT_EQ(walk.stats.horizons_reused, static_cast<int64_t>(n / 2));
+  EXPECT_EQ(walk.stats.frames_scored + walk.stats.frames_skipped,
+            full.stats.frames_scored);
+}
+
+TEST_F(RunnerTest, PolicyCalibrationUsesTheWalksScoredBoundaries) {
+  RunnerConfig config = *config_;
+  config.collect_policy = sched::ParseCollectPolicy("duty:0.5").value();
+  const TrainedEventHit trained = TrainEventHit(*env_, config);
+
+  const core::EventHitStrategy uncalibrated(
+      trained.model.get(), nullptr, nullptr, core::EventHitStrategyOptions());
+  const PolicyWalk walk = WalkPolicy(*env_, env_->splits().calib,
+                                     uncalibrated, config.collect_policy);
+  std::vector<data::Record> scored;
+  for (size_t i = 0; i < walk.records.size(); ++i) {
+    if (!walk.reused[i]) scored.push_back(walk.records[i]);
+  }
+  // Enough boundaries that calibration keeps the policy subset.
+  ASSERT_GE(scored.size(), 20u);
+
+  const core::CClassify direct(*trained.model, scored);
+  ASSERT_GT(direct.CalibrationSize(0), 0u);
+  EXPECT_EQ(trained.cclassify->CalibrationSize(0), direct.CalibrationSize(0));
+  bool differs_from_uniform = false;
+  for (size_t i = 0; i < 25; ++i) {
+    const core::EventScores& probe = trained.test_scores[i];
+    EXPECT_EQ(trained.cclassify->PValues(probe), direct.PValues(probe))
+        << "probe " << i;
+    if (trained_->cclassify->PValues(probe) != direct.PValues(probe)) {
+      differs_from_uniform = true;
+    }
+  }
+  // The uniform calibration set gives other p-values: the probe sees the
+  // policy subset, not a fallback.
+  EXPECT_TRUE(differs_from_uniform);
 }
 
 TEST(RunnerConfigTest, HorizonAndWindowOverridesApply) {

@@ -63,7 +63,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sched/collect_policy.h"
-#include "sched/cost_model.h"
 #include "sim/datasets.h"
 #include "sim/drift_scenario.h"
 #include "sim/video_io.h"
@@ -171,9 +170,10 @@ void PrintUsage(std::ostream& os) {
       "               rise. Skipped boundaries reuse the last decision\n"
       "               without feature extraction or a model forward;\n"
       "               conformal thresholds are calibrated under the same\n"
-      "               policy. evaluate adds a stream-cadence policy\n"
-      "               section with sched.* accounting; fleet installs\n"
-      "               the policy in every stream's marshaller.\n"
+      "               policy. evaluate replays the test range through\n"
+      "               the marshaller under the policy and at full rate\n"
+      "               and prints both with sched.* accounting; fleet\n"
+      "               installs the policy in every stream's marshaller.\n"
       "  resilience (evaluate + fleet; see DESIGN.md 5f):\n"
       "  --fault-profile=none|flaky|latency|blackout  replay the test\n"
       "               slice through the resilient cloud relay under the\n"
@@ -707,69 +707,51 @@ int RunEvaluate(const Flags& flags) {
     }
   }
 
-  // --collect-policy: stream-cadence policy evaluation. The uniform test
-  // records above have no temporal adjacency, so the policy section walks
-  // a strided (stride = H) sweep of the test range — consecutive
-  // prediction boundaries of one stream — comparing the policy walk
-  // against the full walk on the identical boundary sequence, with
+  // --collect-policy: the uniform test records above have no temporal
+  // adjacency, so the policy section walks the test range through the
+  // marshaller (eval::WalkPolicy) twice, under the policy and at full
+  // rate, and compares the two on the identical boundary sequence with
   // sched.* local-compute accounting and an auditor pass over the policy
   // decisions.
   {
     const sched::CollectPolicySpec& policy =
         stream_config.runner.collect_policy;
     if (policy.kind != sched::CollectPolicyKind::kFull) {
-      const std::vector<data::Record> sweep = data::StridedRecords(
-          env.video(), env.task(), env.extractor(), env.splits().test,
-          env.horizon());
-      const std::vector<core::EventScores> sweep_scores = core::PredictBatch(
-          *trained.model, sweep, exec, core::kDefaultPredictBatch);
-
-      sched::LocalCostModel cost;
-      const core::EventHitConfig& mc = trained.model->config();
-      cost.forward_mflops_per_boundary = sched::EstimateForwardMflops(
-          env.collection_window(), static_cast<int>(env.video().feature_dim()),
-          mc.lstm_hidden, mc.shared_dim, mc.event_hidden,
-          static_cast<int>(env.task().event_indices.size()), env.horizon());
-
-      eval::PolicyWalkStats walk;
-      const std::vector<core::MarshalDecision> policy_decisions =
-          eval::DecisionsWithPolicy(ehcr, sweep_scores, policy,
-                                    env.collection_window(), env.horizon(),
-                                    cost, &walk, exec);
-      eval::PolicyWalkStats full_walk;
-      const std::vector<core::MarshalDecision> full_decisions =
-          eval::DecisionsWithPolicy(ehcr, sweep_scores,
-                                    sched::CollectPolicySpec{},
-                                    env.collection_window(), env.horizon(),
-                                    cost, &full_walk, exec);
+      const eval::PolicyWalk walk =
+          eval::WalkPolicy(env, env.splits().test, ehcr, policy);
+      const eval::PolicyWalk full_walk = eval::WalkPolicy(
+          env, env.splits().test, ehcr, sched::CollectPolicySpec{});
       const eval::Metrics policy_metrics =
-          eval::ComputeMetrics(sweep, policy_decisions, env.horizon());
-      const eval::Metrics full_metrics =
-          eval::ComputeMetrics(sweep, full_decisions, env.horizon());
+          eval::ComputeMetrics(walk.records, walk.decisions, env.horizon());
+      const eval::Metrics full_metrics = eval::ComputeMetrics(
+          full_walk.records, full_walk.decisions, env.horizon());
 
       obs::GuarantyAuditor auditor(audit_config);
       for (const obs::AuditOutcome& outcome :
-           eval::BuildAuditOutcomes(sweep, policy_decisions)) {
+           eval::BuildAuditOutcomes(walk.records, walk.decisions)) {
         auditor.Observe(outcome);
       }
-      auditor.Finalize(static_cast<int64_t>(sweep.size()));
+      auditor.Finalize(static_cast<int64_t>(walk.records.size()));
 
+      const core::MarshallerStats& ps = walk.stats;
+      const core::MarshallerStats& fs = full_walk.stats;
       std::cout << "\n=== Collection policy ("
                 << sched::CollectPolicyName(policy)
                 << ", stream-cadence sweep of the test range) ===\n";
       TablePrinter policy_table({"Quantity", "Policy", "Full"});
-      policy_table.AddRow({"boundaries scored", Fmt(walk.horizons_scored),
-                           Fmt(full_walk.horizons_scored)});
-      policy_table.AddRow({"boundaries reused", Fmt(walk.horizons_reused),
-                           Fmt(full_walk.horizons_reused)});
-      policy_table.AddRow({"frames scored", Fmt(walk.frames_scored),
-                           Fmt(full_walk.frames_scored)});
-      policy_table.AddRow({"frames skipped", Fmt(walk.frames_skipped),
-                           Fmt(full_walk.frames_skipped)});
-      policy_table.AddRow({"local MFLOPs", Fmt(walk.local_mflops, 0),
-                           Fmt(full_walk.local_mflops, 0)});
-      policy_table.AddRow({"saved MFLOPs", Fmt(walk.saved_mflops, 0),
-                           Fmt(full_walk.saved_mflops, 0)});
+      policy_table.AddRow(
+          {"boundaries scored", Fmt(ps.horizons_predicted - ps.horizons_reused),
+           Fmt(fs.horizons_predicted - fs.horizons_reused)});
+      policy_table.AddRow({"boundaries reused", Fmt(ps.horizons_reused),
+                           Fmt(fs.horizons_reused)});
+      policy_table.AddRow(
+          {"frames scored", Fmt(ps.frames_scored), Fmt(fs.frames_scored)});
+      policy_table.AddRow(
+          {"frames skipped", Fmt(ps.frames_skipped), Fmt(fs.frames_skipped)});
+      policy_table.AddRow(
+          {"local MFLOPs", Fmt(ps.local_mflops), Fmt(fs.local_mflops)});
+      policy_table.AddRow(
+          {"saved MFLOPs", Fmt(ps.saved_mflops), Fmt(fs.saved_mflops)});
       policy_table.AddRow(
           {"REC", Fmt(policy_metrics.rec), Fmt(full_metrics.rec)});
       policy_table.AddRow(
