@@ -270,7 +270,8 @@ int main() {
     const double batched_fps = n / variants[kBatched].best_s;
     const double batched_parallel_fps = n / variants[kParallel].best_s;
     TablePrinter fps_table({"Path", "Records/s", "Speedup"});
-    fps_table.AddRow({"Per-record Predict", Fmt(per_record_fps, 0), "1.0x"});
+    fps_table.AddRow(
+        {"Per-record Predict (batch 1)", Fmt(per_record_fps, 0), "1.0x"});
     fps_table.AddRow({"Batched (1 thread)", Fmt(batched_fps, 0),
                       Fmt(batched_fps / per_record_fps, 2) + "x"});
     fps_table.AddRow({"Batched (" + Fmt(static_cast<int64_t>(threads)) +

@@ -59,9 +59,10 @@ data::Record RandomRecord(const core::EventHitConfig& config, Rng& rng) {
 
 // The batched-GEMM story in one pair of benches: the same 4*Hd x D weight
 // panel applied to a batch of B columns, once as B independent MatVecs
-// (per-record path: the weights stream from memory B times) and once as a
-// single blocked Gemm (weights loaded once per register tile). The ratio is
-// the arithmetic-intensity win the batched inference path is built on.
+// (the per-record reference layers: the weights stream from memory B
+// times) and once as a single blocked Gemm (weights loaded once per
+// register tile). The ratio is the arithmetic-intensity win the inference
+// path is built on.
 void BM_MatVecBatchLoop(benchmark::State& state) {
   const size_t rows = 96, cols = 24;
   const auto batch = static_cast<size_t>(state.range(0));
@@ -126,17 +127,6 @@ BENCHMARK_CAPTURE(BM_BackendGemm, blocked, eventhit::nn::BackendKind::kBlocked)
 BENCHMARK_CAPTURE(BM_BackendGemm, simd, eventhit::nn::BackendKind::kSimd)
     ->Arg(32)->Arg(128);
 
-void BM_LstmForward(benchmark::State& state) {
-  Rng rng(1);
-  eventhit::nn::Lstm lstm("l", 16, 24, rng);
-  std::vector<float> inputs(25 * 16);
-  for (auto& v : inputs) v = static_cast<float>(rng.Uniform());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lstm.Forward(inputs.data(), 25));
-  }
-}
-BENCHMARK(BM_LstmForward);
-
 void BM_LstmForwardBackward(benchmark::State& state) {
   Rng rng(2);
   eventhit::nn::Lstm lstm("l", 16, 24, rng);
@@ -150,6 +140,8 @@ void BM_LstmForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmForwardBackward);
 
+// `batch` sequences one at a time: batch-1 ForwardBatch, what per-record
+// Predict runs, on the default blocked table.
 void BM_LstmForwardLoop(benchmark::State& state) {
   const size_t steps = 25, dim = 16, hidden = 24;
   const auto batch = static_cast<size_t>(state.range(0));
@@ -157,10 +149,16 @@ void BM_LstmForwardLoop(benchmark::State& state) {
   eventhit::nn::Lstm lstm("l", dim, hidden, rng);
   std::vector<float> inputs(batch * steps * dim);
   for (auto& v : inputs) v = static_cast<float>(rng.Uniform());
+  std::vector<float> h(hidden);
+  eventhit::nn::Workspace ws;
+  const auto& blocked =
+      eventhit::nn::GetBackend(eventhit::nn::BackendKind::kBlocked);
   for (auto _ : state) {
     for (size_t b = 0; b < batch; ++b) {
-      benchmark::DoNotOptimize(
-          lstm.Forward(inputs.data() + b * steps * dim, steps));
+      ws.Reset();
+      lstm.ForwardBatch(inputs.data() + b * steps * dim, steps, 1, h.data(),
+                        ws, blocked);
+      benchmark::DoNotOptimize(h.data());
     }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
@@ -177,9 +175,11 @@ void BM_LstmForwardBatch(benchmark::State& state) {
   for (auto& v : inputs) v = static_cast<float>(rng.Uniform());
   std::vector<float> h(hidden * batch);
   eventhit::nn::Workspace ws;
+  const auto& blocked =
+      eventhit::nn::GetBackend(eventhit::nn::BackendKind::kBlocked);
   for (auto _ : state) {
     ws.Reset();
-    lstm.ForwardBatch(inputs.data(), steps, batch, h.data(), ws);
+    lstm.ForwardBatch(inputs.data(), steps, batch, h.data(), ws, blocked);
     benchmark::DoNotOptimize(h.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));

@@ -100,52 +100,9 @@ size_t EventHitModel::ParameterCount() const {
   return nn::ParameterCount(Parameters());
 }
 
-void EventHitModel::TrunkForward(const float* covariates, nn::Vec& z,
-                                 nn::Vec& u) const {
-  const auto steps = static_cast<size_t>(config_.collection_window);
-  const nn::Vec h = lstm_.Forward(covariates, steps);
-  shared_fc_.Forward(h.data(), z);
-  nn::TanhInPlace(z.data(), z.size());
-  // u = z ++ x_last (the final feature vector of the window, as in Fig. 3).
-  u.resize(z.size() + config_.feature_dim);
-  std::copy(z.begin(), z.end(), u.begin());
-  const float* x_last = covariates + (steps - 1) * config_.feature_dim;
-  std::copy(x_last, x_last + config_.feature_dim, u.begin() + z.size());
-}
-
-EventScores EventHitModel::PredictCovariates(const float* covariates) const {
-  nn::Vec z, u;
-  TrunkForward(covariates, z, u);
-  EventScores scores;
-  scores.existence.resize(config_.num_events);
-  scores.occupancy.resize(config_.num_events);
-  nn::Vec logits;
-  const auto h = static_cast<size_t>(config_.horizon);
-  for (size_t k = 0; k < config_.num_events; ++k) {
-    event_nets_[k].Forward(u.data(), logits);
-    EVENTHIT_CHECK_EQ(logits.size(), 1 + h);
-    scores.existence[k] = nn::SigmoidScalar(logits[0]);
-    auto& theta = scores.occupancy[k];
-    theta.resize(h);
-    for (size_t v = 0; v < h; ++v) theta[v] = nn::SigmoidScalar(logits[1 + v]);
-  }
-  return scores;
-}
-
 EventScores EventHitModel::Predict(const data::Record& record) const {
-  EVENTHIT_CHECK_EQ(record.covariates.size(),
-                    static_cast<size_t>(config_.collection_window) *
-                        config_.feature_dim);
-  if (backend_kind_ == nn::BackendKind::kScalar ||
-      backend_kind_ == nn::BackendKind::kBlocked) {
-    // The per-record MatVec path is bit-identical to both (summation-order
-    // contract, nn/matrix.h).
-    return PredictCovariates(record.covariates.data());
-  }
-  // simd: run the batched path at batch 1, so per-record and batched
-  // scores agree bit-for-bit under every backend (batch invariance,
-  // docs/BACKENDS.md). The arena is thread-local: Predict is const and
-  // called concurrently from calibration workers.
+  // The arena is thread-local: Predict is const and called concurrently
+  // from calibration workers.
   thread_local nn::Workspace ws;
   EventScores out;
   PredictBatched(&record, 1, &out, ws);
@@ -163,7 +120,7 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
   }
   ws.Reset();
   // Kernel dispatch (nn/backend.h): every blocked flavour computes the
-  // per-record path's bits, so the default stays bit-identical to Predict.
+  // scalar table's bits, so the default scores are machine-invariant.
   const nn::Backend& backend = nn::GetBackend(backend_kind_);
 
   // Gather covariates batch-minor: element (t, feature j, record b) at

@@ -9,6 +9,9 @@
 //        occupancy, weighted 1/|interval| inside the occurrence interval and
 //        1/(H - |interval|) outside (the paper's normalisation), censored
 //        occurrences clipped at the horizon end.
+//
+// Inference has one forward pass, PredictBatched, through the selected
+// backend's kernel table; Predict is that pass at batch 1.
 #ifndef EVENTHIT_CORE_EVENTHIT_MODEL_H_
 #define EVENTHIT_CORE_EVENTHIT_MODEL_H_
 
@@ -56,16 +59,11 @@ class EventHitModel {
   /// to a per-record loop over ForwardCached/Backward (DESIGN.md §5c).
   std::vector<TrainEpochStats> Train(const std::vector<data::Record>& records);
 
-  /// Inference: raw scores for one covariate block. Routed through the
-  /// selected backend (SetInferenceBackend): scalar/blocked use the
-  /// per-record float path; simd runs the batched path at batch 1 so
-  /// per-record and batched scores stay bit-identical under every backend.
+  /// Inference: raw scores for one record, by PredictBatched at batch 1 on
+  /// a thread-local Workspace, so it scores exactly as any batch does under
+  /// every backend. Warm, it allocates only the returned EventScores
+  /// (tests/predict_alloc_test.cc).
   EventScores Predict(const data::Record& record) const;
-
-  /// Inference from a raw covariate pointer (M x D floats). Always the
-  /// float per-record path (MatVec kernels, bit-identical to the scalar
-  /// and blocked backends) regardless of the selected backend.
-  EventScores PredictCovariates(const float* covariates) const;
 
   /// Selects the kernel backend used by Predict/PredictBatched
   /// (nn/backend.h; docs/BACKENDS.md). The choice survives Train and Load.
@@ -84,9 +82,10 @@ class EventHitModel {
   /// scattered back into `out[0..count)`. Scratch comes from `ws` (Reset
   /// per call); with a warm Workspace and `out` entries reused from an
   /// earlier call the pass makes no heap allocation
-  /// (tests/predict_alloc_test.cc). Per record the results are
-  /// bit-identical to Predict at any batch size (summation-order contract,
-  /// nn/matrix.h).
+  /// (tests/predict_alloc_test.cc). Per record the results are the same
+  /// bits at any batch size (summation-order contract, nn/matrix.h), and
+  /// under scalar and blocked they are the per-record ForwardCached
+  /// layers' bits.
   void PredictBatched(const data::Record* records, size_t count,
                       EventScores* out, nn::Workspace& ws) const;
 
@@ -98,10 +97,6 @@ class EventHitModel {
   Status Load(const std::string& path);
 
  private:
-  // Shared trunk forward pass (inference mode: no dropout). Fills z and the
-  // concatenated sub-network input u = z ++ x_last.
-  void TrunkForward(const float* covariates, nn::Vec& z, nn::Vec& u) const;
-
   // Scratch of one Train call (arena, head tapes, loss buffers), reused
   // across its minibatches and freed when it returns.
   struct TrainScratch;

@@ -65,7 +65,7 @@ std::vector<HyperResult> GridSearch(
     const core::EventHitConfig& base, const HyperGrid& grid,
     const std::vector<data::Record>& train,
     const std::vector<data::Record>& validation,
-    const HyperSearchOptions& options = {});
+    const HyperSearchOptions& options = HyperSearchOptions());
 
 /// Random search: `samples` uniformly drawn combinations (with replacement;
 /// duplicates possible, as in Bergstra & Bengio). Returns every candidate,
@@ -74,14 +74,14 @@ std::vector<HyperResult> RandomSearch(
     const core::EventHitConfig& base, const HyperGrid& grid, size_t samples,
     const std::vector<data::Record>& train,
     const std::vector<data::Record>& validation, Rng& rng,
-    const HyperSearchOptions& options = {});
+    const HyperSearchOptions& options = HyperSearchOptions());
 
 /// Trains one candidate and scores it (exposed for tests and custom search
 /// loops).
-HyperResult EvaluateCandidate(const core::EventHitConfig& config,
-                              const std::vector<data::Record>& train,
-                              const std::vector<data::Record>& validation,
-                              const HyperSearchOptions& options = {});
+HyperResult EvaluateCandidate(
+    const core::EventHitConfig& config, const std::vector<data::Record>& train,
+    const std::vector<data::Record>& validation,
+    const HyperSearchOptions& options = HyperSearchOptions());
 
 }  // namespace eventhit::eval
 

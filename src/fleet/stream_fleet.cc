@@ -146,10 +146,10 @@ StreamSettings StreamFleet::DeriveStreamSettings(int stream_index) const {
                 ? static_cast<int64_t>(SplitSeed(s.stream_seed, kPhaseSalt) %
                                        static_cast<uint64_t>(kStaggerWindow))
                 : 0;
-  if (config_.vary_event_mix) {
-    static constexpr double kGapScales[] = {0.75, 1.0, 1.5};
-    s.gap_scale = kGapScales[SplitSeed(s.stream_seed, kMixSalt) % 3];
-  }
+  // A seed-derived scale of the event mean gaps gives tenants distinct
+  // event mixes.
+  static constexpr double kGapScales[] = {0.75, 1.0, 1.5};
+  s.gap_scale = kGapScales[SplitSeed(s.stream_seed, kMixSalt) % 3];
   s.spec = sim::MakeDatasetSpec(task_.dataset);
   if (config_.frames_per_stream > 0) {
     s.spec.num_frames = config_.frames_per_stream;
@@ -342,15 +342,12 @@ FleetRunResult StreamFleet::Run() {
       }
 
       ++stats.ticks;
-      if (config_.collect_tick_latency) {
-        const double us =
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - tick_start)
-                .count();
-        tick_us.push_back(us);
-        frame_us.push_back(us / static_cast<double>(std::max<int64_t>(
-                                    1, active)));
-      }
+      const double us = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - tick_start)
+                            .count();
+      tick_us.push_back(us);
+      frame_us.push_back(us /
+                         static_cast<double>(std::max<int64_t>(1, active)));
     }
 
     EVENTHIT_CHECK_EQ(batcher.pending(), 0u);

@@ -66,9 +66,6 @@ struct FleetConfig {
   /// streams (exercises deadline flushes; local stream clocks are
   /// unaffected).
   bool stagger_phases = true;
-  /// Scale each stream's event mean gaps by a seed-derived factor so
-  /// tenants have distinct event mixes.
-  bool vary_event_mix = true;
   /// Worker threads (<= 0 resolves via ThreadPool::DefaultThreads()).
   int threads = 1;
   /// Conformal knobs of the shared EHCR strategy.
@@ -96,8 +93,6 @@ struct FleetConfig {
   bool recal = false;
   /// Loop knobs (window capacity, guards, martingale) when `recal` is set.
   adapt::RecalConfig recal_config;
-  /// Collect per-tick wall latencies for the bench percentiles.
-  bool collect_tick_latency = true;
   /// Arm the per-stream decision provenance ledger (obs/provenance.h):
   /// every marshalling boundary gets a decision id whose causal chain
   /// (policy verdict, batch placement, backend + conformal generation,

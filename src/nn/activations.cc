@@ -74,20 +74,8 @@ void SigmoidInPlace(float* x, size_t n) {
   }
 }
 
-void ReluInPlace(float* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
-}
-
 void TanhBackward(const float* y, const float* dy, float* dx, size_t n) {
   for (size_t i = 0; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
-}
-
-void SigmoidBackward(const float* y, const float* dy, float* dx, size_t n) {
-  for (size_t i = 0; i < n; ++i) dx[i] = dy[i] * y[i] * (1.0f - y[i]);
-}
-
-void ReluBackward(const float* y, const float* dy, float* dx, size_t n) {
-  for (size_t i = 0; i < n; ++i) dx[i] = y[i] > 0.0f ? dy[i] : 0.0f;
 }
 
 }  // namespace eventhit::nn

@@ -13,17 +13,8 @@ void TanhInPlace(float* x, size_t n);
 /// y[i] = sigmoid(x[i]) in place (numerically stable).
 void SigmoidInPlace(float* x, size_t n);
 
-/// y[i] = max(0, x[i]) in place.
-void ReluInPlace(float* x, size_t n);
-
 /// dx[i] = dy[i] * (1 - y[i]^2) where y is the tanh output.
 void TanhBackward(const float* y, const float* dy, float* dx, size_t n);
-
-/// dx[i] = dy[i] * y[i] * (1 - y[i]) where y is the sigmoid output.
-void SigmoidBackward(const float* y, const float* dy, float* dx, size_t n);
-
-/// dx[i] = dy[i] * (y[i] > 0) where y is the relu output.
-void ReluBackward(const float* y, const float* dy, float* dx, size_t n);
 
 /// Scalar helpers used by the LSTM cell.
 float SigmoidScalar(float x);

@@ -1,7 +1,6 @@
 #include "nn/dense.h"
 
 #include "common/check.h"
-#include "nn/gemm.h"
 
 namespace eventhit::nn {
 
@@ -17,18 +16,6 @@ void Dense::Forward(const float* x, Vec& y) const {
   MatVec(weight_.value, x, y.data());
   const float* b = bias_.value.data();
   for (size_t i = 0; i < y.size(); ++i) y[i] += b[i];
-}
-
-void Dense::ForwardBatch(const float* x, size_t batch, float* y) const {
-  EVENTHIT_CHECK_GT(batch, 0u);
-  const size_t out = out_dim();
-  GemmZero(out, batch, in_dim(), weight_.value.data(), in_dim(), x, batch, y,
-           batch);
-  const float* b = bias_.value.data();
-  for (size_t i = 0; i < out; ++i) {
-    float* row = y + i * batch;
-    for (size_t j = 0; j < batch; ++j) row[j] += b[i];
-  }
 }
 
 void Dense::ForwardBatch(const float* x, size_t batch, float* y,

@@ -1,5 +1,8 @@
 // Fully connected (affine) layer: y = W x + b. Activation functions are
-// applied by the caller so layers compose freely.
+// applied by the caller so layers compose freely. Inference and training
+// run ForwardBatch through a backend's kernel table; the per-record
+// Forward/Backward over MatVec are the reference the tests check the
+// batched pass against (and the autoencoder's layers).
 #ifndef EVENTHIT_NN_DENSE_H_
 #define EVENTHIT_NN_DENSE_H_
 
@@ -30,14 +33,10 @@ class Dense {
 
   /// Batched forward over `batch` columns stored batch-minor: `x` is
   /// [in_dim() x batch] with the batch contiguous per feature row, `y` is
-  /// [out_dim() x batch] and is fully overwritten. One GEMM instead of
-  /// `batch` MatVecs; per column the arithmetic (and its summation order —
-  /// see matrix.h) is identical to Forward, so results match bit-for-bit.
-  void ForwardBatch(const float* x, size_t batch, float* y) const;
-
-  /// Same, dispatching the GEMM through `backend`'s kernel table
-  /// (nn/backend.h). The blocked backend reproduces the overload above
-  /// bit-for-bit; simd agrees within the documented tolerance.
+  /// [out_dim() x batch] and is fully overwritten. One GEMM through
+  /// `backend`'s kernel table (nn/backend.h); under scalar and blocked each
+  /// column replays Forward's summation order (matrix.h) bit for bit, simd
+  /// agrees within the documented tolerance.
   void ForwardBatch(const float* x, size_t batch, float* y,
                     const Backend& backend) const;
 

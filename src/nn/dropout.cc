@@ -28,10 +28,6 @@ void Dropout::ForwardTrainBatch(const float* x, size_t n, size_t batch,
   }
 }
 
-void Dropout::ForwardEval(const float* x, size_t n, Vec& y) const {
-  y.assign(x, x + n);
-}
-
 void Dropout::Backward(const float* dy, float* dx) const {
   for (size_t i = 0; i < mask_.size(); ++i) dx[i] = dy[i] * mask_[i];
 }

@@ -8,7 +8,7 @@
 
 namespace eventhit::nn {
 
-/// Stateless apart from the mask of the most recent Forward call.
+/// Stateless apart from the mask of the most recent ForwardTrain call.
 class Dropout {
  public:
   /// `rate` in [0, 1): the probability of dropping a unit.
@@ -27,9 +27,6 @@ class Dropout {
   /// ForwardTrain calls in column order.
   void ForwardTrainBatch(const float* x, size_t n, size_t batch, Rng& rng,
                          float* y, float* mask) const;
-
-  /// Inference-mode forward: identity (inverted dropout).
-  void ForwardEval(const float* x, size_t n, Vec& y) const;
 
   /// Backward using the mask of the last ForwardTrain: dx[i] = dy[i]*mask[i].
   void Backward(const float* dy, float* dx) const;

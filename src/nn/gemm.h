@@ -1,4 +1,6 @@
-// Blocked, cache-aware GEMM micro-kernels for the batched inference path.
+// Blocked, cache-aware GEMM micro-kernels for the forward pass, which
+// inference runs at every batch size, 1 included, and for the batched
+// training backward.
 //
 // Why hand-rolled: EventHit's matrices are small (tens of rows/columns), so
 // a general BLAS dependency buys nothing, but batching B prediction windows
@@ -13,9 +15,9 @@
 // accumulated in `float`, adding k-terms in ascending-k order starting from
 // the existing value of C. This is exactly the order MatVec/MatVecAccum use,
 // so a batched forward pass that (a) zero-fills C, (b) runs one Gemm per
-// operand, and (c) adds the bias last reproduces the scalar path's results
-// bit-for-bit at any batch size. Conformal calibration scores are therefore
-// not perturbed by batching (eventhit_model_test pins this).
+// operand, and (c) adds the bias last reproduces the per-record MatVec
+// reference bit-for-bit at any batch size. Conformal calibration scores are
+// therefore not perturbed by batching (eventhit_model_test pins this).
 #ifndef EVENTHIT_NN_GEMM_H_
 #define EVENTHIT_NN_GEMM_H_
 

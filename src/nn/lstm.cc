@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <utility>
 
 #include "common/check.h"
 #include "nn/activations.h"
-#include "nn/gemm.h"
 
 namespace eventhit::nn {
 namespace {
@@ -106,33 +104,6 @@ Vec Lstm::ForwardCached(const float* inputs, size_t steps) {
     StepForward(inputs + t * d, h_prev, c_prev, cache_[t]);
   }
   return cache_.back().hidden;
-}
-
-Vec Lstm::Forward(const float* inputs, size_t steps) const {
-  EVENTHIT_CHECK_GT(steps, 0u);
-  const size_t hd = hidden_dim();
-  const size_t d = input_dim();
-  // Two step caches ping-ponged by pointer swap: after the first two steps
-  // every buffer is warm, so the loop neither allocates nor copies state
-  // vectors. (The caches are locals, not members, because Forward is const
-  // and runs concurrently from PredictBatch workers.)
-  const Vec zeros(hd, 0.0f);
-  StepCache buffers[2];
-  StepCache* prev = &buffers[0];
-  StepCache* cur = &buffers[1];
-  for (size_t t = 0; t < steps; ++t) {
-    const float* h_prev = t == 0 ? zeros.data() : prev->hidden.data();
-    const float* c_prev = t == 0 ? zeros.data() : prev->cell.data();
-    StepForward(inputs + t * d, h_prev, c_prev, *cur);
-    std::swap(prev, cur);
-  }
-  return std::move(prev->hidden);
-}
-
-void Lstm::ForwardBatch(const float* inputs, size_t steps, size_t batch,
-                        float* h_out, Workspace& ws) const {
-  ForwardBatch(inputs, steps, batch, h_out, ws,
-               GetBackend(BackendKind::kBlocked));
 }
 
 void Lstm::ForwardBatch(const float* inputs, size_t steps, size_t batch,

@@ -1,6 +1,9 @@
 // Single-layer LSTM over a fixed-length input sequence, with full
 // backpropagation-through-time. EventHit consumes only the final hidden
-// state, so the backward entry point takes the gradient of that state.
+// state, so the backward entry points take the gradient of that state.
+// Every forward that serves inference or training is ForwardBatch through
+// a backend's kernel table; ForwardCached/Backward, one sequence at a time
+// over MatVec, are the per-record reference the tests check it against.
 #ifndef EVENTHIT_NN_LSTM_H_
 #define EVENTHIT_NN_LSTM_H_
 
@@ -29,25 +32,10 @@ class Lstm {
   size_t hidden_dim() const { return wx_.value.rows() / 4; }
 
   /// Runs the sequence (steps x input_dim, row-major in `inputs`) from zero
-  /// initial state, caching activations for Backward. Returns the final
-  /// hidden state h_M.
+  /// initial state over MatVec products, caching activations for Backward.
+  /// Returns the final hidden state h_M. The per-record reference that the
+  /// bitwise and finite-difference tests check ForwardBatch against.
   Vec ForwardCached(const float* inputs, size_t steps);
-
-  /// Inference-only forward; no cache, ping-pong buffers. Returns h_M.
-  Vec Forward(const float* inputs, size_t steps) const;
-
-  /// Batched inference over `batch` independent sequences, stored
-  /// batch-minor and time-major: element (t, feature j, sequence b) lives
-  /// at inputs[(t * input_dim() + j) * batch + b]. Writes the final hidden
-  /// states into `h_out` as [hidden_dim() x batch] (same batch-minor
-  /// layout). Each timestep computes all four gates for the whole batch
-  /// with two GEMMs (Wx·X_t and Wh·H_{t-1}) instead of 2·batch MatVecs;
-  /// scratch comes from `ws` (valid until its next Reset), so a warm
-  /// Workspace makes the pass allocation-free. Per sequence the arithmetic
-  /// replays Forward's summation order exactly (matrix.h), so results are
-  /// bit-identical to the per-record path at any batch size.
-  void ForwardBatch(const float* inputs, size_t steps, size_t batch,
-                    float* h_out, Workspace& ws) const;
 
   /// Every timestep's activations of a training-mode ForwardBatch, kept
   /// for BackwardBatch. The buffers are batch-minor and live in the
@@ -63,11 +51,18 @@ class Lstm {
     float* hidden = nullptr;  // [Hd x batch] per step: h_t.
   };
 
-  /// Same, dispatching GEMMs and activations through `backend`'s kernel
-  /// table (nn/backend.h). The blocked backend reproduces the overload
-  /// above bit-for-bit; simd agrees within the documented tolerance and is
-  /// itself batch-size invariant. With a non-null `tape` (training) every
-  /// step writes its own tape buffers instead of ping-ponging two, so the
+  /// Forward over `batch` independent sequences stored batch-minor and
+  /// time-major: element (t, feature j, sequence b) lives at
+  /// inputs[(t * input_dim() + j) * batch + b]. Writes the final hidden
+  /// states into `h_out` as [hidden_dim() x batch]. Each timestep runs two
+  /// GEMMs (Wx·X_t and Wh·H_{t-1}) and the activations through `backend`'s
+  /// kernel table (nn/backend.h); scratch comes from `ws` (valid until its
+  /// next Reset), so a warm Workspace makes the pass allocation-free.
+  /// Under scalar and blocked each sequence replays ForwardCached's
+  /// summation order (matrix.h), so h_out matches it bit for bit at any
+  /// batch size; simd agrees within the documented tolerance and is itself
+  /// batch-size invariant. With a non-null `tape` (training) every step
+  /// writes its own tape buffers instead of ping-ponging two, so the
   /// arithmetic — and h_out — is unchanged.
   void ForwardBatch(const float* inputs, size_t steps, size_t batch,
                     float* h_out, Workspace& ws, const Backend& backend,

@@ -1,7 +1,10 @@
 // Dense row-major float matrix plus the handful of kernels the neural
 // network substrate needs (matrix-vector products, outer-product gradient
 // accumulation). Deliberately minimal: EventHit's model is small, so clarity
-// and cache-friendly contiguous loops beat a general BLAS dependency.
+// and cache-friendly contiguous loops beat a general BLAS dependency. The
+// matrix-vector kernels serve the per-record ForwardCached/Backward layers,
+// the reference the batched GEMM passes (nn/gemm.h) are tested against;
+// inference never runs them.
 #ifndef EVENTHIT_NN_MATRIX_H_
 #define EVENTHIT_NN_MATRIX_H_
 
@@ -65,10 +68,10 @@ class Matrix {
 // order from zero, and any pre-existing destination value is added in one
 // final operation (y[r] += acc). The build never enables -ffast-math, so
 // the compiler may not reassociate these sums — which makes the order part
-// of the kernels' observable behaviour. The batched GEMM path replays the
-// exact same order per output element, so batched and per-record inference
-// agree bit-for-bit and conformal calibration scores are stable under
-// batching.
+// of the kernels' observable behaviour. The GEMM kernels replay the exact
+// same order per output element, so the batched forward pass agrees with
+// the per-record reference bit for bit at any batch size and conformal
+// calibration scores are stable under batching.
 
 /// y = W * x. `x` must have W.cols() elements, `y` W.rows().
 void MatVec(const Matrix& w, const float* x, float* y);

@@ -30,36 +30,6 @@ void Mlp::ForwardCached(const float* x, Vec& logits) {
   }
 }
 
-void Mlp::Forward(const float* x, Vec& logits) const {
-  Vec scratch;
-  const float* current = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const bool last = i + 1 == layers_.size();
-    Vec out;
-    layers_[i].Forward(current, last ? logits : out);
-    if (!last) {
-      TanhInPlace(out.data(), out.size());
-      scratch = std::move(out);
-      current = scratch.data();
-    }
-  }
-}
-
-void Mlp::ForwardBatch(const float* x, size_t batch, float* logits,
-                       Workspace& ws) const {
-  const float* current = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const bool last = i + 1 == layers_.size();
-    const size_t out = layers_[i].out_dim();
-    float* buffer = last ? logits : ws.Alloc(out * batch);
-    layers_[i].ForwardBatch(current, batch, buffer);
-    if (!last) {
-      TanhInPlace(buffer, out * batch);
-      current = buffer;
-    }
-  }
-}
-
 void Mlp::ForwardBatch(const float* x, size_t batch, float* logits,
                        Workspace& ws, const Backend& backend,
                        BatchTape* tape) const {

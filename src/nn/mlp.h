@@ -1,5 +1,8 @@
 // Multi-layer perceptron: Dense -> tanh -> ... -> Dense (final layer is
 // linear; callers apply sigmoid/softmax or feed logits to a loss).
+// Inference and training run ForwardBatch through a backend's kernel
+// table; ForwardCached/Backward, one record at a time, are the per-record
+// reference the tests check the batched pass against.
 #ifndef EVENTHIT_NN_MLP_H_
 #define EVENTHIT_NN_MLP_H_
 
@@ -29,17 +32,6 @@ class Mlp {
   /// Backward.
   void ForwardCached(const float* x, Vec& logits);
 
-  /// Inference-only forward (no cache mutation).
-  void Forward(const float* x, Vec& logits) const;
-
-  /// Batched inference over `batch` columns stored batch-minor: `x` is
-  /// [in_dim() x batch], `logits` [out_dim() x batch], fully overwritten.
-  /// Hidden activations come from `ws` (valid until its next Reset), so a
-  /// warm Workspace makes the whole pass allocation-free. Per column the
-  /// results are bit-identical to Forward.
-  void ForwardBatch(const float* x, size_t batch, float* logits,
-                    Workspace& ws) const;
-
   /// The hidden activations of a training-mode ForwardBatch, kept for
   /// BackwardBatch: hidden[i] is layer i's tanh output, [out x batch] in
   /// the forward's Workspace. Reusing one tape across batches keeps the
@@ -48,9 +40,13 @@ class Mlp {
     std::vector<const float*> hidden;
   };
 
-  /// Same, dispatching GEMMs and the inter-layer tanh through `backend`'s
-  /// kernel table (nn/backend.h). A non-null `tape` records the hidden
-  /// activations for BackwardBatch.
+  /// Forward over `batch` columns stored batch-minor: `x` is
+  /// [in_dim() x batch], `logits` [out_dim() x batch], fully overwritten.
+  /// GEMMs and the inter-layer tanh run through `backend`'s kernel table
+  /// (nn/backend.h); hidden activations come from `ws` (valid until its
+  /// next Reset), so a warm Workspace makes the pass allocation-free. Under
+  /// scalar and blocked each column matches ForwardCached bit for bit. A
+  /// non-null `tape` records the hidden activations for BackwardBatch.
   void ForwardBatch(const float* x, size_t batch, float* logits, Workspace& ws,
                     const Backend& backend, BatchTape* tape = nullptr) const;
 

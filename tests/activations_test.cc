@@ -23,14 +23,6 @@ TEST(ActivationsTest, SigmoidInPlace) {
   EXPECT_NEAR(x[2], 0.0f, 1e-6);
 }
 
-TEST(ActivationsTest, ReluInPlace) {
-  float x[] = {-2.0f, 0.0f, 3.0f};
-  ReluInPlace(x, 3);
-  EXPECT_FLOAT_EQ(x[0], 0.0f);
-  EXPECT_FLOAT_EQ(x[1], 0.0f);
-  EXPECT_FLOAT_EQ(x[2], 3.0f);
-}
-
 TEST(ActivationsTest, TanhBackwardMatchesDerivative) {
   // d/dx tanh = 1 - tanh^2, expressed via the output y.
   const float y[] = {0.5f};
@@ -38,23 +30,6 @@ TEST(ActivationsTest, TanhBackwardMatchesDerivative) {
   float dx[1];
   TanhBackward(y, dy, dx, 1);
   EXPECT_NEAR(dx[0], 2.0f * (1.0f - 0.25f), 1e-6);
-}
-
-TEST(ActivationsTest, SigmoidBackwardMatchesDerivative) {
-  const float y[] = {0.25f};
-  const float dy[] = {4.0f};
-  float dx[1];
-  SigmoidBackward(y, dy, dx, 1);
-  EXPECT_NEAR(dx[0], 4.0f * 0.25f * 0.75f, 1e-6);
-}
-
-TEST(ActivationsTest, ReluBackwardGatesOnOutput) {
-  const float y[] = {0.0f, 2.0f};
-  const float dy[] = {5.0f, 5.0f};
-  float dx[2];
-  ReluBackward(y, dy, dx, 2);
-  EXPECT_FLOAT_EQ(dx[0], 0.0f);
-  EXPECT_FLOAT_EQ(dx[1], 5.0f);
 }
 
 TEST(ActivationsTest, ScalarHelpersAgreeWithVectorised) {

@@ -3,7 +3,8 @@
 //   * scalar replays blocked's summation order — bit-identical outputs for
 //     every GEMM shape the forward pass produces and every activation input
 //     (signed zeros, infinities, NaN, subnormals, the clamp bounds), and a
-//     batched LSTM pass matches the per-record Lstm::Forward per column;
+//     batched LSTM pass matches the per-record Lstm::ForwardCached per
+//     column;
 //   * the dispatched blocked table (AVX2 where available) computes the
 //     portable kernels' bits, so blocked is machine-invariant;
 //   * simd agrees with blocked within the documented 1e-5 bound and is
@@ -205,7 +206,7 @@ TEST(BackendParityTest, ScalarMatchesBlockedActivationsBitExact) {
 }
 
 // A batched LSTM pass, column by column, against the per-record path
-// (Lstm::Forward, i.e. StepForward over MatVec): bit-identical under
+// (Lstm::ForwardCached, i.e. StepForward over MatVec): bit-identical under
 // scalar and blocked at every batch size; under simd within the score
 // bound and batch-invariant to the bit. Three (input, hidden) widths, so
 // the gate GEMMs run with several k.
@@ -235,7 +236,7 @@ TEST(BackendParityTest, LstmBatchMatchesPerRecordForward) {
         const std::vector<float> h =
             RunLstmBatch(backend, lstm, inputs, steps, batch);
         for (size_t b = 0; b < batch; ++b) {
-          const Vec want = lstm.Forward(seqs[b].data(), steps);
+          const Vec want = lstm.ForwardCached(seqs[b].data(), steps);
           std::vector<float> got(hd);
           for (size_t u = 0; u < hd; ++u) got[u] = h[u * batch + b];
           if (backend.effective != BackendKind::kSimd) {

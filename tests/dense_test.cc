@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "gradient_check.h"
+#include "nn/backend.h"
 #include "nn/loss.h"
 #include "nn/workspace.h"
 
@@ -171,11 +172,12 @@ TEST(DenseTest, BatchedGradientsMatchFiniteDifferences) {
   const Vec targets = {1.0f, 0.0f, 1.0f, 0.0f, 1.0f, 1.0f, 1.0f, 0.0f, 0.0f};
   const Vec weights(out * batch, 1.0f);
 
+  const Backend& blocked = GetBackend(BackendKind::kBlocked);
   ParameterRefs params;
   layer.CollectParameters(params);
   auto loss_fn = [&]() {
     Vec logits(out * batch);
-    layer.ForwardBatch(x.data(), batch, logits.data());
+    layer.ForwardBatch(x.data(), batch, logits.data(), blocked);
     Vec dlogits(out * batch);
     return BceWithLogitsVector(logits.data(), targets.data(), weights.data(),
                                out * batch, dlogits.data());
@@ -183,7 +185,7 @@ TEST(DenseTest, BatchedGradientsMatchFiniteDifferences) {
 
   ZeroGradients(params);
   Vec logits(out * batch);
-  layer.ForwardBatch(x.data(), batch, logits.data());
+  layer.ForwardBatch(x.data(), batch, logits.data(), blocked);
   Vec dlogits(out * batch);
   BceWithLogitsVector(logits.data(), targets.data(), weights.data(),
                       out * batch, dlogits.data());

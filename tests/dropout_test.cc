@@ -7,17 +7,6 @@
 namespace eventhit::nn {
 namespace {
 
-TEST(DropoutTest, EvalIsIdentity) {
-  Dropout dropout(0.5);
-  const float x[] = {1.0f, -2.0f, 3.0f};
-  Vec y;
-  dropout.ForwardEval(x, 3, y);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_FLOAT_EQ(y[0], 1.0f);
-  EXPECT_FLOAT_EQ(y[1], -2.0f);
-  EXPECT_FLOAT_EQ(y[2], 3.0f);
-}
-
 TEST(DropoutTest, ZeroRateTrainIsIdentity) {
   Dropout dropout(0.0);
   Rng rng(1);

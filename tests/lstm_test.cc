@@ -27,23 +27,10 @@ TEST(LstmTest, ShapesAndDeterminism) {
   EXPECT_EQ(lstm.hidden_dim(), 5u);
   Rng data_rng(2);
   const Vec seq = RandomSequence(4, 3, data_rng);
-  const Vec h1 = lstm.Forward(seq.data(), 4);
-  const Vec h2 = lstm.Forward(seq.data(), 4);
+  const Vec h1 = lstm.ForwardCached(seq.data(), 4);
+  const Vec h2 = lstm.ForwardCached(seq.data(), 4);
   ASSERT_EQ(h1.size(), 5u);
   EXPECT_EQ(h1, h2);
-}
-
-TEST(LstmTest, CachedAndUncachedForwardAgree) {
-  Rng rng(3);
-  Lstm lstm("l", 4, 6, rng);
-  Rng data_rng(4);
-  const Vec seq = RandomSequence(7, 4, data_rng);
-  const Vec h_eval = lstm.Forward(seq.data(), 7);
-  const Vec h_cached = lstm.ForwardCached(seq.data(), 7);
-  ASSERT_EQ(h_eval.size(), h_cached.size());
-  for (size_t i = 0; i < h_eval.size(); ++i) {
-    EXPECT_NEAR(h_eval[i], h_cached[i], 1e-6);
-  }
 }
 
 TEST(LstmTest, HiddenStateBounded) {
@@ -52,7 +39,7 @@ TEST(LstmTest, HiddenStateBounded) {
   Lstm lstm("l", 2, 8, rng);
   Rng data_rng(6);
   const Vec seq = RandomSequence(50, 2, data_rng);
-  const Vec h = lstm.Forward(seq.data(), 50);
+  const Vec h = lstm.ForwardCached(seq.data(), 50);
   for (float v : h) EXPECT_LT(std::fabs(v), 1.0f);
 }
 
@@ -75,7 +62,7 @@ TEST(LstmTest, ParameterGradientsMatchFiniteDifferences) {
   for (auto& w : loss_weights) w = static_cast<float>(data_rng.Gaussian());
 
   auto loss_fn = [&]() {
-    const Vec h = lstm.Forward(seq.data(), 5);
+    const Vec h = lstm.ForwardCached(seq.data(), 5);
     double loss = 0.0;
     for (size_t i = 0; i < h.size(); ++i) {
       loss += static_cast<double>(loss_weights[i]) * h[i];
@@ -100,7 +87,7 @@ TEST(LstmTest, InputGradientsMatchFiniteDifferences) {
   for (auto& w : loss_weights) w = static_cast<float>(data_rng.Gaussian());
 
   auto loss_fn = [&]() {
-    const Vec h = lstm.Forward(seq.data(), 4);
+    const Vec h = lstm.ForwardCached(seq.data(), 4);
     double loss = 0.0;
     for (size_t i = 0; i < h.size(); ++i) {
       loss += static_cast<double>(loss_weights[i]) * h[i];
@@ -147,11 +134,12 @@ TEST(LstmTest, ForwardBatchOfOneIsBitIdenticalToForward) {
   Lstm lstm("l", 3, 6, rng);
   Rng data_rng(21);
   const Vec seq = RandomSequence(5, 3, data_rng);
-  const Vec h_scalar = lstm.Forward(seq.data(), 5);
+  const Vec h_scalar = lstm.ForwardCached(seq.data(), 5);
 
   Workspace ws;
   Vec h_batch(6);
-  lstm.ForwardBatch(seq.data(), 5, 1, h_batch.data(), ws);
+  lstm.ForwardBatch(seq.data(), 5, 1, h_batch.data(), ws,
+                    GetBackend(BackendKind::kBlocked));
   // Exact equality, not tolerance: batch=1 must replay the scalar path's
   // float operations in the same order (the gemm.h contract).
   EXPECT_EQ(h_scalar, h_batch);
@@ -170,10 +158,11 @@ TEST(LstmTest, ForwardBatchMatchesPerSequenceForward) {
 
   Workspace ws;
   Vec h_batch(hidden * batch);
-  lstm.ForwardBatch(packed.data(), steps, batch, h_batch.data(), ws);
+  lstm.ForwardBatch(packed.data(), steps, batch, h_batch.data(), ws,
+                    GetBackend(BackendKind::kBlocked));
 
   for (size_t b = 0; b < batch; ++b) {
-    const Vec h = lstm.Forward(seqs[b].data(), steps);
+    const Vec h = lstm.ForwardCached(seqs[b].data(), steps);
     for (size_t j = 0; j < hidden; ++j) {
       EXPECT_EQ(h[j], h_batch[j * batch + b]) << "seq " << b << " dim " << j;
     }
@@ -190,9 +179,10 @@ TEST(LstmTest, ForwardBatchSingleStep) {
   const Vec packed = PackBatchMinor(seqs, 1, 2);
   Workspace ws;
   Vec h_batch(4 * 3);
-  lstm.ForwardBatch(packed.data(), 1, 3, h_batch.data(), ws);
+  lstm.ForwardBatch(packed.data(), 1, 3, h_batch.data(), ws,
+                    GetBackend(BackendKind::kBlocked));
   for (size_t b = 0; b < 3; ++b) {
-    const Vec h = lstm.Forward(seqs[b].data(), 1);
+    const Vec h = lstm.ForwardCached(seqs[b].data(), 1);
     for (size_t j = 0; j < 4; ++j) {
       EXPECT_EQ(h[j], h_batch[j * 3 + b]) << "seq " << b << " dim " << j;
     }
@@ -212,15 +202,16 @@ TEST(LstmTest, ForwardBatchDeterministicWithWarmWorkspace) {
   }
   const Vec packed = PackBatchMinor(seqs, steps, dim);
 
+  const Backend& blocked = GetBackend(BackendKind::kBlocked);
   Workspace ws;
   Vec h1(hidden * batch), h2(hidden * batch);
-  lstm.ForwardBatch(packed.data(), steps, batch, h1.data(), ws);
+  lstm.ForwardBatch(packed.data(), steps, batch, h1.data(), ws, blocked);
   ws.Reset();
-  lstm.ForwardBatch(packed.data(), steps, batch, h2.data(), ws);
+  lstm.ForwardBatch(packed.data(), steps, batch, h2.data(), ws, blocked);
   EXPECT_EQ(h1, h2);
   const size_t capacity_after_two = ws.capacity();
   ws.Reset();
-  lstm.ForwardBatch(packed.data(), steps, batch, h1.data(), ws);
+  lstm.ForwardBatch(packed.data(), steps, batch, h1.data(), ws, blocked);
   // Steady state: capacity has stopped growing (allocation-free reuse).
   EXPECT_EQ(ws.capacity(), capacity_after_two);
 }
@@ -289,7 +280,7 @@ TEST(LstmTest, BackwardBatchIsBitIdenticalToPerRecordLoop) {
         batched.BackwardBatch(tape, dh_final.data(), ws);
 
         for (size_t b = 0; b < batch; ++b) {
-          const Vec h_ref = reference.Forward(seqs[b].data(), steps);
+          const Vec h_ref = reference.ForwardCached(seqs[b].data(), steps);
           for (size_t j = 0; j < dims.hd; ++j) {
             EXPECT_EQ(h_ref[j], h[j * batch + b]) << "seq " << b;
           }
@@ -327,7 +318,7 @@ TEST(LstmTest, BatchedParameterGradientsMatchFiniteDifferences) {
   auto loss_fn = [&]() {
     double loss = 0.0;
     for (size_t b = 0; b < batch; ++b) {
-      const Vec h = lstm.Forward(seqs[b].data(), steps);
+      const Vec h = lstm.ForwardCached(seqs[b].data(), steps);
       for (size_t j = 0; j < hidden; ++j) {
         loss += static_cast<double>(loss_weights[j * batch + b]) * h[j];
       }

@@ -24,18 +24,19 @@ TEST(MlpTest, SingleLayerIsAffine) {
 }
 
 TEST(MlpTest, ForwardCachedMatchesEvalForward) {
+  // Inference's forward is ForwardBatch; at batch 1 on the blocked table it
+  // replays ForwardCached's operations, so the logits match to the bit.
   Rng rng(2);
   Mlp mlp("m", {4, 8, 3}, rng);
   Rng data_rng(3);
   Vec x(4);
   for (auto& v : x) v = static_cast<float>(data_rng.Gaussian());
-  Vec cached, eval;
+  Vec cached, eval(mlp.out_dim());
   mlp.ForwardCached(x.data(), cached);
-  mlp.Forward(x.data(), eval);
-  ASSERT_EQ(cached.size(), eval.size());
-  for (size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_NEAR(cached[i], eval[i], 1e-6);
-  }
+  Workspace ws;
+  mlp.ForwardBatch(x.data(), 1, eval.data(), ws,
+                   GetBackend(BackendKind::kBlocked));
+  EXPECT_EQ(cached, eval);
 }
 
 TEST(MlpTest, ParameterCountsAcrossLayers) {
@@ -59,7 +60,7 @@ TEST(MlpTest, DeepGradientsMatchFiniteDifferences) {
 
   auto loss_fn = [&]() {
     Vec logits;
-    mlp.Forward(x.data(), logits);
+    mlp.ForwardCached(x.data(), logits);
     Vec scratch(2);
     return BceWithLogitsVector(logits.data(), targets.data(), weights.data(),
                                2, scratch.data());
@@ -90,7 +91,7 @@ TEST(MlpTest, InputGradientMatchesFiniteDifferences) {
 
   auto loss_fn = [&]() {
     Vec logits;
-    mlp.Forward(x.data(), logits);
+    mlp.ForwardCached(x.data(), logits);
     Vec scratch(1);
     return BceWithLogitsVector(logits.data(), targets.data(), weights.data(),
                                1, scratch.data());

@@ -34,7 +34,8 @@ TEST_P(LstmShapeTest, ParameterGradientsMatchFiniteDifferences) {
   for (auto& w : weights) w = static_cast<float>(rng.Gaussian());
 
   auto loss_fn = [&]() {
-    const Vec h = lstm.Forward(inputs.data(), static_cast<size_t>(steps));
+    const Vec h =
+        lstm.ForwardCached(inputs.data(), static_cast<size_t>(steps));
     double loss = 0.0;
     for (size_t i = 0; i < h.size(); ++i) {
       loss += static_cast<double>(weights[i]) * h[i];
@@ -73,7 +74,7 @@ TEST_P(MlpDepthTest, GradientsMatchFiniteDifferences) {
 
   auto loss_fn = [&]() {
     Vec logits;
-    mlp.Forward(x.data(), logits);
+    mlp.ForwardCached(x.data(), logits);
     Vec scratch(dims.back());
     return BceWithLogitsVector(logits.data(), targets.data(), weights.data(),
                                dims.back(), scratch.data());

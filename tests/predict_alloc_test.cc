@@ -1,8 +1,10 @@
-// Heap-allocation contract of the batched forward pass: once a Workspace is
-// warm and the EventScores it fills are reused, EventHitModel::
-// PredictBatched makes no heap allocation at all — under every backend, at
-// the batch that warmed it and at any smaller one. The fleet keeps its
-// flush scratch run-scoped on the strength of this (StreamFleet::Run).
+// Heap-allocation contract of the forward pass: once a Workspace is warm
+// and the EventScores it fills are reused, EventHitModel::PredictBatched
+// makes no heap allocation at all — under every backend, at the batch that
+// warmed it and at any smaller one. The fleet keeps its flush scratch
+// run-scoped on the strength of this (StreamFleet::Run). Predict, the same
+// pass at batch 1 on a thread-local Workspace, allocates only the scores
+// it returns.
 //
 // This binary replaces the global operator new with a counting one, so it
 // holds this test alone.
@@ -48,6 +50,15 @@ constexpr int kHorizon = 40;
 constexpr size_t kFeatures = 6;
 constexpr size_t kEvents = 2;
 
+EventHitConfig SmallConfig() {
+  EventHitConfig config;
+  config.collection_window = kWindow;
+  config.horizon = kHorizon;
+  config.feature_dim = kFeatures;
+  config.num_events = kEvents;
+  return config;
+}
+
 std::vector<data::Record> MakeRecords(size_t n) {
   Rng rng(77);
   std::vector<data::Record> records(n);
@@ -61,12 +72,7 @@ std::vector<data::Record> MakeRecords(size_t n) {
 }
 
 TEST(PredictAllocTest, WarmPredictBatchedMakesNoHeapAllocation) {
-  EventHitConfig config;
-  config.collection_window = kWindow;
-  config.horizon = kHorizon;
-  config.feature_dim = kFeatures;
-  config.num_events = kEvents;
-  EventHitModel model(config);
+  EventHitModel model(SmallConfig());
   const std::vector<data::Record> records = MakeRecords(24);
 
   for (const nn::BackendKind kind : nn::AllBackendKinds()) {
@@ -89,14 +95,29 @@ TEST(PredictAllocTest, WarmPredictBatchedMakesNoHeapAllocation) {
   }
 }
 
+// Predict's thread-local arena is reused: after two warm-up calls on the
+// thread, a call allocates exactly the EventScores it returns (existence,
+// occupancy and one theta vector per event) and nothing else.
+TEST(PredictAllocTest, WarmPredictAllocatesOnlyItsScores) {
+  EventHitModel model(SmallConfig());
+  const std::vector<data::Record> records = MakeRecords(3);
+  for (const nn::BackendKind kind : nn::AllBackendKinds()) {
+    model.SetInferenceBackend(kind);
+    for (int pass = 0; pass < 2; ++pass) model.Predict(records[0]);
+    for (const data::Record& record : records) {
+      const int64_t before = g_allocations.load();
+      const EventScores scores = model.Predict(record);
+      EXPECT_EQ(g_allocations.load() - before,
+                static_cast<int64_t>(2 + kEvents))
+          << nn::BackendKindName(kind);
+      EXPECT_EQ(scores.occupancy.size(), kEvents);
+    }
+  }
+}
+
 // The counter itself works: a cold pass with fresh EventScores allocates.
 TEST(PredictAllocTest, ColdPredictBatchedIsCounted) {
-  EventHitConfig config;
-  config.collection_window = kWindow;
-  config.horizon = kHorizon;
-  config.feature_dim = kFeatures;
-  config.num_events = kEvents;
-  const EventHitModel model(config);
+  const EventHitModel model(SmallConfig());
   const std::vector<data::Record> records = MakeRecords(8);
   nn::Workspace ws;
   std::vector<EventScores> scores(records.size());

@@ -1,8 +1,8 @@
 // Compares a bench JSON against a committed baseline and exits nonzero on
 // regression. CI runs this as the bench gate (.github/workflows/ci.yml).
 //
-//   bench_diff --baseline=BENCH_fig9_fps.json --current=fresh.json \
-//              [--default-tol=0.15] [--tol=key:rel,key:rel,...] \
+//   bench_diff --baseline=BENCH_fig9_fps.json --current=fresh.json
+//              [--default-tol=0.15] [--tol=key:rel,key:rel,...]
 //              [--tol-abs=key:abs,...]
 //
 // Exit codes: 0 = within tolerance, 1 = regression, 2 = usage/IO error.

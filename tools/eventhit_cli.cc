@@ -1087,7 +1087,6 @@ int RunExplain(const Flags& flags) {
   }
 
   config.num_streams = static_cast<int>(stream_index) + 1;
-  config.collect_tick_latency = false;
   // A solo replay must retain every boundary: one ring slot per possible
   // anchor of the stream (boundaries are spaced >= 1 frame apart).
   sim::DatasetSpec spec = sim::MakeDatasetSpec(task.value().dataset);
