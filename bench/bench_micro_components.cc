@@ -434,6 +434,26 @@ void BM_StreamGeneration(benchmark::State& state) {
 BENCHMARK(BM_StreamGeneration)->Arg(20000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
+// A fleet stream's video: only the frames its (M, H) windows read are
+// materialized, the rest only advance the random streams. Items are all
+// frames, so ns/frame compares with the whole video's directly.
+void BM_StreamGenerationWindowed(benchmark::State& state,
+                                 sim::DatasetId dataset, int64_t frames) {
+  sim::DatasetSpec spec = sim::MakeDatasetSpec(dataset);
+  spec.num_frames = frames;
+  const sim::FrameSelection windows{spec.collection_window, spec.horizon};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::SyntheticVideo::Generate(spec, 11, windows));
+  }
+  state.SetItemsProcessed(state.iterations() * frames);
+}
+BENCHMARK_CAPTURE(BM_StreamGenerationWindowed, thumos_1200_m10_h200,
+                  sim::DatasetId::kThumos, 1200)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_StreamGenerationWindowed, breakfast_2700_m50_h500,
+                  sim::DatasetId::kBreakfast, 2700)
+    ->Unit(benchmark::kMicrosecond);
+
 void PrintResourceDetails() {
   // §VI.H: training time, parameters, memory (weights + Adam moments).
   // A full 1000-record training run dominates a smoke pass, so FastMode

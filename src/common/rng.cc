@@ -68,6 +68,12 @@ double Rng::Gaussian() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
 }
 
+void Rng::SkipGaussian() {
+  while (Uniform() <= 0.0) {
+  }
+  NextUint64();
+}
+
 double Rng::Gaussian(double mean, double stddev) {
   return mean + stddev * Gaussian();
 }
@@ -83,25 +89,30 @@ double Rng::LogNormal(double mu, double sigma) {
   return std::exp(Gaussian(mu, sigma));
 }
 
-int64_t Rng::Poisson(double mean) {
+int64_t Rng::Poisson(double mean) { return PoissonSampler(mean)(*this); }
+
+bool Rng::Bernoulli(double p) { return Uniform() < p; }
+
+PoissonSampler::PoissonSampler(double mean)
+    : mean_(mean), limit_(std::exp(-mean)) {
   EVENTHIT_CHECK_GE(mean, 0.0);
-  if (mean == 0.0) return 0;
-  if (mean > 64.0) {
+}
+
+int64_t PoissonSampler::operator()(Rng& rng) const {
+  if (mean_ == 0.0) return 0;
+  if (mean_ > 64.0) {
     // Normal approximation with continuity correction.
-    const double draw = Gaussian(mean, std::sqrt(mean));
+    const double draw = rng.Gaussian(mean_, std::sqrt(mean_));
     return draw < 0.0 ? 0 : static_cast<int64_t>(draw + 0.5);
   }
-  const double limit = std::exp(-mean);
   int64_t count = -1;
   double product = 1.0;
   do {
     ++count;
-    product *= Uniform();
-  } while (product > limit);
+    product *= rng.Uniform();
+  } while (product > limit_);
   return count;
 }
-
-bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 uint64_t SplitSeed(uint64_t seed, uint64_t stream_id) {
   uint64_t sm = seed ^ (stream_id * 0x9E3779B97f4A7C15ULL + 0xD1B54A32D192ED03ULL);

@@ -37,6 +37,10 @@ class Rng {
   /// Standard normal via Box–Muller (deterministic, no cached spare).
   double Gaussian();
 
+  /// Advances the generator exactly as Gaussian() does, retry included,
+  /// without computing the variate (no log, sqrt or cos).
+  void SkipGaussian();
+
   /// Normal with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
 
@@ -68,6 +72,19 @@ class Rng {
 
  private:
   uint64_t state_[4];
+};
+
+/// Draws Poisson(mean) counts exactly as Rng::Poisson(mean) does, with the
+/// Knuth limit exp(-mean) computed once for every draw at this mean.
+class PoissonSampler {
+ public:
+  explicit PoissonSampler(double mean);
+
+  int64_t operator()(Rng& rng) const;
+
+ private:
+  double mean_;
+  double limit_;
 };
 
 /// SplitMix64 step, exposed for seed derivation in tests.

@@ -17,7 +17,8 @@ Marshaller::Marshaller(const MarshalStrategy* strategy, int collection_window,
       collection_window_(collection_window),
       horizon_(horizon),
       feature_dim_(feature_dim),
-      num_events_(num_events) {
+      num_events_(num_events),
+      next_boundary_(collection_window - 1) {
   EVENTHIT_CHECK(strategy_ != nullptr);
   EVENTHIT_CHECK_GT(collection_window_, 0);
   EVENTHIT_CHECK_GT(horizon_, 0);
@@ -95,34 +96,12 @@ void Marshaller::set_cost_model(const sched::LocalCostModel& cost) {
   cost_ = cost;
 }
 
-namespace {
-
-// Predictions fire once the window has filled and every `horizon` frames
-// afterwards: frames M-1, M-1+H, M-1+2H, ...
-bool IsPredictionFrame(int64_t frame, int window, int horizon) {
-  const int64_t first = window - 1;
-  return frame >= first && (frame - first) % horizon == 0;
-}
-
-}  // namespace
-
-int64_t Marshaller::next_prediction_frame() const {
-  const int64_t first = collection_window_ - 1;
-  if (frame_count_ <= first) return first;
-  const int64_t periods = (frame_count_ - 1 - first) / horizon_ + 1;
-  const int64_t next = first + periods * horizon_;
-  // frame_count_ is the next frame to arrive; it may itself be one.
-  return IsPredictionFrame(frame_count_, collection_window_, horizon_)
-             ? frame_count_
-             : next;
-}
-
 bool Marshaller::NextFrameNeedsFeatures() const {
+  // Frames at distance >= M from the next boundary never enter any window
+  // (windows are M frames ending at a boundary): their ring slot is
+  // overwritten before the boundary reads it.
+  if (frame_count_ <= next_boundary_ - collection_window_) return false;
   if (policy_ == nullptr) return true;
-  const int64_t boundary = next_prediction_frame();
-  // Frames at distance >= M from the next boundary never enter any
-  // scored window (windows are M frames ending at a boundary).
-  if (frame_count_ <= boundary - collection_window_) return false;
   // The first boundary is always scored, and while a scored prediction's
   // observation is still in flight the policy's verdict on the next
   // boundary is unsettled — stay conservative.
@@ -146,9 +125,8 @@ bool Marshaller::PushFrameDeferred(const float* features,
   ++frame_count_;
   ++stats_.frames_seen;
 
-  if (!IsPredictionFrame(current_frame, collection_window_, horizon_)) {
-    return false;
-  }
+  if (current_frame != next_boundary_) return false;
+  next_boundary_ += horizon_;
 
   const int64_t horizon_index = boundaries_seen_++;
   bool scored = true;

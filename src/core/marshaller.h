@@ -141,10 +141,14 @@ class Marshaller {
 
   /// Whether the *next* pushed frame's features can end up inside a scored
   /// collection window — callers skip feature extraction (and pass
-  /// nullptr) when false. Without a policy this is always true.
-  /// Conservative while a scored prediction is pending; exact otherwise,
-  /// so the extracted set always covers the consumed set and decisions
-  /// are independent of completion timing.
+  /// nullptr) when false. Without a policy it is exactly the frames within
+  /// M of the next boundary (local frame f with f mod H < M when M <= H).
+  /// Under a policy it is conservative while a scored prediction is
+  /// pending and exact otherwise, so the extracted set always covers the
+  /// consumed set and decisions are independent of completion timing.
+  /// Skipping moves no accounting: MarshallerStats and the sched.* counters
+  /// follow the boundary schedule, not the frames passed, so without a
+  /// policy every frame is still charged extraction.
   bool NextFrameNeedsFeatures() const;
 
   /// Prediction boundaries pushed but not yet completed.
@@ -157,7 +161,7 @@ class Marshaller {
   const MarshallerStats& stats() const { return stats_; }
 
   /// The absolute frame index of the next prediction point.
-  int64_t next_prediction_frame() const;
+  int64_t next_prediction_frame() const { return next_boundary_; }
 
  private:
   void CompletePredictionInternal(const MarshalDecision& decision,
@@ -181,6 +185,9 @@ class Marshaller {
   // order reconstructed at prediction time).
   std::vector<float> ring_;
   int64_t frame_count_ = 0;
+  // The first boundary at or after frame_count_. Predictions fire once
+  // the window has filled and every H frames afterwards: M-1, M-1+H, ...
+  int64_t next_boundary_;
 
   // Boundaries pushed / completed so far (the policy's horizon index).
   int64_t boundaries_seen_ = 0;

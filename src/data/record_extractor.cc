@@ -45,8 +45,10 @@ Record BuildRecord(const sim::SyntheticVideo& video, const Task& task,
   const size_t d = video.feature_dim();
   const size_t m = static_cast<size_t>(config.collection_window);
   record.covariates.resize(m * d);
-  // Frames f_{n-M+1} .. f_n are contiguous in the stream; one memcpy.
+  // Frames f_{n-M+1} .. f_n are contiguous rows, so one memcpy; a window
+  // straddling frames that a windowed video left out is not, and dies.
   const float* src = video.FrameFeatures(frame - config.collection_window + 1);
+  EVENTHIT_CHECK(video.FrameFeatures(frame) == src + (m - 1) * d);
   std::memcpy(record.covariates.data(), src, m * d * sizeof(float));
 
   record.labels.reserve(task.event_indices.size());

@@ -28,7 +28,8 @@ struct ExtractorConfig {
 };
 
 /// Extracts a single record anchored at `frame`. Requires
-/// frame >= M - 1 and frame + H < video.num_frames().
+/// frame >= M - 1, frame + H < video.num_frames() and, in a windowed
+/// video, the window's M frames to be selected and contiguous.
 Record BuildRecord(const sim::SyntheticVideo& video, const Task& task,
                    const ExtractorConfig& config, int64_t frame);
 

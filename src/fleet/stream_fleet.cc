@@ -54,6 +54,15 @@ double Percentile(std::vector<double> values, double q) {
   return values[rank];
 }
 
+// A stream's video holds only the frames its collection windows read: the
+// marshaller's windows and the boundary truth lookups (audit, recal) both
+// read the M frames ending at a boundary, and the cloud reads the timeline.
+sim::SyntheticVideo StreamVideo(const StreamSettings& s) {
+  return sim::SyntheticVideo::Generate(
+      s.spec, s.video_seed,
+      sim::FrameSelection{s.spec.collection_window, s.spec.horizon});
+}
+
 }  // namespace
 
 // A resident stream of a wave: its video, its pipeline and the request it
@@ -205,8 +214,8 @@ FleetRunResult StreamFleet::Run() {
                               "tenant" + std::to_string(stream));
       }
       Shard& shard = arena[i];
-      shard.video = std::make_unique<sim::SyntheticVideo>(
-          sim::SyntheticVideo::Generate(settings.spec, settings.video_seed));
+      shard.video =
+          std::make_unique<sim::SyntheticVideo>(StreamVideo(settings));
       shard.pipeline.emplace(config_, std::move(settings), task_, *trained_,
                              *shard.video, /*first_frame=*/0, sinks);
     });
@@ -406,8 +415,7 @@ FleetRunResult StreamFleet::Run() {
 
 FleetStreamResult StreamFleet::RunStreamSolo(int stream_index) {
   const StreamSettings settings = DeriveStreamSettings(stream_index);
-  const sim::SyntheticVideo video =
-      sim::SyntheticVideo::Generate(settings.spec, settings.video_seed);
+  const sim::SyntheticVideo video = StreamVideo(settings);
   PipelineSinks sinks;
   sinks.metrics = stream_metrics_.get();
   sinks.log = stream_log_.get();

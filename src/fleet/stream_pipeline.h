@@ -70,7 +70,7 @@ class StreamPipeline {
   /// Inline: the fleet calls it per stream per tick, and out of line it
   /// cost flush-free ticks 10-20%.
   bool PushFrame(data::Record* pending) {
-    // Skip extraction on frames the policy proves no scored window reads.
+    // Skip extraction on frames no scored window reads.
     const float* features =
         marshaller_.NextFrameNeedsFeatures()
             ? video_.FrameFeatures(first_frame_ + next_frame_)

@@ -20,15 +20,51 @@ constexpr float kActiveLevel = 0.85f;
 // Precursor decays over lead/2 frames after the occurrence ends.
 constexpr double kDecayFraction = 0.5;
 
+// Calls fn(t, row) for every frame t of [first, last] in order, where `row`
+// is the frame's storage row, or -1 when the selection leaves it out. Every
+// selection runs this one per-frame code path, so a selected frame gets the
+// same arithmetic, and the same bits, in a windowed video as in the whole.
+template <typename Fn>
+void ForEachFrame(const FrameSelection& selection, int64_t first,
+                  int64_t last, Fn&& fn) {
+  int64_t phase = first % selection.period;
+  int64_t period_row = first / selection.period * selection.length;
+  for (int64_t t = first; t <= last; ++t) {
+    fn(t, phase < selection.length ? period_row + phase : int64_t{-1});
+    if (++phase == selection.period) {
+      phase = 0;
+      period_row += selection.length;
+    }
+  }
+}
+
+// One Gaussian per frame of [0, n): `fn(row)` draws it on a selected frame;
+// an unselected frame only advances `rng` past it.
+template <typename Fn>
+void GaussianPerFrame(const FrameSelection& selection, int64_t n, Rng& rng,
+                      Fn&& fn) {
+  ForEachFrame(selection, 0, n - 1, [&](int64_t, int64_t row) {
+    if (row < 0) {
+      rng.SkipGaussian();
+    } else {
+      fn(row);
+    }
+  });
+}
+
 }  // namespace
 
 SyntheticVideo SyntheticVideo::Generate(const DatasetSpec& spec,
-                                        uint64_t seed) {
+                                        uint64_t seed,
+                                        FrameSelection selection) {
   EVENTHIT_CHECK(!spec.events.empty());
   EVENTHIT_CHECK_GT(spec.num_frames, 0);
+  EVENTHIT_CHECK_GE(selection.length, 1);
+  EVENTHIT_CHECK_LE(selection.length, selection.period);
 
   SyntheticVideo video;
   video.spec_ = spec;
+  video.selection_ = selection;
   Rng rng(seed);
 
   // 1) Ground-truth occurrence timeline.
@@ -49,11 +85,12 @@ SyntheticVideo SyntheticVideo::Generate(const DatasetSpec& spec,
   const int64_t n = spec.num_frames;
   const size_t d = spec.FeatureDim();
   const size_t k_events = spec.events.size();
-  video.features_.assign(static_cast<size_t>(n) * d, 0.0f);
-  video.counts_.assign(k_events, std::vector<float>(static_cast<size_t>(n), 0.0f));
+  const auto rows = static_cast<size_t>(selection.Rows(n));
+  video.features_.assign(rows * d, 0.0f);
+  video.counts_.assign(k_events, std::vector<float>(rows, 0.0f));
 
-  auto feature_at = [&](int64_t t, size_t c) -> float& {
-    return video.features_[static_cast<size_t>(t) * d + c];
+  auto feature_at = [&](int64_t row, size_t c) -> float& {
+    return video.features_[static_cast<size_t>(row) * d + c];
   };
 
   // 2) Per-event precursor + activity channels and detector object counts.
@@ -62,8 +99,9 @@ SyntheticVideo SyntheticVideo::Generate(const DatasetSpec& spec,
     Rng ev_rng(rng.Fork(100 + k));
     const size_t pre_c = DatasetSpec::PrecursorChannel(k);
     const size_t act_c = DatasetSpec::ActivityChannel(k);
+    const std::vector<Interval>& occurrences = video.timeline_.occurrences(k);
 
-    for (const Interval& occ : video.timeline_.occurrences(k)) {
+    for (const Interval& occ : occurrences) {
       const double lead =
           std::max(10.0, ev_rng.Gaussian(ev.lead_mean, ev.lead_std));
       const float strength =
@@ -76,47 +114,71 @@ SyntheticVideo SyntheticVideo::Generate(const DatasetSpec& spec,
           std::max<int64_t>(1, static_cast<int64_t>(lead * kDecayFraction));
       const int64_t decay_end = std::min(n - 1, occ.end + decay_len);
 
-      for (int64_t t = ramp_begin; t <= decay_end; ++t) {
-        float level;
-        if (t < occ.start) {
-          level = Ramp(static_cast<double>(t - ramp_begin) / lead);
-        } else if (t <= occ.end) {
-          level = kActiveLevel;
-        } else {
-          level = kActiveLevel *
-                  (1.0f - static_cast<float>(t - occ.end) / decay_len);
-        }
-        float& cell = feature_at(t, pre_c);
-        cell = std::max(cell, strength * level);
-      }
+      ForEachFrame(
+          selection, ramp_begin, decay_end, [&](int64_t t, int64_t row) {
+            if (row < 0) return;
+            float level;
+            if (t < occ.start) {
+              level = Ramp(static_cast<double>(t - ramp_begin) / lead);
+            } else if (t <= occ.end) {
+              level = kActiveLevel;
+            } else {
+              level = kActiveLevel *
+                      (1.0f - static_cast<float>(t - occ.end) / decay_len);
+            }
+            float& cell = feature_at(row, pre_c);
+            cell = std::max(cell, strength * level);
+          });
     }
 
-    // Activity channel + object counts, frame by frame.
-    for (int64_t t = 0; t < n; ++t) {
-      const bool active = video.timeline_.IsActive(k, t);
-      float activity;
+    // Activity channel + object counts, frame by frame. The occurrence
+    // cursor replaces a per-frame binary search; an unselected frame makes
+    // the same Bernoulli, Gaussian and Poisson draws and keeps none.
+    const PoissonSampler hit_count(ev.object_rate_active);
+    const PoissonSampler false_positive_count(ev.object_rate_active * 0.6);
+    const PoissonSampler background_count(ev.object_rate_background);
+    size_t next = 0;  // First occurrence that ends at or after frame t.
+    ForEachFrame(selection, 0, n - 1, [&](int64_t t, int64_t row) {
+      while (next < occurrences.size() && occurrences[next].end < t) ++next;
+      const bool active =
+          next < occurrences.size() && occurrences[next].start <= t;
+      const bool keep = row >= 0;
+      float activity = 0.0f;
       double count;
       if (active && !ev_rng.Bernoulli(spec.detector_miss_prob)) {
-        activity = static_cast<float>(0.8 + ev_rng.Gaussian(0.0, 0.06));
-        count = static_cast<double>(ev_rng.Poisson(ev.object_rate_active));
+        if (keep) {
+          activity = static_cast<float>(0.8 + ev_rng.Gaussian(0.0, 0.06));
+        } else {
+          ev_rng.SkipGaussian();
+        }
+        count = static_cast<double>(hit_count(ev_rng));
       } else if (!active && ev_rng.Bernoulli(spec.detector_fp_prob)) {
-        activity = static_cast<float>(0.5 + ev_rng.Gaussian(0.0, 0.08));
-        count = static_cast<double>(ev_rng.Poisson(ev.object_rate_active * 0.6));
+        if (keep) {
+          activity = static_cast<float>(0.5 + ev_rng.Gaussian(0.0, 0.08));
+        } else {
+          ev_rng.SkipGaussian();
+        }
+        count = static_cast<double>(false_positive_count(ev_rng));
       } else {
-        activity = static_cast<float>(
-            std::max(0.0, 0.05 + ev_rng.Gaussian(0.0, 0.03)));
-        count = static_cast<double>(ev_rng.Poisson(ev.object_rate_background));
+        if (keep) {
+          activity = static_cast<float>(
+              std::max(0.0, 0.05 + ev_rng.Gaussian(0.0, 0.03)));
+        } else {
+          ev_rng.SkipGaussian();
+        }
+        count = static_cast<double>(background_count(ev_rng));
       }
-      feature_at(t, act_c) = activity;
-      video.counts_[k][static_cast<size_t>(t)] = static_cast<float>(count);
-    }
+      if (!keep) return;
+      feature_at(row, act_c) = activity;
+      video.counts_[k][static_cast<size_t>(row)] = static_cast<float>(count);
+    });
 
     // Precursor observation noise.
-    for (int64_t t = 0; t < n; ++t) {
-      float& cell = feature_at(t, pre_c);
+    GaussianPerFrame(selection, n, ev_rng, [&](int64_t row) {
+      float& cell = feature_at(row, pre_c);
       cell = static_cast<float>(
           Clamp(cell + ev_rng.Gaussian(0.0, ev.precursor_noise), 0.0, 1.5));
-    }
+    });
   }
 
   // 3) Distractor channels: precursor-like ramps uncorrelated with events.
@@ -133,17 +195,19 @@ SyntheticVideo SyntheticVideo::Generate(const DatasetSpec& spec,
       const int64_t width =
           static_cast<int64_t>(dist_rng.Uniform(80.0, 400.0));
       const int64_t end = std::min(n - 1, start + width);
-      for (int64_t u = start; u <= end; ++u) {
+      ForEachFrame(selection, start, end, [&](int64_t u, int64_t row) {
+        if (row < 0) return;
         const double phase = static_cast<double>(u - start) / width;
         const float level = Ramp(phase < 0.5 ? phase * 2.0 : (1.0 - phase) * 2.0);
-        feature_at(u, channel) = std::max(feature_at(u, channel), 0.9f * level);
-      }
+        float& cell = feature_at(row, channel);
+        cell = std::max(cell, 0.9f * level);
+      });
       t = end + 1;
     }
-    for (int64_t u = 0; u < n; ++u) {
-      float& cell = feature_at(u, channel);
+    GaussianPerFrame(selection, n, dist_rng, [&](int64_t row) {
+      float& cell = feature_at(row, channel);
       cell = static_cast<float>(Clamp(cell + dist_rng.Gaussian(0.0, 0.05), 0.0, 1.5));
-    }
+    });
   }
 
   // 4) Pure noise channels.
@@ -151,10 +215,10 @@ SyntheticVideo SyntheticVideo::Generate(const DatasetSpec& spec,
     Rng noise_rng(rng.Fork(2000 + c));
     const size_t channel =
         2 * k_events + static_cast<size_t>(spec.num_distractor_channels + c);
-    for (int64_t t = 0; t < n; ++t) {
-      feature_at(t, channel) =
+    GaussianPerFrame(selection, n, noise_rng, [&](int64_t row) {
+      feature_at(row, channel) =
           static_cast<float>(Clamp(0.3 + noise_rng.Gaussian(0.0, 0.15), 0.0, 1.0));
-    }
+    });
   }
 
   video.shift_frame_ = n;
@@ -246,14 +310,17 @@ SyntheticVideo SyntheticVideo::FromParts(
 const float* SyntheticVideo::FrameFeatures(int64_t t) const {
   EVENTHIT_CHECK_GE(t, 0);
   EVENTHIT_CHECK_LT(t, num_frames());
-  return features_.data() + static_cast<size_t>(t) * feature_dim();
+  EVENTHIT_CHECK(selection_.Contains(t));
+  return features_.data() +
+         static_cast<size_t>(selection_.Row(t)) * feature_dim();
 }
 
 double SyntheticVideo::ObjectCount(size_t k, int64_t t) const {
   EVENTHIT_CHECK_LT(k, counts_.size());
   EVENTHIT_CHECK_GE(t, 0);
   EVENTHIT_CHECK_LT(t, num_frames());
-  return counts_[k][static_cast<size_t>(t)];
+  EVENTHIT_CHECK(selection_.Contains(t));
+  return counts_[k][static_cast<size_t>(selection_.Row(t))];
 }
 
 }  // namespace eventhit::sim

@@ -3,6 +3,7 @@
 #ifndef EVENTHIT_SIM_SYNTHETIC_VIDEO_H_
 #define EVENTHIT_SIM_SYNTHETIC_VIDEO_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -19,18 +20,42 @@ struct ActionUnit {
   Interval interval;
 };
 
-/// Immutable generated stream. Frame features are stored row-major
-/// (num_frames x feature_dim).
+/// The frames t with t mod period < length: one window of `length` frames
+/// at the start of every period. {M, H} selects exactly the frames a
+/// stream's collection windows read (windows end at M-1, M-1+H, ...). The
+/// default selects every frame, as does any length == period.
+struct FrameSelection {
+  int64_t length = 1;
+  int64_t period = 1;
+
+  bool Contains(int64_t t) const { return t % period < length; }
+  /// Storage row of a selected frame: selected frames are stored
+  /// consecutively, so a window is `length` contiguous rows.
+  int64_t Row(int64_t t) const { return t / period * length + t % period; }
+  /// Rows that frames [0, num_frames) occupy.
+  int64_t Rows(int64_t num_frames) const {
+    return num_frames / period * length +
+           std::min(num_frames % period, length);
+  }
+};
+
+/// Immutable generated stream. The features of the selected frames are
+/// stored row-major (rows x feature_dim), one row per selected frame.
 class SyntheticVideo {
  public:
-  /// Generates the full stream for `spec` deterministically from `seed`.
-  static SyntheticVideo Generate(const DatasetSpec& spec, uint64_t seed);
+  /// Generates the stream for `spec` deterministically from `seed`. The
+  /// timeline and action units always cover every frame; features and
+  /// detector counts are materialized for the `selection` only, and each
+  /// selected frame's are bit-identical to the whole video's. A frame left
+  /// out still advances every random stream by exactly its draws.
+  static SyntheticVideo Generate(const DatasetSpec& spec, uint64_t seed,
+                                 FrameSelection selection = {});
 
-  /// Generates a stream whose occurrence distribution *shifts*: the first
-  /// `before.num_frames` frames follow `before`, the rest follow `after`
-  /// (same event types and feature layout required). Used to exercise the
-  /// drift-detection extension (§VIII future work): a model trained on the
-  /// `before` regime degrades after the shift point.
+  /// Generates a whole stream whose occurrence distribution *shifts*: the
+  /// first `before.num_frames` frames follow `before`, the rest follow
+  /// `after` (same event types and feature layout required). Used to
+  /// exercise the drift-detection extension (§VIII future work): a model
+  /// trained on the `before` regime degrades after the shift point.
   static SyntheticVideo GenerateWithShift(const DatasetSpec& before,
                                           const DatasetSpec& after,
                                           uint64_t seed);
@@ -39,8 +64,9 @@ class SyntheticVideo {
   /// unshifted streams).
   int64_t shift_frame() const { return shift_frame_; }
 
-  /// Reassembles a stream from its parts (deserialization, external feature
-  /// imports). `features` is row-major num_frames x spec.FeatureDim();
+  /// Reassembles a whole stream from its parts (deserialization, external
+  /// feature imports). `features` is row-major num_frames x
+  /// spec.FeatureDim();
   /// `counts` holds one series of num_frames detector counts per event
   /// type. The action-unit annotation stream is rebuilt from the timeline.
   static SyntheticVideo FromParts(DatasetSpec spec, EventTimeline timeline,
@@ -55,11 +81,14 @@ class SyntheticVideo {
   size_t feature_dim() const { return spec_.FeatureDim(); }
   size_t num_event_types() const { return spec_.events.size(); }
 
-  /// Pointer to the D features of frame `t`.
+  /// The frames whose features and counts are stored.
+  const FrameSelection& selection() const { return selection_; }
+
+  /// Pointer to the D features of frame `t`, which must be selected.
   const float* FrameFeatures(int64_t t) const;
 
   /// Simulated detector object count for event `k`'s target classes at
-  /// frame `t` (used by the VQS baseline).
+  /// frame `t`, which must be selected (used by the VQS baseline).
   double ObjectCount(size_t k, int64_t t) const;
 
   /// All action units across event types, sorted by start frame.
@@ -68,8 +97,9 @@ class SyntheticVideo {
  private:
   DatasetSpec spec_;
   EventTimeline timeline_;
-  std::vector<float> features_;            // num_frames x D
-  std::vector<std::vector<float>> counts_;  // per event type, num_frames
+  FrameSelection selection_;
+  std::vector<float> features_;            // rows x D
+  std::vector<std::vector<float>> counts_;  // per event type, rows
   std::vector<ActionUnit> action_units_;
   int64_t shift_frame_ = 0;  // Set by Generate/GenerateWithShift.
 };

@@ -12,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud_service.h"
+#include "common/thread_pool.h"
 #include "data/tasks.h"
+#include "eval/runner.h"
 #include "fleet/dynamic_batcher.h"
 #include "fleet/shard_arena.h"
+#include "fleet/stream_pipeline.h"
 #include "obs/schema.h"
 #include "obs/trace.h"
+#include "sched/collect_policy.h"
 #include "sim/synthetic_video.h"
 
 namespace eventhit::fleet {
@@ -173,6 +177,66 @@ TEST(StreamFleetTest, ResultsInvariantToThreadsBatchWaveAndDelay) {
       // clocks, so even variant 3 must reproduce every stream.
       EXPECT_TRUE(SameStreamResult(run.streams[s], expected.streams[s]))
           << "variant " << v << " stream " << s;
+    }
+  }
+}
+
+// A fleet stream's video holds only the frames its collection windows read
+// (sim::FrameSelection{M, H}). Driving the same stream inline over the
+// whole video must give the identical result under every collection
+// policy, with recalibration rebuilding from truth windows and flaky relays:
+// every frame read is stored bit-identically, and no read falls outside.
+TEST(StreamFleetTest, WindowedStreamVideoMatchesWholeVideo) {
+  for (const char* task_name : {"TA10", "TA13"}) {
+    const data::Task task = data::FindTask(task_name).value();
+    for (const char* policy : {"full", "duty:0.25", "adaptive"}) {
+      SCOPED_TRACE(std::string(task_name) + " " + policy);
+      FleetConfig config = TestConfig();
+      config.num_streams = 3;
+      config.wave_size = 3;
+      // 10 boundaries per stream at either task's horizon.
+      config.frames_per_stream =
+          sim::MakeDatasetSpec(task.dataset).horizon * 11;
+      config.fault_profile = "flaky";
+      config.runner.collect_policy =
+          sched::ParseCollectPolicy(policy).value();
+      config.recal = true;
+      config.recal_config.window_capacity = 32;
+      config.recal_config.min_records = 1;
+      config.recal_config.min_positives = 1;
+      config.recal_config.cooldown_frames = 400;
+      config.recal_config.drift.epsilon = 0.5;
+      config.recal_config.drift.log_threshold = 0.01;
+      StreamFleet fleet(task, config);
+      const FleetRunResult run = fleet.Run();
+
+      // The fleet's model, trained again: training is deterministic in the
+      // runner config and thread count.
+      const eval::TaskEnvironment env =
+          eval::TaskEnvironment::Build(task, config.runner);
+      const eval::TrainedEventHit trained = eval::TrainEventHit(
+          env, config.runner, 0.5,
+          ExecutionContext(config.threads, config.runner.seed));
+      obs::MetricsRegistry metrics;
+      obs::Logger log;
+      log.set_min_level(obs::LogLevel::kError);
+      PipelineSinks sinks;
+      sinks.metrics = &metrics;
+      sinks.log = &log;
+      for (int s = 0; s < config.num_streams; ++s) {
+        const StreamSettings settings = fleet.DeriveStreamSettings(s);
+        const sim::SyntheticVideo whole =
+            sim::SyntheticVideo::Generate(settings.spec, settings.video_seed);
+        StreamPipeline pipeline(config, settings, task, trained, whole,
+                                /*first_frame=*/0, sinks);
+        const FleetStreamResult inline_result =
+            RunInline(pipeline, *trained.model);
+        EXPECT_TRUE(SameStreamResult(run.streams[static_cast<size_t>(s)],
+                                     inline_result))
+            << "stream " << s;
+        ExpectSameTranscript(run.streams[static_cast<size_t>(s)].transcript,
+                             inline_result.transcript, s);
+      }
     }
   }
 }

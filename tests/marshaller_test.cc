@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <deque>
+
 #include "obs/metrics.h"
 #include "obs/schema.h"
 
@@ -229,6 +232,77 @@ TEST(MarshallerTest, DeferredCompletionMatchesInlinePushFrame) {
         obs::names::kMarshallerHorizonsPredicted}) {
     EXPECT_EQ(inline_metrics.GetCounter(name)->Value(),
               deferred_metrics.GetCounter(name)->Value())
+        << name;
+  }
+}
+
+// Without a policy, a frame at distance >= M from the next boundary is
+// overwritten in the ring before any window reads it:
+// NextFrameNeedsFeatures() is false exactly on the frames with
+// f mod H >= M, and a deferred walk that passes nullptr there records,
+// decides and accounts byte for byte like one that passes every frame.
+TEST(MarshallerTest, FullRateFeatureSkipIsExact) {
+  ScriptedStrategy eager_strategy;
+  ScriptedStrategy lazy_strategy;
+  obs::MetricsRegistry eager_metrics;
+  obs::MetricsRegistry lazy_metrics;
+  Marshaller eager(&eager_strategy, kWindow, kHorizon, kFeatureDim, 1,
+                   &eager_metrics);
+  Marshaller lazy(&lazy_strategy, kWindow, kHorizon, kFeatureDim, 1,
+                  &lazy_metrics);
+  std::vector<RelayOrder> eager_orders, lazy_orders;
+  eager.set_relay_callback(
+      [&](const RelayOrder& order) { eager_orders.push_back(order); });
+  lazy.set_relay_callback(
+      [&](const RelayOrder& order) { lazy_orders.push_back(order); });
+
+  // The lazy walk completes each boundary three frames late, as a batcher
+  // holding its request would.
+  std::deque<data::Record> held;
+  data::Record eager_pending;
+  data::Record lazy_pending;
+  int64_t skipped = 0;
+  for (int64_t f = 0; f < 95; ++f) {
+    const bool needed = f % kHorizon < kWindow;
+    EXPECT_EQ(eager.NextFrameNeedsFeatures(), needed) << "frame " << f;
+    EXPECT_EQ(lazy.NextFrameNeedsFeatures(), needed) << "frame " << f;
+    skipped += needed ? 0 : 1;
+    const auto frame = FrameOf(static_cast<float>(f));
+    if (eager.PushFrameDeferred(frame.data(), &eager_pending)) {
+      eager.CompletePrediction(eager_strategy.Decide(eager_pending));
+    }
+    if (lazy.PushFrameDeferred(needed ? frame.data() : nullptr,
+                               &lazy_pending)) {
+      EXPECT_EQ(lazy_pending.frame, eager_pending.frame);
+      EXPECT_EQ(lazy_pending.covariates, eager_pending.covariates);
+      held.push_back(lazy_pending);
+    }
+    if (!held.empty() && f - held.front().frame >= 3) {
+      lazy.CompletePrediction(lazy_strategy.Decide(held.front()));
+      held.pop_front();
+    }
+  }
+  EXPECT_EQ(skipped, 55);  // 40 of the 95 frames lie within M of a boundary.
+  while (!held.empty()) {
+    lazy.CompletePrediction(lazy_strategy.Decide(held.front()));
+    held.pop_front();
+  }
+  EXPECT_EQ(lazy_strategy.calls, eager_strategy.calls);
+  ASSERT_EQ(lazy_orders.size(), eager_orders.size());
+  for (size_t i = 0; i < eager_orders.size(); ++i) {
+    EXPECT_EQ(lazy_orders[i].frames, eager_orders[i].frames);
+    EXPECT_EQ(lazy_orders[i].anchor, eager_orders[i].anchor);
+  }
+  EXPECT_EQ(std::memcmp(&lazy.stats(), &eager.stats(), sizeof(MarshallerStats)),
+            0);
+  // Full rate still charges extraction for every frame up to the last
+  // boundary (93): the window fill, then one horizon per boundary.
+  EXPECT_EQ(lazy.stats().frames_scored, kWindow + 9 * kHorizon);
+  for (const char* name :
+       {obs::names::kMarshallerFramesTotal, obs::names::kSchedFramesScored,
+        obs::names::kSchedFramesSkipped, obs::names::kSchedFlopsLocalMflops}) {
+    EXPECT_EQ(lazy_metrics.GetCounter(name)->Value(),
+              eager_metrics.GetCounter(name)->Value())
         << name;
   }
 }

@@ -194,5 +194,38 @@ TEST(RecordExtractorTest, MultiEventTaskLabelsAllEvents) {
   EXPECT_EQ(record.labels.size(), 3u);
 }
 
+// A video windowed to (M, H) serves every boundary window as the whole
+// video does; a window reaching past the selection dies instead of reading
+// a neighbouring window's rows.
+TEST(RecordExtractorTest, WindowedVideoServesBoundaryWindowsOnly) {
+  sim::DatasetSpec spec = sim::MakeDatasetSpec(sim::DatasetId::kThumos);
+  spec.num_frames = 3000;
+  const sim::SyntheticVideo whole = sim::SyntheticVideo::Generate(spec, 5);
+  const sim::SyntheticVideo windowed = sim::SyntheticVideo::Generate(
+      spec, 5, sim::FrameSelection{10, 200});
+  const Task task = FindTask("TA10").value();
+  const ExtractorConfig config = SmallConfig();
+  for (int64_t anchor = 9; anchor + config.horizon < spec.num_frames;
+       anchor += config.horizon) {
+    const Record a = BuildRecord(windowed, task, config, anchor);
+    const Record b = BuildRecord(whole, task, config, anchor);
+    EXPECT_EQ(a.covariates, b.covariates) << "anchor " << anchor;
+    ASSERT_EQ(a.labels.size(), b.labels.size());
+    for (size_t k = 0; k < a.labels.size(); ++k) {
+      EXPECT_EQ(a.labels[k].present, b.labels[k].present);
+      EXPECT_EQ(a.labels[k].start, b.labels[k].start);
+      EXPECT_EQ(a.labels[k].end, b.labels[k].end);
+      EXPECT_EQ(a.labels[k].censored, b.labels[k].censored);
+    }
+  }
+  // Frame 190 was left out...
+  ExtractorConfig wide = config;
+  wide.collection_window = 20;
+  EXPECT_DEATH(BuildRecord(windowed, task, wide, 209), "CHECK failed");
+  // ...and frames 5 and 209 are both stored, but not 205 rows apart.
+  wide.collection_window = 205;
+  EXPECT_DEATH(BuildRecord(windowed, task, wide, 209), "CHECK failed");
+}
+
 }  // namespace
 }  // namespace eventhit::data

@@ -79,6 +79,16 @@ TEST(RngTest, GaussianShiftScale) {
   EXPECT_NEAR(stats.stddev(), 3.0, 0.08);
 }
 
+TEST(RngTest, SkipGaussianAdvancesLikeGaussian) {
+  Rng drawn(2024);
+  Rng skipped(2024);
+  for (int i = 0; i < 100000; ++i) {
+    drawn.Gaussian();
+    skipped.SkipGaussian();
+    ASSERT_EQ(drawn.NextUint64(), skipped.NextUint64()) << "draw " << i;
+  }
+}
+
 TEST(RngTest, ExponentialMean) {
   Rng rng(29);
   RunningStats stats;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+
 #include "common/stats.h"
+#include "sim/datasets.h"
 
 namespace eventhit::sim {
 namespace {
@@ -163,6 +167,92 @@ TEST(SyntheticVideoTest, OutOfRangeAccessDies) {
   EXPECT_DEATH(video.FrameFeatures(-1), "CHECK failed");
   EXPECT_DEATH(video.FrameFeatures(video.num_frames()), "CHECK failed");
   EXPECT_DEATH(video.ObjectCount(5, 0), "CHECK failed");
+}
+
+// Generates `whole`'s spec windowed by `selection` from the same seed and
+// requires every stored row, count, timeline interval and action unit to
+// equal the whole video's, bit for bit.
+void ExpectWindowedMatchesWhole(const SyntheticVideo& whole, uint64_t seed,
+                                FrameSelection selection) {
+  SCOPED_TRACE(whole.spec().name + " seed " + std::to_string(seed) + " (" +
+               std::to_string(selection.length) + ", " +
+               std::to_string(selection.period) + ")");
+  const SyntheticVideo windowed =
+      SyntheticVideo::Generate(whole.spec(), seed, selection);
+  ASSERT_EQ(windowed.num_frames(), whole.num_frames());
+  EXPECT_EQ(windowed.shift_frame(), whole.shift_frame());
+  for (size_t k = 0; k < whole.num_event_types(); ++k) {
+    EXPECT_EQ(windowed.timeline().occurrences(k),
+              whole.timeline().occurrences(k));
+  }
+  ASSERT_EQ(windowed.action_units().size(), whole.action_units().size());
+  for (size_t i = 0; i < whole.action_units().size(); ++i) {
+    EXPECT_EQ(windowed.action_units()[i].event_type,
+              whole.action_units()[i].event_type);
+    EXPECT_EQ(windowed.action_units()[i].interval,
+              whole.action_units()[i].interval);
+  }
+  const size_t row_bytes = whole.feature_dim() * sizeof(float);
+  int64_t rows = 0;
+  for (int64_t t = 0; t < whole.num_frames(); ++t) {
+    if (!selection.Contains(t)) continue;
+    ++rows;
+    ASSERT_EQ(std::memcmp(windowed.FrameFeatures(t), whole.FrameFeatures(t),
+                          row_bytes),
+              0)
+        << "frame " << t;
+    for (size_t k = 0; k < whole.num_event_types(); ++k) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(windowed.ObjectCount(k, t)),
+                std::bit_cast<uint64_t>(whole.ObjectCount(k, t)))
+          << "frame " << t << " event " << k;
+    }
+  }
+  EXPECT_EQ(rows, selection.Rows(whole.num_frames()));
+}
+
+TEST(SyntheticVideoTest, WindowedRowsMatchWholeVideoBitForBit) {
+  for (const DatasetId id :
+       {DatasetId::kVirat, DatasetId::kThumos, DatasetId::kBreakfast}) {
+    DatasetSpec spec = MakeDatasetSpec(id);
+    spec.num_frames = 12000;
+    const FrameSelection windows{spec.collection_window, spec.horizon};
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      const SyntheticVideo whole = SyntheticVideo::Generate(spec, seed);
+      ExpectWindowedMatchesWhole(whole, seed, windows);
+      ExpectWindowedMatchesWhole(whole, seed, FrameSelection{7, 61});
+    }
+  }
+}
+
+TEST(SyntheticVideoTest, FrameSelectionRowsAreConsecutive) {
+  const FrameSelection whole;
+  EXPECT_TRUE(whole.Contains(12345));
+  EXPECT_EQ(whole.Row(12345), 12345);
+  EXPECT_EQ(whole.Rows(700), 700);
+  const FrameSelection windows{10, 200};
+  EXPECT_TRUE(windows.Contains(209));
+  EXPECT_FALSE(windows.Contains(210));
+  EXPECT_FALSE(windows.Contains(399));
+  EXPECT_EQ(windows.Row(9), 9);
+  EXPECT_EQ(windows.Row(200), 10);
+  EXPECT_EQ(windows.Row(409), 29);
+  EXPECT_EQ(windows.Rows(700), 40);  // Three windows + frames 600..609.
+  EXPECT_EQ(windows.Rows(605), 35);
+}
+
+TEST(SyntheticVideoTest, ReadingAnUnselectedFrameDies) {
+  const DatasetSpec spec = SmallSpec();
+  const SyntheticVideo video =
+      SyntheticVideo::Generate(spec, 19, FrameSelection{10, 100});
+  EXPECT_EQ(video.FrameFeatures(109), video.FrameFeatures(100) +
+                                          9 * video.feature_dim());
+  EXPECT_DEATH(video.FrameFeatures(10), "CHECK failed");
+  EXPECT_DEATH(video.FrameFeatures(199), "CHECK failed");
+  EXPECT_DEATH(video.ObjectCount(0, 50), "CHECK failed");
+  EXPECT_DEATH(SyntheticVideo::Generate(spec, 19, FrameSelection{0, 100}),
+               "CHECK failed");
+  EXPECT_DEATH(SyntheticVideo::Generate(spec, 19, FrameSelection{101, 100}),
+               "CHECK failed");
 }
 
 }  // namespace
