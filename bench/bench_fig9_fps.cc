@@ -190,7 +190,10 @@ int main() {
     // its best time. A VM that changes speed mid-bench then slows every
     // variant alike instead of skewing the ratios between them (simd vs
     // blocked, batched vs per-record). Each body selects the backend it
-    // scores under, so the order is free.
+    // scores under, so the order is free. Fast mode runs as many rounds as
+    // full mode: with 3, one slow phase could still flip the simd/blocked
+    // ratio CI asserts on.
+    constexpr int kVariantRounds = 5;
     struct Variant {
       std::function<void()> body;
       double best_s = std::numeric_limits<double>::infinity();
@@ -229,7 +232,7 @@ int main() {
       eventhit::core::EventHitModel fresh(train_config);
       fresh.Train(train);
     };
-    for (int round = 0; round < reps; ++round) {
+    for (int round = 0; round < kVariantRounds; ++round) {
       for (size_t i = 0; i < variants.size(); ++i) {
         Variant& variant = variants[(round + i) % variants.size()];
         const auto start = std::chrono::steady_clock::now();

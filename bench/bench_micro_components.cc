@@ -454,6 +454,34 @@ BENCHMARK_CAPTURE(BM_StreamGenerationWindowed, breakfast_2700_m50_h500,
                   sim::DatasetId::kBreakfast, 2700)
     ->Unit(benchmark::kMicrosecond);
 
+// Four such streams generated as one group, as a fleet wave does: where
+// the CPU has AVX2 their left-out frames step in four lanes. Items are
+// all four streams' frames, so ns/frame compares with the single-stream
+// rows above.
+void BM_StreamGenerationGrouped(benchmark::State& state,
+                                sim::DatasetId dataset, int64_t frames) {
+  std::vector<sim::DatasetSpec> specs(4, sim::MakeDatasetSpec(dataset));
+  std::vector<sim::VideoSource> sources;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    specs[i].num_frames = frames;
+    sources.push_back({&specs[i], 11 + i});
+  }
+  const sim::FrameSelection windows{specs[0].collection_window,
+                                    specs[0].horizon};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::SyntheticVideo::GenerateGroup(sources, windows));
+  }
+  state.SetItemsProcessed(state.iterations() * frames *
+                          static_cast<int64_t>(specs.size()));
+}
+BENCHMARK_CAPTURE(BM_StreamGenerationGrouped, thumos_4x1200_m10_h200,
+                  sim::DatasetId::kThumos, 1200)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_StreamGenerationGrouped, breakfast_4x2700_m50_h500,
+                  sim::DatasetId::kBreakfast, 2700)
+    ->Unit(benchmark::kMicrosecond);
+
 void PrintResourceDetails() {
   // §VI.H: training time, parameters, memory (weights + Adam moments).
   // A full 1000-record training run dominates a smoke pass, so FastMode

@@ -7,8 +7,6 @@
 namespace eventhit {
 namespace {
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 }  // namespace
@@ -27,20 +25,12 @@ Rng::Rng(uint64_t seed) {
 }
 
 uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
+  return XoshiroNext(state_[0], state_[1], state_[2], state_[3]);
 }
 
 double Rng::Uniform() {
   // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  return UnitFromBits(NextUint64());
 }
 
 double Rng::Uniform(double lo, double hi) {

@@ -6,12 +6,39 @@
 #ifndef EVENTHIT_COMMON_RNG_H_
 #define EVENTHIT_COMMON_RNG_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace eventhit {
+
+/// The four xoshiro256** state words of a generator.
+using RngState = std::array<uint64_t, 4>;
+
+/// One xoshiro256** step on state words the caller holds; returns the
+/// step's output. Rng::NextUint64 runs it on the generator's own state, the
+/// skip kernels (sim/skip_kernels.h) on words they keep in locals.
+inline uint64_t XoshiroNext(uint64_t& s0, uint64_t& s1, uint64_t& s2,
+                            uint64_t& s3) {
+  const uint64_t x = s1 * 5;
+  const uint64_t result = ((x << 7) | (x >> 57)) * 9;
+  const uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = (s3 << 45) | (s3 >> 19);
+  return result;
+}
+
+/// The uniform in [0, 1) that Rng::Uniform() makes of a raw output: its top
+/// 53 bits, scaled.
+inline double UnitFromBits(uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
 
 /// xoshiro256** PRNG seeded via SplitMix64. Fast, high quality, and
 /// deterministic across platforms (unlike std::normal_distribution, whose
@@ -70,8 +97,13 @@ class Rng {
   /// decorrelated from each other and from the parent.
   uint64_t Fork(uint64_t stream);
 
+  /// The generator's state. set_state(state()) is a no-op; a generator
+  /// given another's state continues its stream draw for draw.
+  RngState state() const { return state_; }
+  void set_state(const RngState& state) { state_ = state; }
+
  private:
-  uint64_t state_[4];
+  RngState state_;
 };
 
 /// Draws Poisson(mean) counts exactly as Rng::Poisson(mean) does, with the
@@ -81,6 +113,11 @@ class PoissonSampler {
   explicit PoissonSampler(double mean);
 
   int64_t operator()(Rng& rng) const;
+
+  double mean() const { return mean_; }
+  /// exp(-mean): Knuth's loop multiplies uniforms while the product stays
+  /// above it.
+  double limit() const { return limit_; }
 
  private:
   double mean_;

@@ -101,6 +101,8 @@ bool Marshaller::NextFrameNeedsFeatures() const {
   // (windows are M frames ending at a boundary): their ring slot is
   // overwritten before the boundary reads it.
   if (frame_count_ <= next_boundary_ - collection_window_) return false;
+  // A boundary the stream never reaches reads no window.
+  if (next_boundary_ >= stream_frames_) return false;
   if (policy_ == nullptr) return true;
   // The first boundary is always scored, and while a scored prediction's
   // observation is still in flight the policy's verdict on the next

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -111,6 +112,11 @@ class Marshaller {
   }
   obs::StreamProvenance* provenance() const { return provenance_; }
 
+  /// The stream pushes `frames` frames in all (default: unbounded). A
+  /// boundary at or past that never fires, so NextFrameNeedsFeatures() is
+  /// false on the frames only its window would hold.
+  void set_stream_frames(int64_t frames) { stream_frames_ = frames; }
+
   /// Feeds the features of the next stream frame (feature_dim floats).
   /// Returns true when this frame triggered an inference-backed
   /// prediction (a policy-skipped boundary replays the last decision
@@ -146,6 +152,8 @@ class Marshaller {
   /// Under a policy it is conservative while a scored prediction is
   /// pending and exact otherwise, so the extracted set always covers the
   /// consumed set and decisions are independent of completion timing.
+  /// False on every frame whose next boundary lies at or past
+  /// set_stream_frames().
   /// Skipping moves no accounting: MarshallerStats and the sched.* counters
   /// follow the boundary schedule, not the frames passed, so without a
   /// policy every frame is still charged extraction.
@@ -188,6 +196,7 @@ class Marshaller {
   // The first boundary at or after frame_count_. Predictions fire once
   // the window has filled and every H frames afterwards: M-1, M-1+H, ...
   int64_t next_boundary_;
+  int64_t stream_frames_ = std::numeric_limits<int64_t>::max();
 
   // Boundaries pushed / completed so far (the policy's horizon index).
   int64_t boundaries_seen_ = 0;

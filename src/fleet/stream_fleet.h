@@ -41,6 +41,7 @@
 #include "obs/provenance.h"
 #include "obs/trace.h"
 #include "sim/scene_spec.h"
+#include "sim/synthetic_video.h"
 
 namespace eventhit::fleet {
 
@@ -240,6 +241,12 @@ void ForEachResultField(Result& r, Fn&& fn) {
     fn(*f);
   }
 }
+
+/// The frames of a stream's video its run reads: the M-frame window ending
+/// at each boundary M-1 + jH, up to the last boundary before push_frames,
+/// M-1 + floor((push_frames - M) / H) * H; the video ends one frame after
+/// it (DESIGN.md §5g).
+sim::FrameSelection StreamVideoSelection(const StreamSettings& settings);
 
 /// FNV-1a fold of every ForEachResultField field (doubles by bit pattern):
 /// the value of FleetStreamResult::state_digest.

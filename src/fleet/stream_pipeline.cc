@@ -94,6 +94,9 @@ StreamPipeline::StreamPipeline(const FleetConfig& config,
   relay_.set_delivery_callback(
       [this](const cloud::RelayDelivery& delivery) { OnDelivery(delivery); });
   marshaller_.set_provenance(provenance_.get());
+  // No frame past the last boundary is read, so a windowed video need not
+  // store the partial window after it (fleet::StreamVideoSelection).
+  marshaller_.set_stream_frames(settings_.push_frames);
   // Orders carry their own anchor (reused completions fire inside
   // PushFrame). The cloud reads the dataset's event index, not the
   // task-local order.event.

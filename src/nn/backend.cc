@@ -1,5 +1,6 @@
 #include "nn/backend.h"
 
+#include "common/cpu.h"
 #include "nn/activations.h"
 #include "nn/gemm.h"
 
@@ -108,12 +109,8 @@ const BackendKernels* BlockedKernels() {
 }  // namespace
 
 bool SimdAvailable() {
-#if EVENTHIT_NN_HAVE_AVX2 && (defined(__x86_64__) || defined(__i386__))
-  // __builtin_cpu_supports returns the feature's mask *bit*, not 0/1 —
-  // always compare against zero.
-  static const bool available = __builtin_cpu_supports("avx2") != 0 &&
-                                __builtin_cpu_supports("fma") != 0;
-  return available;
+#if EVENTHIT_NN_HAVE_AVX2
+  return CpuHasAvx2Fma();
 #else
   return false;
 #endif

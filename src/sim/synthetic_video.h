@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "sim/event_timeline.h"
@@ -20,23 +22,34 @@ struct ActionUnit {
   Interval interval;
 };
 
-/// The frames t with t mod period < length: one window of `length` frames
-/// at the start of every period. {M, H} selects exactly the frames a
-/// stream's collection windows read (windows end at M-1, M-1+H, ...). The
-/// default selects every frame, as does any length == period.
+/// The frames t < end with t mod period < length: one window of `length`
+/// frames at the start of every period, up to an exclusive `end`. {M, H}
+/// selects exactly the frames a stream's collection windows read (windows
+/// end at M-1, M-1+H, ...); a stream that stops pushing sets `end` one past
+/// its last window. The default selects every frame, as does any
+/// length == period with no end.
 struct FrameSelection {
   int64_t length = 1;
   int64_t period = 1;
+  int64_t end = std::numeric_limits<int64_t>::max();
 
-  bool Contains(int64_t t) const { return t % period < length; }
+  bool Contains(int64_t t) const { return t < end && t % period < length; }
   /// Storage row of a selected frame: selected frames are stored
   /// consecutively, so a window is `length` contiguous rows.
   int64_t Row(int64_t t) const { return t / period * length + t % period; }
-  /// Rows that frames [0, num_frames) occupy.
+  /// Rows that the selected frames of [0, num_frames) occupy.
   int64_t Rows(int64_t num_frames) const {
-    return num_frames / period * length +
-           std::min(num_frames % period, length);
+    const int64_t stored = std::min(num_frames, end);
+    return stored / period * length + std::min(stored % period, length);
   }
+
+  bool operator==(const FrameSelection&) const = default;
+};
+
+/// One stream of a generation group: its spec and seed.
+struct VideoSource {
+  const DatasetSpec* spec = nullptr;
+  uint64_t seed = 0;
 };
 
 /// Immutable generated stream. The features of the selected frames are
@@ -47,9 +60,21 @@ class SyntheticVideo {
   /// timeline and action units always cover every frame; features and
   /// detector counts are materialized for the `selection` only, and each
   /// selected frame's are bit-identical to the whole video's. A frame left
-  /// out still advances every random stream by exactly its draws.
+  /// out still advances every random stream by exactly its draws; past the
+  /// selection's end, each channel's last pass stops drawing. Runs as a
+  /// group of one (GenerateGroup).
   static SyntheticVideo Generate(const DatasetSpec& spec, uint64_t seed,
                                  FrameSelection selection = {});
+
+  /// Generates one video per source, each bit for bit equal to
+  /// Generate(*source.spec, source.seed, selection). The sources must share
+  /// a shape: num_frames and the event, distractor and noise channel
+  /// counts (gaps, leads, rates and seeds may differ). Streams are
+  /// generated four at a time; where the CPU has AVX2, the runs of frames
+  /// the selection leaves out step the four streams' generators in lockstep
+  /// lanes (sim/skip_kernels.h, DESIGN.md §5g).
+  static std::vector<SyntheticVideo> GenerateGroup(
+      std::span<const VideoSource> sources, FrameSelection selection);
 
   /// Generates a whole stream whose occurrence distribution *shifts*: the
   /// first `before.num_frames` frames follow `before`, the rest follow
@@ -95,6 +120,12 @@ class SyntheticVideo {
   const std::vector<ActionUnit>& action_units() const { return action_units_; }
 
  private:
+  // The one generation body: sources[0, count) into videos[0, count),
+  // count <= 4, in lanes when `use_lanes`.
+  static void GenerateLanes(const VideoSource* sources, int count,
+                            const FrameSelection& selection, bool use_lanes,
+                            SyntheticVideo* videos);
+
   DatasetSpec spec_;
   EventTimeline timeline_;
   FrameSelection selection_;

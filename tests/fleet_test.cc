@@ -241,6 +241,42 @@ TEST(StreamFleetTest, WindowedStreamVideoMatchesWholeVideo) {
   }
 }
 
+// A fleet stream's video stores frames up to its last boundary window and
+// none after it: the video ends one frame after the last decision's
+// anchor, and every anchor's window is stored.
+TEST(StreamFleetTest, StreamVideoEndsOneFrameAfterLastBoundary) {
+  for (const char* task_name : {"TA10", "TA13"}) {
+    const data::Task task = data::FindTask(task_name).value();
+    const int64_t horizon = sim::MakeDatasetSpec(task.dataset).horizon;
+    // push_frames a multiple of H, one frame past one, and in between.
+    for (const int64_t frames : {3 * horizon + 100, 4 * horizon + 1,
+                                 4 * horizon + horizon / 2 + 17}) {
+      SCOPED_TRACE(std::string(task_name) + " frames " +
+                   std::to_string(frames));
+      FleetConfig config = TestConfig();
+      config.num_streams = 2;
+      config.frames_per_stream = frames;
+      StreamFleet fleet(task, config);
+      const FleetRunResult run = fleet.Run();
+      for (const FleetStreamResult& stream : run.streams) {
+        const StreamSettings settings =
+            fleet.DeriveStreamSettings(stream.stream_index);
+        const sim::FrameSelection selection = StreamVideoSelection(settings);
+        const auto& decisions = stream.transcript.decisions;
+        ASSERT_FALSE(decisions.empty());
+        EXPECT_EQ(selection.end, decisions.back().anchor + 1);
+        EXPECT_LE(selection.end, settings.push_frames);
+        for (const auto& decision : decisions) {
+          for (int64_t t = decision.anchor - selection.length + 1;
+               t <= decision.anchor; ++t) {
+            EXPECT_TRUE(selection.Contains(t)) << "frame " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The cloud detects the dataset's event, not the task-local one: on TA11
 // (THUMOS E8, dataset index 1) every delivery names that event and its
 // detections track that event's ground truth at the cloud's accuracy.

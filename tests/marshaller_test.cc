@@ -307,6 +307,28 @@ TEST(MarshallerTest, FullRateFeatureSkipIsExact) {
   }
 }
 
+// A boundary at or past the stream's length never fires, so the frames
+// only its window would hold need no features: the stream below stops two
+// frames into the window of boundary 93.
+TEST(MarshallerTest, StreamFramesBoundSkipsTheUnreachedWindow) {
+  ScriptedStrategy strategy;
+  obs::MetricsRegistry metrics;
+  Marshaller marshaller(&strategy, kWindow, kHorizon, kFeatureDim, 1,
+                        &metrics);
+  marshaller.set_stream_frames(92);
+  data::Record pending;
+  for (int64_t f = 0; f < 92; ++f) {
+    const bool needed = f % kHorizon < kWindow && f < 90;
+    EXPECT_EQ(marshaller.NextFrameNeedsFeatures(), needed) << "frame " << f;
+    const auto frame = FrameOf(static_cast<float>(f));
+    if (marshaller.PushFrameDeferred(needed ? frame.data() : nullptr,
+                                     &pending)) {
+      marshaller.CompletePrediction(strategy.Decide(pending));
+    }
+  }
+  EXPECT_EQ(strategy.calls, 9);  // Boundaries 3, 13, ..., 83.
+}
+
 TEST(MarshallerTest, DeferredCompletionsQueueInFifoOrder) {
   // A batcher may hold several prediction boundaries before flushing;
   // completions apply to anchors oldest-first.

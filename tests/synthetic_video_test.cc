@@ -4,6 +4,9 @@
 
 #include <bit>
 #include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "sim/datasets.h"
@@ -169,45 +172,54 @@ TEST(SyntheticVideoTest, OutOfRangeAccessDies) {
   EXPECT_DEATH(video.ObjectCount(5, 0), "CHECK failed");
 }
 
+// Requires every frame `stored` stores, its detector counts, the timeline
+// and the action units to equal `reference`'s bit for bit; `reference`
+// stores every frame `stored` does (the whole video, or the same
+// selection).
+void ExpectStoredFramesMatch(const SyntheticVideo& stored,
+                             const SyntheticVideo& reference) {
+  const FrameSelection& selection = stored.selection();
+  ASSERT_EQ(stored.num_frames(), reference.num_frames());
+  EXPECT_EQ(stored.shift_frame(), reference.shift_frame());
+  for (size_t k = 0; k < reference.num_event_types(); ++k) {
+    EXPECT_EQ(stored.timeline().occurrences(k),
+              reference.timeline().occurrences(k));
+  }
+  ASSERT_EQ(stored.action_units().size(), reference.action_units().size());
+  for (size_t i = 0; i < reference.action_units().size(); ++i) {
+    EXPECT_EQ(stored.action_units()[i].event_type,
+              reference.action_units()[i].event_type);
+    EXPECT_EQ(stored.action_units()[i].interval,
+              reference.action_units()[i].interval);
+  }
+  const size_t row_bytes = reference.feature_dim() * sizeof(float);
+  int64_t rows = 0;
+  for (int64_t t = 0; t < reference.num_frames(); ++t) {
+    if (!selection.Contains(t)) continue;
+    ++rows;
+    ASSERT_EQ(std::memcmp(stored.FrameFeatures(t), reference.FrameFeatures(t),
+                          row_bytes),
+              0)
+        << "frame " << t;
+    for (size_t k = 0; k < reference.num_event_types(); ++k) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(stored.ObjectCount(k, t)),
+                std::bit_cast<uint64_t>(reference.ObjectCount(k, t)))
+          << "frame " << t << " event " << k;
+    }
+  }
+  EXPECT_EQ(rows, selection.Rows(reference.num_frames()));
+}
+
 // Generates `whole`'s spec windowed by `selection` from the same seed and
-// requires every stored row, count, timeline interval and action unit to
-// equal the whole video's, bit for bit.
+// requires it to match the whole video.
 void ExpectWindowedMatchesWhole(const SyntheticVideo& whole, uint64_t seed,
                                 FrameSelection selection) {
   SCOPED_TRACE(whole.spec().name + " seed " + std::to_string(seed) + " (" +
                std::to_string(selection.length) + ", " +
-               std::to_string(selection.period) + ")");
-  const SyntheticVideo windowed =
-      SyntheticVideo::Generate(whole.spec(), seed, selection);
-  ASSERT_EQ(windowed.num_frames(), whole.num_frames());
-  EXPECT_EQ(windowed.shift_frame(), whole.shift_frame());
-  for (size_t k = 0; k < whole.num_event_types(); ++k) {
-    EXPECT_EQ(windowed.timeline().occurrences(k),
-              whole.timeline().occurrences(k));
-  }
-  ASSERT_EQ(windowed.action_units().size(), whole.action_units().size());
-  for (size_t i = 0; i < whole.action_units().size(); ++i) {
-    EXPECT_EQ(windowed.action_units()[i].event_type,
-              whole.action_units()[i].event_type);
-    EXPECT_EQ(windowed.action_units()[i].interval,
-              whole.action_units()[i].interval);
-  }
-  const size_t row_bytes = whole.feature_dim() * sizeof(float);
-  int64_t rows = 0;
-  for (int64_t t = 0; t < whole.num_frames(); ++t) {
-    if (!selection.Contains(t)) continue;
-    ++rows;
-    ASSERT_EQ(std::memcmp(windowed.FrameFeatures(t), whole.FrameFeatures(t),
-                          row_bytes),
-              0)
-        << "frame " << t;
-    for (size_t k = 0; k < whole.num_event_types(); ++k) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(windowed.ObjectCount(k, t)),
-                std::bit_cast<uint64_t>(whole.ObjectCount(k, t)))
-          << "frame " << t << " event " << k;
-    }
-  }
-  EXPECT_EQ(rows, selection.Rows(whole.num_frames()));
+               std::to_string(selection.period) + ", " +
+               std::to_string(selection.end) + ")");
+  ExpectStoredFramesMatch(
+      SyntheticVideo::Generate(whole.spec(), seed, selection), whole);
 }
 
 TEST(SyntheticVideoTest, WindowedRowsMatchWholeVideoBitForBit) {
@@ -216,9 +228,13 @@ TEST(SyntheticVideoTest, WindowedRowsMatchWholeVideoBitForBit) {
     DatasetSpec spec = MakeDatasetSpec(id);
     spec.num_frames = 12000;
     const FrameSelection windows{spec.collection_window, spec.horizon};
+    // A fleet stream's windows end before the video does.
+    const FrameSelection ended{spec.collection_window, spec.horizon,
+                               spec.num_frames - spec.horizon - 37};
     for (uint64_t seed = 1; seed <= 20; ++seed) {
       const SyntheticVideo whole = SyntheticVideo::Generate(spec, seed);
       ExpectWindowedMatchesWhole(whole, seed, windows);
+      ExpectWindowedMatchesWhole(whole, seed, ended);
       ExpectWindowedMatchesWhole(whole, seed, FrameSelection{7, 61});
     }
   }
@@ -238,6 +254,120 @@ TEST(SyntheticVideoTest, FrameSelectionRowsAreConsecutive) {
   EXPECT_EQ(windows.Row(409), 29);
   EXPECT_EQ(windows.Rows(700), 40);  // Three windows + frames 600..609.
   EXPECT_EQ(windows.Rows(605), 35);
+}
+
+TEST(SyntheticVideoTest, FrameSelectionEndStopsStorage) {
+  const FrameSelection windows{10, 200, 610};
+  EXPECT_TRUE(windows.Contains(609));
+  EXPECT_FALSE(windows.Contains(610));
+  EXPECT_FALSE(windows.Contains(800));
+  EXPECT_EQ(windows.Row(609), 39);
+  EXPECT_EQ(windows.Rows(605), 35);
+  EXPECT_EQ(windows.Rows(700), 40);
+  EXPECT_EQ(windows.Rows(5000), 40);
+  const FrameSelection mid_window{10, 200, 605};
+  EXPECT_TRUE(mid_window.Contains(604));
+  EXPECT_FALSE(mid_window.Contains(605));
+  EXPECT_EQ(mid_window.Rows(5000), 35);
+  const FrameSelection prefix{1, 1, 300};
+  EXPECT_TRUE(prefix.Contains(299));
+  EXPECT_FALSE(prefix.Contains(300));
+  EXPECT_EQ(prefix.Rows(100), 100);
+  EXPECT_EQ(prefix.Rows(1000), 300);
+  EXPECT_EQ(FrameSelection{}.Rows(1000), 1000);
+
+  const DatasetSpec spec = SmallSpec();
+  const SyntheticVideo video =
+      SyntheticVideo::Generate(spec, 19, FrameSelection{10, 100, 310});
+  EXPECT_EQ(video.FrameFeatures(309), video.FrameFeatures(300) +
+                                          9 * video.feature_dim());
+  EXPECT_DEATH(video.FrameFeatures(310), "CHECK failed");
+  EXPECT_DEATH(video.FrameFeatures(400), "CHECK failed");
+  EXPECT_DEATH(video.ObjectCount(0, 400), "CHECK failed");
+  EXPECT_DEATH(SyntheticVideo::Generate(spec, 19, FrameSelection{10, 100, -1}),
+               "CHECK failed");
+}
+
+// The streams of a group store bit for bit what their whole videos store,
+// as they do generated alone, at every group size (four lanes at a time,
+// the last group partial), with per-stream seeds, gap scales and object
+// rates. Rates of 0 and 80 put Poisson counts outside Knuth's loop, which
+// the lanes hand to the scalar form.
+TEST(SyntheticVideoTest, GroupedVideosMatchSingleVideosBitForBit) {
+  constexpr size_t kStreams = 9;
+  std::vector<DatasetSpec> shapes;
+  for (const DatasetId id :
+       {DatasetId::kVirat, DatasetId::kThumos, DatasetId::kBreakfast}) {
+    shapes.push_back(MakeDatasetSpec(id));
+  }
+  shapes.push_back(MakeDatasetSpec(DatasetId::kThumos));
+  shapes.back().name = "THUMOS odd rates";
+  for (size_t shape = 0; shape < shapes.size(); ++shape) {
+    DatasetSpec& base = shapes[shape];
+    base.num_frames = 6000;
+    const bool odd_rates = shape == 3;
+    const int64_t m = base.collection_window;
+    const int64_t h = base.horizon;
+    for (const uint64_t seed_base : {uint64_t{1}, uint64_t{500}}) {
+      std::vector<DatasetSpec> specs(kStreams, base);
+      std::vector<VideoSource> sources;
+      for (size_t i = 0; i < kStreams; ++i) {
+        static constexpr double kGapScales[] = {0.75, 1.0, 1.5};
+        for (EventTypeSpec& ev : specs[i].events) {
+          ev.mean_gap *= kGapScales[i % 3];
+        }
+        if (odd_rates) {
+          specs[i].events[0].object_rate_active = i % 2 == 0 ? 80.0 : 0.0;
+          specs[i].events[1].object_rate_background =
+              i % 3 == 0 ? 0.0 : (i % 3 == 1 ? 80.0 : 0.3);
+          specs[i].detector_fp_prob = 0.3;
+        }
+        sources.push_back({&specs[i], seed_base + 7 * i});
+      }
+      std::vector<SyntheticVideo> whole;
+      for (const VideoSource& source : sources) {
+        whole.push_back(SyntheticVideo::Generate(*source.spec, source.seed));
+      }
+      for (const FrameSelection selection :
+           {FrameSelection{}, FrameSelection{m, h},
+            FrameSelection{m, h, m + (base.num_frames - 2 * h) / h * h},
+            FrameSelection{7, 61}}) {
+        SCOPED_TRACE(base.name + " seeds from " + std::to_string(seed_base) +
+                     " (" + std::to_string(selection.length) + ", " +
+                     std::to_string(selection.period) + ", " +
+                     std::to_string(selection.end) + ")");
+        for (size_t i = 0; i < kStreams; ++i) {
+          SCOPED_TRACE("alone, stream " + std::to_string(i));
+          ExpectStoredFramesMatch(
+              SyntheticVideo::Generate(*sources[i].spec, sources[i].seed,
+                                       selection),
+              whole[i]);
+        }
+        for (size_t size = 1; size <= kStreams; ++size) {
+          const std::vector<SyntheticVideo> group =
+              SyntheticVideo::GenerateGroup(
+                  std::span<const VideoSource>(sources.data(), size),
+                  selection);
+          ASSERT_EQ(group.size(), size);
+          for (size_t i = 0; i < size; ++i) {
+            SCOPED_TRACE("group of " + std::to_string(size) + ", stream " +
+                         std::to_string(i));
+            ExpectStoredFramesMatch(group[i], whole[i]);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SyntheticVideoTest, GroupMembersMustShareAShape) {
+  DatasetSpec a = MakeDatasetSpec(DatasetId::kThumos);
+  a.num_frames = 1000;
+  DatasetSpec b = a;
+  b.num_noise_channels += 1;
+  const VideoSource sources[] = {{&a, 1}, {&b, 2}};
+  EXPECT_DEATH(SyntheticVideo::GenerateGroup(sources, FrameSelection{}),
+               "CHECK failed");
 }
 
 TEST(SyntheticVideoTest, ReadingAnUnselectedFrameDies) {
