@@ -111,6 +111,21 @@ bool Marshaller::NextFrameNeedsFeatures() const {
   return policy_->ShouldScore(boundaries_seen_);
 }
 
+int64_t Marshaller::IdleFramesAhead() const {
+  if (next_boundary_ >= stream_frames_) {
+    return std::max<int64_t>(0, stream_frames_ - frame_count_);
+  }
+  return std::max<int64_t>(
+      0, next_boundary_ - collection_window_ + 1 - frame_count_);
+}
+
+void Marshaller::SkipIdleFrames(int64_t n) {
+  EVENTHIT_CHECK_GE(n, 0);
+  EVENTHIT_CHECK_LE(n, IdleFramesAhead());
+  frame_count_ += n;
+  stats_.frames_seen += n;
+}
+
 bool Marshaller::PushFrameDeferred(const float* features,
                                    data::Record* pending) {
   // Features may be omitted only when NextFrameNeedsFeatures() is false —

@@ -159,6 +159,18 @@ class Marshaller {
   /// policy every frame is still charged extraction.
   bool NextFrameNeedsFeatures() const;
 
+  /// Upcoming frames that are neither a boundary nor inside any window a
+  /// boundary could read: every frame before next_prediction_frame() − M + 1,
+  /// or every frame left up to set_stream_frames() when the next boundary
+  /// lies at or past it. A function of the boundary schedule alone, so no
+  /// completion, policy verdict or recalibration can shrink it.
+  int64_t IdleFramesAhead() const;
+
+  /// Advances the stream clock over `n` <= IdleFramesAhead() frames exactly
+  /// as `n` pushes without features would (they touch only the frame
+  /// count), in O(1).
+  void SkipIdleFrames(int64_t n);
+
   /// Prediction boundaries pushed but not yet completed.
   size_t pending_predictions() const { return pending_anchors_.size(); }
 

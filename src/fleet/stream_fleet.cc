@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -53,6 +54,16 @@ double Percentile(std::vector<double> values, double q) {
       q * static_cast<double>(values.size() - 1) + 0.5);
   std::nth_element(values.begin(), values.begin() + rank, values.end());
   return values[rank];
+}
+
+constexpr int64_t kNoWake = std::numeric_limits<int64_t>::max();
+
+// The fleet tick of the stream's next frame whose push does more than
+// count, or kNoWake when every frame it has left is idle.
+int64_t WakeTick(const StreamPipeline& pipeline) {
+  const StreamSettings& s = pipeline.settings();
+  const int64_t frame = pipeline.next_frame() + pipeline.IdleFramesAhead();
+  return frame < s.push_frames ? s.phase + frame : kNoWake;
 }
 
 }  // namespace
@@ -128,6 +139,7 @@ StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
       metrics_->GetCounter(obs::names::kFleetBatchesFlushFinal);
   budget_breaches_metric_ =
       metrics_->GetCounter(obs::names::kFleetBudgetBreaches);
+  idle_ticks_metric_ = metrics_->GetCounter(obs::names::kFleetTicksIdle);
   streams_active_metric_ =
       metrics_->GetGauge(obs::names::kFleetStreamsActive);
   budget_spend_metric_ =
@@ -261,45 +273,63 @@ FleetRunResult StreamFleet::Run() {
 
     DynamicBatcher batcher(config_.batch_size,
                            config_.max_batch_delay_ticks);
-    // fresh[i] != 0: this tick's push left a window in shard i. The flags
-    // live outside the shards so the serial scan reads wave_n bytes, not
-    // one cache line per shard.
+    // fresh[i] != 0: this tick's push left a window in shard i. wake[i]:
+    // the tick of stream i's next frame whose push does more than count.
+    // Both live outside the shards so the serial scan reads flat arrays,
+    // not one cache line per shard.
     std::vector<uint8_t> fresh(static_cast<size_t>(wave_n), 0);
+    std::vector<int64_t> wake(static_cast<size_t>(wave_n));
+    int64_t next_wake = kNoWake;
+    for (size_t i = 0; i < wake.size(); ++i) {
+      wake[i] = WakeTick(*arena[i].pipeline);
+      next_wake = std::min(next_wake, wake[i]);
+    }
 
     int64_t active = 0;
+    int64_t idle_ticks = 0;
     for (int64_t tick = 0; tick < max_ticks; ++tick) {
       const auto tick_start = std::chrono::steady_clock::now();
       active += active_delta[static_cast<size_t>(tick)];
       streams_active_metric_->Set(static_cast<double>(active));
 
-      // Push phase: every resident stream advances one local frame; a
-      // prediction boundary leaves its window in the shard.
-      ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
-        Shard& shard = arena[i];
-        StreamPipeline& pipeline = *shard.pipeline;
-        const int64_t frame = tick - pipeline.settings().phase;
-        if (frame < 0 || frame >= pipeline.settings().push_frames) return;
-        EVENTHIT_CHECK_EQ(frame, pipeline.next_frame());
-        if (pipeline.PushFrame(&shard.pending_record)) fresh[i] = 1;
-      });
+      if (tick < next_wake) {
+        // No resident stream has a frame whose push does more than count:
+        // they catch up on their next wake (or before Finish).
+        ++idle_ticks;
+      } else {
+        // Push phase: each stream due this tick skips its idle frames and
+        // pushes this tick's frame; a prediction boundary leaves its
+        // window in the shard.
+        ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
+          if (tick < wake[i]) return;
+          Shard& shard = arena[i];
+          StreamPipeline& pipeline = *shard.pipeline;
+          pipeline.SkipIdleFrames(tick - pipeline.settings().phase -
+                                  pipeline.next_frame());
+          if (pipeline.PushFrame(&shard.pending_record)) fresh[i] = 1;
+          wake[i] = WakeTick(pipeline);
+        });
 
-      // Batching phase (serial): the push barrier published every shard;
-      // enqueueing in slot order makes the batch order canonical.
-      int64_t enqueued = 0;
-      for (size_t i = 0; i < fresh.size(); ++i) {
-        if (fresh[i] == 0) continue;
-        fresh[i] = 0;
-        Shard& shard = arena[i];
-        InferenceRequest request;
-        request.shard_slot = static_cast<int>(i);
-        request.anchor_frame = shard.pending_record.frame;
-        request.enqueue_tick = tick;
-        request.record = std::move(shard.pending_record);
-        batcher.Enqueue(std::move(request));
-        ++enqueued;
+        // Batching phase (serial): the push barrier published every
+        // shard; enqueueing in slot order makes the batch order canonical.
+        int64_t enqueued = 0;
+        next_wake = kNoWake;
+        for (size_t i = 0; i < fresh.size(); ++i) {
+          next_wake = std::min(next_wake, wake[i]);
+          if (fresh[i] == 0) continue;
+          fresh[i] = 0;
+          Shard& shard = arena[i];
+          InferenceRequest request;
+          request.shard_slot = static_cast<int>(i);
+          request.anchor_frame = shard.pending_record.frame;
+          request.enqueue_tick = tick;
+          request.record = std::move(shard.pending_record);
+          batcher.Enqueue(std::move(request));
+          ++enqueued;
+        }
+        requests_metric_->Add(enqueued);
+        stats.requests += enqueued;
       }
-      requests_metric_->Add(enqueued);
-      stats.requests += enqueued;
 
       const bool final_tick = tick == max_ticks - 1;
       for (BatchFlush& flush : batcher.TakeReady(tick, final_tick)) {
@@ -385,10 +415,15 @@ FleetRunResult StreamFleet::Run() {
                          static_cast<double>(std::max<int64_t>(1, active)));
     }
 
+    stats.idle_ticks += idle_ticks;
+    idle_ticks_metric_->Add(idle_ticks);
     EVENTHIT_CHECK_EQ(batcher.pending(), 0u);
     ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
-      run.streams[static_cast<size_t>(wave_start) + i] =
-          arena[i].pipeline->Finish();
+      // Every frame a stream has left past its last wake is idle.
+      StreamPipeline& pipeline = *arena[i].pipeline;
+      pipeline.SkipIdleFrames(pipeline.settings().push_frames -
+                              pipeline.next_frame());
+      run.streams[static_cast<size_t>(wave_start) + i] = pipeline.Finish();
     });
     streams_completed_metric_->Add(wave_n);
     streams_active_metric_->Set(0.0);

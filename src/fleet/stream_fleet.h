@@ -258,7 +258,12 @@ bool SameStreamResult(const FleetStreamResult& a, const FleetStreamResult& b);
 
 struct FleetRunStats {
   int64_t streams = 0;
+  /// Logical fleet ticks: every tick in [0, max(phase + push_frames)) of
+  /// each wave, whether or not a push phase ran on it.
   int64_t ticks = 0;
+  /// Ticks on which no resident stream had a frame whose push does more
+  /// than count, so no push phase ran: a function of the schedule alone.
+  int64_t idle_ticks = 0;
   int64_t frames_pushed = 0;
   int64_t requests = 0;
   int64_t batches = 0;
@@ -269,10 +274,14 @@ struct FleetRunStats {
   double elapsed_seconds = 0.0;
   double streams_per_sec = 0.0;
   double frames_per_sec = 0.0;
+  /// Wall-clock percentiles over every logical tick, idle ticks included:
+  /// a tick's time covers its push phase (if any), batching, flushes and
+  /// the budget check.
   double p50_tick_us = 0.0;
   double p99_tick_us = 0.0;
-  /// Tick latency divided by the frames pushed that tick: the per-frame
-  /// cost an individual tenant observes.
+  /// Each logical tick's time divided by its active streams (the frames
+  /// pushed that tick, idle frames included): the per-frame cost an
+  /// individual tenant observes.
   double p50_frame_us = 0.0;
   double p99_frame_us = 0.0;
   double total_cost_usd = 0.0;
@@ -391,6 +400,7 @@ class StreamFleet {
   obs::Counter* flush_deadline_metric_;
   obs::Counter* flush_final_metric_;
   obs::Counter* budget_breaches_metric_;
+  obs::Counter* idle_ticks_metric_;
   obs::Gauge* streams_active_metric_;
   obs::Gauge* budget_spend_metric_;
   obs::Histogram* batch_fill_metric_;

@@ -80,6 +80,17 @@ class StreamPipeline {
     return scored;
   }
 
+  /// Frames from next_frame() on whose push would only count
+  /// (core::Marshaller::IdleFramesAhead).
+  int64_t IdleFramesAhead() const { return marshaller_.IdleFramesAhead(); }
+
+  /// Advances the stream over `n` <= IdleFramesAhead() frames as `n`
+  /// PushFrame calls would.
+  void SkipIdleFrames(int64_t n) {
+    marshaller_.SkipIdleFrames(n);
+    next_frame_ += n;
+  }
+
   /// Completes the oldest pending boundary (anchored at `anchor`) from its
   /// scores, deciding with this stream's own strategy.
   void Complete(int64_t anchor, const core::EventScores& scores,

@@ -82,6 +82,7 @@ std::vector<std::string> AllMetricNames() {
       names::kFleetBatchesFlushDeadline,
       names::kFleetBatchesFlushFinal,
       names::kFleetBudgetBreaches,
+      names::kFleetTicksIdle,
       names::kFleetStreamsActive,
       names::kFleetBudgetSpendUsd,
       names::kFleetBatchFill,

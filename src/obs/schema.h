@@ -106,6 +106,9 @@ inline constexpr char kFleetBatchesFlushDeadline[] =
 inline constexpr char kFleetBatchesFlushFinal[] =
     "fleet.batches.flush_final";
 inline constexpr char kFleetBudgetBreaches[] = "fleet.budget.breaches";
+// Fleet ticks on which no push phase ran (no resident stream had a frame
+// inside a collection window or on a boundary).
+inline constexpr char kFleetTicksIdle[] = "fleet.ticks.idle";
 
 // Collection scheduling (sched/collect_policy.h), emitted by the
 // marshaller at every completed prediction boundary. Horizons split into

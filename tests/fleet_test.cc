@@ -6,7 +6,10 @@
 // rules and the shard arena's alignment guarantee.
 #include "fleet/stream_fleet.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,23 +71,114 @@ void ExpectSameTranscript(const StreamTranscript& a,
   }
 }
 
+// What a run's schedule must count, from the streams' settings alone: one
+// tick per [0, max(phase + push_frames)) of each wave, every stream's
+// push_frames, and as idle every tick on which no stream has a frame
+// inside the window of a boundary it reaches.
+struct ExpectedSchedule {
+  int64_t ticks = 0;
+  int64_t idle_ticks = 0;
+  int64_t frames_pushed = 0;
+};
+
+ExpectedSchedule ScheduleOf(const StreamFleet& fleet) {
+  const FleetConfig& config = fleet.config();
+  ExpectedSchedule out;
+  for (int wave_start = 0; wave_start < config.num_streams;
+       wave_start += config.wave_size) {
+    const int wave_n =
+        std::min(config.wave_size, config.num_streams - wave_start);
+    int64_t max_ticks = 0;
+    std::set<int64_t> busy;
+    for (int i = 0; i < wave_n; ++i) {
+      const StreamSettings s = fleet.DeriveStreamSettings(wave_start + i);
+      max_ticks = std::max(max_ticks, s.phase + s.push_frames);
+      out.frames_pushed += s.push_frames;
+      const int64_t m = s.spec.collection_window;
+      for (int64_t b = m - 1; b < s.push_frames; b += s.spec.horizon) {
+        for (int64_t f = b - m + 1; f <= b; ++f) busy.insert(s.phase + f);
+      }
+    }
+    out.ticks += max_ticks;
+    out.idle_ticks += max_ticks - static_cast<int64_t>(busy.size());
+  }
+  return out;
+}
+
+// The FleetRunStats fields fixed by the schedule and the streams' results.
+std::vector<int64_t> ScheduleFields(const FleetRunStats& s) {
+  return {s.ticks, s.idle_ticks, s.frames_pushed, s.requests, s.batches,
+          s.flush_full, s.flush_deadline, s.flush_final,
+          s.budget_breach_tick};
+}
+
+// Every stream of a fleet run equals its solo replay, and the run's
+// schedule counts are exact and the same at any thread count: the
+// event-driven clock skips the ticks that carry no work, yet every logical
+// tick still counts, flushes and checks the budget. Beside the base
+// fleet, the grid has streams whose pushes end inside the window of a
+// boundary they never reach (the end-of-wave catch-up) under a duty cycle
+// with flaky relays, and a budget cap crossed mid-run.
 TEST(StreamFleetTest, FleetRunIsBitIdenticalToSoloStreams) {
   const data::Task task = data::FindTask("TA10").value();
-  StreamFleet fleet(task, TestConfig());
-  const FleetRunResult run = fleet.Run();
-  ASSERT_EQ(run.streams.size(), 6u);
-  for (int s = 0; s < 6; ++s) {
-    const FleetStreamResult solo = fleet.RunStreamSolo(s);
-    EXPECT_TRUE(SameStreamResult(run.streams[static_cast<size_t>(s)], solo))
-        << "stream " << s;
-    ExpectSameTranscript(run.streams[static_cast<size_t>(s)].transcript,
-                         solo.transcript, s);
+  int64_t uncapped_spend = 0;
+  for (int v = 0; v < 3; ++v) {
+    SCOPED_TRACE("config " + std::to_string(v));
+    FleetConfig config = TestConfig();
+    if (v == 1) {
+      config.frames_per_stream = 605;  // push 405; boundary 409 unreached.
+      config.runner.collect_policy =
+          sched::ParseCollectPolicy("duty:0.25").value();
+      config.fault_profile = "flaky";
+    }
+    if (v == 2) config.budget_cap_microusd = uncapped_spend / 2;
+    StreamFleet fleet(task, config);
+    const FleetRunResult run = fleet.Run();
+    config.threads = 4;
+    StreamFleet threaded_fleet(task, config);
+    const FleetRunResult threaded = threaded_fleet.Run();
+    EXPECT_EQ(ScheduleFields(run.stats), ScheduleFields(threaded.stats));
+
+    const ExpectedSchedule expected = ScheduleOf(fleet);
+    EXPECT_EQ(run.stats.ticks, expected.ticks);
+    EXPECT_EQ(run.stats.frames_pushed, expected.frames_pushed);
+    EXPECT_EQ(run.stats.idle_ticks, expected.idle_ticks);
+    EXPECT_GT(run.stats.idle_ticks, run.stats.ticks / 2);
+
+    ASSERT_EQ(run.streams.size(), 6u);
+    ASSERT_EQ(threaded.streams.size(), 6u);
+    for (int s = 0; s < 6; ++s) {
+      const FleetStreamResult& stream = run.streams[static_cast<size_t>(s)];
+      EXPECT_EQ(stream.marshaller.frames_seen,
+                fleet.DeriveStreamSettings(s).push_frames);
+      EXPECT_TRUE(SameStreamResult(
+          stream, threaded.streams[static_cast<size_t>(s)]))
+          << "stream " << s;
+      const FleetStreamResult solo = fleet.RunStreamSolo(s);
+      EXPECT_TRUE(SameStreamResult(stream, solo)) << "stream " << s;
+      ExpectSameTranscript(stream.transcript, solo.transcript, s);
+    }
+    if (v == 0) {
+      // Distinct streams genuinely differ (seeds decorrelate the tenants).
+      // Decision digests may coincide when the tiny model predicts "no
+      // event" at every anchor, so compare the state digest: it folds the
+      // audit against each stream's own ground truth, which the video
+      // seeds vary.
+      EXPECT_NE(run.streams[0].state_digest, run.streams[1].state_digest);
+      uncapped_spend = run.stats.budget_spend_microusd;
+      ASSERT_GT(uncapped_spend, 1);
+    }
+    if (v == 1) {
+      const StreamSettings cut = fleet.DeriveStreamSettings(0);
+      EXPECT_EQ(cut.push_frames, 405);
+      EXPECT_LT((cut.push_frames - 1) % cut.spec.horizon,
+                cut.spec.collection_window - 1);
+    }
+    if (v == 2) {
+      EXPECT_GT(run.stats.budget_breach_tick, 0);
+      EXPECT_LT(run.stats.budget_breach_tick, run.stats.ticks - 1);
+    }
   }
-  // Distinct streams genuinely differ (seeds decorrelate the tenants).
-  // Decision digests may coincide when the tiny model predicts "no event"
-  // at every anchor, so compare the state digest: it folds the audit
-  // against each stream's own ground truth, which the video seeds vary.
-  EXPECT_NE(run.streams[0].state_digest, run.streams[1].state_digest);
 }
 
 // The solo/fleet contract must survive per-stream recalibration loops
@@ -367,16 +461,24 @@ TEST(StreamFleetTest, FleetMetricsUpholdFlushAndFrameInvariants) {
             run.stats.frames_pushed);
   EXPECT_EQ(counter(obs::names::kFleetRequestsSubmitted),
             run.stats.requests);
+  EXPECT_EQ(counter(obs::names::kFleetTicksIdle), run.stats.idle_ticks);
+  EXPECT_GT(run.stats.idle_ticks, 0);
   // Flush-reason counters partition the batch counter.
   EXPECT_EQ(counter(obs::names::kFleetBatchesFlushed),
             counter(obs::names::kFleetBatchesFlushFull) +
                 counter(obs::names::kFleetBatchesFlushDeadline) +
                 counter(obs::names::kFleetBatchesFlushFinal));
   EXPECT_EQ(counter(obs::names::kFleetBatchesFlushed), run.stats.batches);
-  // Every request flushed in exactly one batch.
+  // Every request flushed in exactly one batch, none past its deadline:
+  // the batcher is asked on every tick, idle ones included.
   int64_t batched = 0;
   for (const auto& h : metrics.Snapshot().histograms) {
     if (h.name == obs::names::kFleetBatchFill) batched += h.count;
+    if (h.name == obs::names::kFleetRequestDelayTicks) {
+      EXPECT_EQ(h.count, run.stats.requests);
+      EXPECT_LE(h.max,
+                static_cast<double>(TestConfig().max_batch_delay_ticks));
+    }
   }
   EXPECT_EQ(batched, run.stats.batches);
   // One fleet.batch span per flush.

@@ -4,9 +4,14 @@
 
 #include <cstring>
 #include <deque>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "obs/provenance.h"
 #include "obs/schema.h"
+#include "sched/collect_policy.h"
 
 namespace eventhit::core {
 namespace {
@@ -327,6 +332,196 @@ TEST(MarshallerTest, StreamFramesBoundSkipsTheUnreachedWindow) {
     }
   }
   EXPECT_EQ(strategy.calls, 9);  // Boundaries 3, 13, ..., 83.
+}
+
+// Features of frame f in a stream of horizon H: a hash-spread value whose
+// level is high for three horizons of every eight, so an adaptive policy
+// throttles in the quiet stretches and snaps back in the loud ones.
+std::vector<float> GridFrame(int64_t f, int horizon) {
+  const uint64_t h = (static_cast<uint64_t>(f) + 1) * 0x9E3779B97F4A7C15ull;
+  const float u = static_cast<float>(h >> 40) / static_cast<float>(1 << 24);
+  const float level = (f / horizon) % 8 < 3 ? 0.9f : 0.1f;
+  return {level * u, u};
+}
+
+// Decides from the window it is shown: the mean of its first feature is
+// the existence score, and an event is present (with a window-dependent
+// interval) above 0.3.
+class WindowMeanStrategy : public MarshalStrategy {
+ public:
+  std::string name() const override { return "window_mean"; }
+  MarshalDecision Decide(const data::Record& record) const override {
+    double sum = 0.0;
+    for (size_t i = 0; i < record.covariates.size(); i += kFeatureDim) {
+      sum += record.covariates[i];
+    }
+    const double mean =
+        sum / static_cast<double>(record.covariates.size() / kFeatureDim);
+    MarshalDecision decision;
+    decision.max_existence = mean;
+    decision.exists = {mean > 0.3};
+    decision.intervals = {mean > 0.3
+                              ? sim::Interval{1, 1 + static_cast<int64_t>(
+                                                         mean * 40.0)}
+                              : sim::Interval::Empty()};
+    return decision;
+  }
+};
+
+// What a marshaller showed on its way through a stream.
+struct StreamLog {
+  std::vector<data::Record> windows;  // Every scored boundary's record.
+  std::vector<std::tuple<int64_t, bool, sim::Interval, bool>> decisions;
+};
+
+// Drives `m` over an n-frame stream on the frame clock t = 0..n-1, scored
+// boundaries completing `delay` frames late. The reference (`skip` false)
+// pushes every frame with features. The skipping walk touches the
+// marshaller only on frames that are not idle: it first skips the idle
+// frames in bulk, then pushes, with features only where
+// NextFrameNeedsFeatures(); it catches up over the idle tail at the end.
+void DriveGridStream(Marshaller& m, const MarshalStrategy& strategy,
+                     int horizon, int64_t n, int64_t delay, bool skip,
+                     StreamLog* log) {
+  m.set_decision_callback([log](int64_t anchor, const MarshalDecision& d,
+                                bool reused) {
+    log->decisions.emplace_back(anchor, d.exists[0], d.intervals[0], reused);
+  });
+  std::deque<data::Record> held;
+  data::Record pending;
+  for (int64_t t = 0; t < n; ++t) {
+    if (!skip && (t == m.next_prediction_frame() ||
+                  m.NextFrameNeedsFeatures())) {
+      EXPECT_EQ(m.IdleFramesAhead(), 0) << "frame " << t;
+    }
+    const bool due = !skip || t == m.stats().frames_seen + m.IdleFramesAhead();
+    if (due) {
+      if (skip) m.SkipIdleFrames(m.IdleFramesAhead());
+      ASSERT_EQ(m.stats().frames_seen, t);
+      const std::vector<float> frame = GridFrame(t, horizon);
+      const bool features = !skip || m.NextFrameNeedsFeatures();
+      if (m.PushFrameDeferred(features ? frame.data() : nullptr, &pending)) {
+        log->windows.push_back(pending);
+        held.push_back(pending);
+      }
+    }
+    while (!held.empty() && t - held.front().frame >= delay) {
+      m.CompletePrediction(strategy.Decide(held.front()));
+      held.pop_front();
+    }
+  }
+  if (skip) m.SkipIdleFrames(n - m.stats().frames_seen);
+  while (!held.empty()) {
+    m.CompletePrediction(strategy.Decide(held.front()));
+    held.pop_front();
+  }
+}
+
+// Skipping idle frames in bulk is exact: over window and horizon lengths,
+// stream lengths aligned to H or not (some ending inside the window of a
+// boundary they never reach), every collection policy and completion
+// delays of 0-4 frames, a marshaller that calls
+// SkipIdleFrames(IdleFramesAhead()) before each push reports what one
+// pushed frame by frame reports.
+TEST(MarshallerTest, IdleSkipMatchesFrameByFramePushes) {
+  const WindowMeanStrategy strategy;
+  int64_t unreached_windows = 0;
+  int64_t adaptive_reused = 0;
+  for (const int window : {1, 10, 50}) {
+    for (const int horizon : {window, 200, 500}) {
+      const int64_t h = horizon;
+      for (const int64_t frames :
+           {8 * h, 8 * h + 1, 8 * h + window - 1, 8 * h + window / 2,
+            8 * h + window, 8 * h + h / 2 + 7}) {
+        if ((frames - 1) % h < window - 1) ++unreached_windows;
+        for (const char* policy : {"full", "duty:0.25", "adaptive"}) {
+          const sched::CollectPolicySpec spec =
+              sched::ParseCollectPolicy(policy).value();
+          for (int64_t delay = 0; delay <= 4; ++delay) {
+            // A policy needs each completion before the next boundary.
+            if (spec.kind != sched::CollectPolicyKind::kFull &&
+                delay >= h) {
+              continue;
+            }
+            SCOPED_TRACE("M " + std::to_string(window) + " H " +
+                         std::to_string(horizon) + " frames " +
+                         std::to_string(frames) + " " + policy + " delay " +
+                         std::to_string(delay));
+            obs::MetricsRegistry metrics;
+            Marshaller by_frame(&strategy, window, horizon, kFeatureDim, 1,
+                                &metrics);
+            Marshaller skipping(&strategy, window, horizon, kFeatureDim, 1,
+                                &metrics);
+            obs::StreamProvenance by_frame_ledger(0, window, horizon, 4);
+            obs::StreamProvenance skipping_ledger(0, window, horizon, 4);
+            by_frame.set_provenance(&by_frame_ledger);
+            skipping.set_provenance(&skipping_ledger);
+            for (Marshaller* m : {&by_frame, &skipping}) {
+              m->set_stream_frames(frames);
+              if (spec.kind != sched::CollectPolicyKind::kFull) {
+                m->set_collect_policy(sched::MakeCollectPolicy(spec));
+              }
+            }
+            StreamLog expected;
+            StreamLog actual;
+            DriveGridStream(by_frame, strategy, horizon, frames, delay,
+                            /*skip=*/false, &expected);
+            DriveGridStream(skipping, strategy, horizon, frames, delay,
+                            /*skip=*/true, &actual);
+            EXPECT_EQ(std::memcmp(&skipping.stats(), &by_frame.stats(),
+                                  sizeof(MarshallerStats)),
+                      0);
+            EXPECT_EQ(skipping.stats().frames_seen, frames);
+            ASSERT_EQ(actual.windows.size(), expected.windows.size());
+            for (size_t i = 0; i < expected.windows.size(); ++i) {
+              EXPECT_EQ(actual.windows[i].frame, expected.windows[i].frame);
+              EXPECT_EQ(actual.windows[i].covariates,
+                        expected.windows[i].covariates);
+            }
+            EXPECT_EQ(actual.decisions, expected.decisions);
+            EXPECT_EQ(skipping_ledger.Digest(), by_frame_ledger.Digest());
+            EXPECT_EQ(skipping_ledger.boundaries(),
+                      by_frame_ledger.boundaries());
+            if (spec.kind == sched::CollectPolicyKind::kAdaptive) {
+              adaptive_reused += by_frame.stats().horizons_reused;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The grid reaches the cases it is for.
+  EXPECT_GT(unreached_windows, 0);
+  EXPECT_GT(adaptive_reused, 0);
+}
+
+// Skipping more than the idle frames would skip a frame some window reads
+// (or the stream's end), and dies.
+TEST(MarshallerTest, SkippingPastTheIdleFramesDies) {
+  ScriptedStrategy strategy;
+  Marshaller marshaller(&strategy, kWindow, kHorizon, kFeatureDim, 1);
+  marshaller.set_stream_frames(21);
+  // Frame 0 opens the first window.
+  EXPECT_EQ(marshaller.IdleFramesAhead(), 0);
+  EXPECT_DEATH(marshaller.SkipIdleFrames(1), "CHECK failed");
+  for (int64_t f = 0; f <= 3; ++f) {
+    marshaller.PushFrame(FrameOf(static_cast<float>(f)).data());
+  }
+  // Frames 4..9 lie before boundary 13's window.
+  EXPECT_EQ(marshaller.IdleFramesAhead(), 6);
+  EXPECT_DEATH(marshaller.SkipIdleFrames(7), "CHECK failed");
+  marshaller.SkipIdleFrames(6);
+  EXPECT_EQ(marshaller.stats().frames_seen, 10);
+  EXPECT_EQ(marshaller.IdleFramesAhead(), 0);
+  for (int64_t f = 10; f <= 13; ++f) {
+    marshaller.PushFrame(FrameOf(static_cast<float>(f)).data());
+  }
+  // Boundary 23 lies past the stream's 21 frames: the rest is idle.
+  EXPECT_EQ(marshaller.IdleFramesAhead(), 7);
+  EXPECT_DEATH(marshaller.SkipIdleFrames(8), "CHECK failed");
+  marshaller.SkipIdleFrames(7);
+  EXPECT_EQ(marshaller.stats().frames_seen, 21);
+  EXPECT_EQ(marshaller.stats().horizons_predicted, 2);
 }
 
 TEST(MarshallerTest, DeferredCompletionsQueueInFifoOrder) {

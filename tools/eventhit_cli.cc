@@ -970,6 +970,7 @@ int RunFleet(const Flags& flags) {
   TablePrinter table({"Metric", "Value"});
   table.AddRow({"streams", Fmt(stats.streams)});
   table.AddRow({"ticks", Fmt(stats.ticks)});
+  table.AddRow({"idle ticks (no push phase)", Fmt(stats.idle_ticks)});
   table.AddRow({"frames pushed", Fmt(stats.frames_pushed)});
   table.AddRow({"inference requests", Fmt(stats.requests)});
   table.AddRow({"batches (full/deadline/final)",
