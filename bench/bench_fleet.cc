@@ -35,6 +35,7 @@
 namespace {
 
 using ::eventhit::Fmt;
+using ::eventhit::FmtSig;
 using ::eventhit::OrderStatQuantile;
 using ::eventhit::TablePrinter;
 namespace bench = ::eventhit::bench;
@@ -103,8 +104,8 @@ int main() {
     table.AddRow({Fmt(static_cast<int64_t>(leg.streams)),
                   Fmt(leg.stats.frames_per_sec, 0),
                   Fmt(leg.stats.streams_per_sec, 1),
-                  Fmt(leg.stats.p50_frame_us, 2),
-                  Fmt(leg.stats.p99_frame_us, 2),
+                  FmtSig(leg.stats.p50_frame_us),
+                  FmtSig(leg.stats.p99_frame_us),
                   Fmt(leg.stats.batch_fill_mean, 1),
                   Fmt(leg.stats.flush_full) + "/" +
                       Fmt(leg.stats.flush_deadline) + "/" +

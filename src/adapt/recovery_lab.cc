@@ -149,6 +149,7 @@ RecoveryReport StreamOnce(const Rig& rig, const RecoveryLabConfig& config,
                             {}};
 
   const core::EventScores* current_scores = nullptr;
+  std::vector<data::EventLabel> labels;
   std::vector<obs::AuditOutcome> outcomes;
   // The lab's own relay-free loop: it streams a pre-generated drifting
   // video with its own audit windows and per-phase accounting, so it
@@ -157,10 +158,10 @@ RecoveryReport StreamOnce(const Rig& rig, const RecoveryLabConfig& config,
       [&](int64_t anchor, const core::MarshalDecision& decision,
           bool /*reused*/) {
         const int64_t abs_anchor = report.stream_begin + anchor;
-        const data::Record truth = data::BuildRecord(
-            rig.video, rig.task, rig.extractor, abs_anchor);
+        data::LookupLabels(rig.video, rig.task, rig.extractor, abs_anchor,
+                           &labels);
         outcomes.clear();
-        core::AppendAuditOutcomes(truth.labels, decision, abs_anchor,
+        core::AppendAuditOutcomes(labels, decision, abs_anchor,
                                   /*decision_id=*/-1, &outcomes);
         const obs::AuditOutcome& outcome = outcomes[0];
         const bool present = outcome.truth_present;
@@ -211,7 +212,11 @@ RecoveryReport StreamOnce(const Rig& rig, const RecoveryLabConfig& config,
 
         if (loop != nullptr) {
           EVENTHIT_CHECK(current_scores != nullptr);
-          if (loop->Observe(abs_anchor, truth, *current_scores)) {
+          // The recalibrator keeps the whole record, window and all.
+          if (loop->Observe(abs_anchor,
+                            data::BuildRecord(rig.video, rig.task,
+                                              rig.extractor, abs_anchor),
+                            *current_scores)) {
             if (report.first_swap_time < 0) {
               report.first_swap_time = abs_anchor;
             }

@@ -46,6 +46,12 @@ std::string Fmt(double value, int digits) {
   return buffer;
 }
 
+std::string FmtSig(double value, int digits) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.*g", digits, value);
+  return buffer;
+}
+
 std::string Fmt(int64_t value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%lld", static_cast<long long>(value));

@@ -35,6 +35,10 @@ class TablePrinter {
 /// Formats a double with `digits` decimal places.
 std::string Fmt(double value, int digits = 3);
 
+/// Formats a double with `digits` significant digits (printf's %g): a
+/// sub-unit latency keeps its magnitude where fixed places would print 0.
+std::string FmtSig(double value, int digits = 3);
+
 /// Formats an integer.
 std::string Fmt(int64_t value);
 

@@ -88,12 +88,23 @@ void Marshaller::set_collect_policy(
   // Policies must be installed before the first frame: the schedule's
   // horizon indexing starts at the stream's first boundary.
   EVENTHIT_CHECK_EQ(frame_count_, 0);
+  // With M > H a frame before the next boundary can sit in the window of
+  // the one after it, which the skip would leave unread when the next
+  // boundary is not scored.
+  if (policy != nullptr) EVENTHIT_CHECK_LE(collection_window_, horizon_);
   policy_ = std::move(policy);
   policy_name_ = policy_ != nullptr ? policy_->name() : "full";
+  fixed_stride_ = policy_ != nullptr ? policy_->FixedStride() : 1;
 }
 
 void Marshaller::set_cost_model(const sched::LocalCostModel& cost) {
   cost_ = cost;
+}
+
+bool Marshaller::ScoresBoundary(int64_t horizon_index) const {
+  if (fixed_stride_ > 0) return horizon_index % fixed_stride_ == 0;
+  // The first boundary is always scored: a reused one replays a decision.
+  return last_decision_.exists.empty() || policy_->ShouldScore(horizon_index);
 }
 
 bool Marshaller::NextFrameNeedsFeatures() const {
@@ -103,20 +114,24 @@ bool Marshaller::NextFrameNeedsFeatures() const {
   if (frame_count_ <= next_boundary_ - collection_window_) return false;
   // A boundary the stream never reaches reads no window.
   if (next_boundary_ >= stream_frames_) return false;
-  if (policy_ == nullptr) return true;
-  // The first boundary is always scored, and while a scored prediction's
-  // observation is still in flight the policy's verdict on the next
-  // boundary is unsettled — stay conservative.
-  if (last_decision_.exists.empty() || !pending_anchors_.empty()) return true;
-  return policy_->ShouldScore(boundaries_seen_);
+  // While a scored prediction's observation is still in flight, a
+  // score-fed policy's verdict on the next boundary is unsettled — stay
+  // conservative.
+  if (fixed_stride_ == 0 && !pending_anchors_.empty()) return true;
+  return ScoresBoundary(boundaries_seen_);
 }
 
 int64_t Marshaller::IdleFramesAhead() const {
   if (next_boundary_ >= stream_frames_) {
     return std::max<int64_t>(0, stream_frames_ - frame_count_);
   }
-  return std::max<int64_t>(
-      0, next_boundary_ - collection_window_ + 1 - frame_count_);
+  // An unscored boundary of a fixed schedule reads no window; its own
+  // frame still fires the reused completion.
+  const bool reads_window =
+      fixed_stride_ == 0 || ScoresBoundary(boundaries_seen_);
+  const int64_t first_busy =
+      reads_window ? next_boundary_ - collection_window_ + 1 : next_boundary_;
+  return std::max<int64_t>(0, first_busy - frame_count_);
 }
 
 void Marshaller::SkipIdleFrames(int64_t n) {
@@ -146,16 +161,12 @@ bool Marshaller::PushFrameDeferred(const float* features,
   next_boundary_ += horizon_;
 
   const int64_t horizon_index = boundaries_seen_++;
-  bool scored = true;
-  if (policy_ != nullptr) {
-    // The policy's schedule is a function of completed scored boundaries,
-    // so batching delay must never span a whole horizon — otherwise the
-    // verdict here would depend on flush timing and break the per-stream
-    // determinism contract.
-    EVENTHIT_CHECK(pending_anchors_.empty());
-    scored = last_decision_.exists.empty() ||
-             policy_->ShouldScore(horizon_index);
-  }
+  // The policy's schedule is a function of completed scored boundaries,
+  // so batching delay must never span a whole horizon — otherwise the
+  // verdict here would depend on flush timing and break the per-stream
+  // determinism contract.
+  if (policy_ != nullptr) EVENTHIT_CHECK(pending_anchors_.empty());
+  const bool scored = ScoresBoundary(horizon_index);
   if (provenance_ != nullptr) {
     provenance_->OpenBoundary(current_frame, !scored, policy_name_);
   }

@@ -95,6 +95,8 @@ class Marshaller {
   /// prediction must complete before the next boundary arrives (the
   /// policy's schedule depends on the completed scores), which any
   /// batcher whose flush deadline is shorter than one horizon satisfies.
+  /// A policy needs M <= H: the feature skip and the idle rule look at the
+  /// next boundary only, which is exact when no two windows overlap.
   void set_collect_policy(std::unique_ptr<sched::CollectPolicy> policy);
 
   /// Cost rates behind the sched.flops.* accounting (defaults model
@@ -149,11 +151,14 @@ class Marshaller {
   /// collection window — callers skip feature extraction (and pass
   /// nullptr) when false. Without a policy it is exactly the frames within
   /// M of the next boundary (local frame f with f mod H < M when M <= H).
-  /// Under a policy it is conservative while a scored prediction is
-  /// pending and exact otherwise, so the extracted set always covers the
-  /// consumed set and decisions are independent of completion timing.
-  /// False on every frame whose next boundary lies at or past
-  /// set_stream_frames().
+  /// Under a fixed schedule (sched::CollectPolicy::FixedStride: full and
+  /// duty) it is exact at all times: the frames within M of the next
+  /// boundary when that boundary is scored, none otherwise. Under a policy
+  /// whose schedule feeds on scores (adaptive) it is conservative while a
+  /// scored prediction is pending and exact otherwise. Either way the
+  /// extracted set covers the consumed set and decisions are independent
+  /// of completion timing. False on every frame whose next boundary lies
+  /// at or past set_stream_frames().
   /// Skipping moves no accounting: MarshallerStats and the sched.* counters
   /// follow the boundary schedule, not the frames passed, so without a
   /// policy every frame is still charged extraction.
@@ -162,8 +167,11 @@ class Marshaller {
   /// Upcoming frames that are neither a boundary nor inside any window a
   /// boundary could read: every frame before next_prediction_frame() − M + 1,
   /// or every frame left up to set_stream_frames() when the next boundary
-  /// lies at or past it. A function of the boundary schedule alone, so no
-  /// completion, policy verdict or recalibration can shrink it.
+  /// lies at or past it. Under a fixed schedule an unscored boundary reads
+  /// no window, so every frame before the boundary frame itself (where the
+  /// reused completion fires) is idle. A function of the boundary schedule
+  /// alone, so no completion, adaptive verdict or recalibration can
+  /// shrink it.
   int64_t IdleFramesAhead() const;
 
   /// Advances the stream clock over `n` <= IdleFramesAhead() frames exactly
@@ -186,6 +194,10 @@ class Marshaller {
  private:
   void CompletePredictionInternal(const MarshalDecision& decision,
                                   bool reused);
+  // Whether boundary `horizon_index` runs inference, as of now. Under a
+  // fixed schedule the index alone decides, so the verdict holds before
+  // any pending prediction completes.
+  bool ScoresBoundary(int64_t horizon_index) const;
 
   const MarshalStrategy* strategy_;
   int collection_window_;
@@ -195,6 +207,9 @@ class Marshaller {
   RelayCallback relay_callback_;
   DecisionCallback decision_callback_;
   std::unique_ptr<sched::CollectPolicy> policy_;
+  // policy_->FixedStride(), 1 without a policy: 0 when scores steer the
+  // schedule.
+  int64_t fixed_stride_ = 1;
   // Cached policy_->name() ("full" without a policy): the provenance
   // stamp runs per boundary and must not allocate.
   std::string policy_name_ = "full";

@@ -50,13 +50,20 @@ Record BuildRecord(const sim::SyntheticVideo& video, const Task& task,
   const float* src = video.FrameFeatures(frame - config.collection_window + 1);
   EVENTHIT_CHECK(video.FrameFeatures(frame) == src + (m - 1) * d);
   std::memcpy(record.covariates.data(), src, m * d * sizeof(float));
-
-  record.labels.reserve(task.event_indices.size());
-  for (size_t event_index : task.event_indices) {
-    record.labels.push_back(
-        LabelFor(video, event_index, frame, config.horizon));
-  }
+  LookupLabels(video, task, config, frame, &record.labels);
   return record;
+}
+
+void LookupLabels(const sim::SyntheticVideo& video, const Task& task,
+                  const ExtractorConfig& config, int64_t frame,
+                  std::vector<EventLabel>* labels) {
+  EVENTHIT_CHECK_GE(frame, MinAnchor(config));
+  EVENTHIT_CHECK_LE(frame, MaxAnchor(video, config));
+  labels->clear();
+  labels->reserve(task.event_indices.size());
+  for (size_t event_index : task.event_indices) {
+    labels->push_back(LabelFor(video, event_index, frame, config.horizon));
+  }
 }
 
 SplitRanges ComputeSplits(const sim::SyntheticVideo& video,

@@ -33,6 +33,15 @@ struct ExtractorConfig {
 Record BuildRecord(const sim::SyntheticVideo& video, const Task& task,
                    const ExtractorConfig& config, int64_t frame);
 
+/// The labels of the record anchored at `frame`, as BuildRecord would set
+/// them, read from the timeline alone into `labels` (cleared first, so a
+/// reused buffer does not allocate). Same anchor bounds as BuildRecord,
+/// but the window need not be stored: an audit reads truth here at
+/// boundaries whose windows a windowed video left out.
+void LookupLabels(const sim::SyntheticVideo& video, const Task& task,
+                  const ExtractorConfig& config, int64_t frame,
+                  std::vector<EventLabel>* labels);
+
 /// Frame ranges of the three splits. The stream prefix is used for training
 /// (the paper trains on frames f_1..f_P), a following slice for calibration,
 /// and the remainder for testing.

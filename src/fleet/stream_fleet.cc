@@ -68,13 +68,16 @@ int64_t WakeTick(const StreamPipeline& pipeline) {
 
 }  // namespace
 
-// The marshaller's windows and the boundary truth lookups (audit, recal)
-// both read the M frames ending at a boundary; the cloud reads the
-// timeline.
-sim::FrameSelection StreamVideoSelection(const StreamSettings& s) {
+// The marshaller's windows and the recal truth records read the M frames
+// ending at a scored boundary; the audit and the cloud read the timeline.
+sim::FrameSelection StreamVideoSelection(
+    const StreamSettings& s, const sched::CollectPolicySpec& policy) {
   const int64_t m = s.spec.collection_window;
-  const int64_t h = s.spec.horizon;
-  return sim::FrameSelection{m, h, m + (s.push_frames - m) / h * h};
+  const int64_t stride =
+      std::max<int64_t>(1, sched::MakeCollectPolicy(policy)->FixedStride());
+  const int64_t period = stride * s.spec.horizon;
+  return sim::FrameSelection{m, period,
+                             m + (s.push_frames - m) / period * period};
 }
 
 // A resident stream of a wave: its video, its pipeline and the request it
@@ -240,11 +243,13 @@ FleetRunResult StreamFleet::Run() {
                                 "tenant" + std::to_string(stream));
         }
       }
-      const sim::FrameSelection selection = StreamVideoSelection(settings[0]);
+      const sched::CollectPolicySpec& policy = config_.runner.collect_policy;
+      const sim::FrameSelection selection =
+          StreamVideoSelection(settings[0], policy);
       std::vector<sim::SyntheticVideo> videos =
           sim::SyntheticVideo::GenerateGroup(sources, selection);
       for (size_t j = 0; j < settings.size(); ++j) {
-        EVENTHIT_CHECK(StreamVideoSelection(settings[j]) == selection);
+        EVENTHIT_CHECK(StreamVideoSelection(settings[j], policy) == selection);
         Shard& shard = arena[first + j];
         // A copy, not a move: the copy allocates the video's rows next to
         // the pipeline's allocations that follow. Moved, a group's four
@@ -477,7 +482,8 @@ FleetRunResult StreamFleet::Run() {
 FleetStreamResult StreamFleet::RunStreamSolo(int stream_index) {
   const StreamSettings settings = DeriveStreamSettings(stream_index);
   const sim::SyntheticVideo video = sim::SyntheticVideo::Generate(
-      settings.spec, settings.video_seed, StreamVideoSelection(settings));
+      settings.spec, settings.video_seed,
+      StreamVideoSelection(settings, config_.runner.collect_policy));
   PipelineSinks sinks;
   sinks.metrics = stream_metrics_.get();
   sinks.log = stream_log_.get();

@@ -40,6 +40,7 @@
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
+#include "sched/collect_policy.h"
 #include "sim/scene_spec.h"
 #include "sim/synthetic_video.h"
 
@@ -242,11 +243,14 @@ void ForEachResultField(Result& r, Fn&& fn) {
   }
 }
 
-/// The frames of a stream's video its run reads: the M-frame window ending
-/// at each boundary M-1 + jH, up to the last boundary before push_frames,
-/// M-1 + floor((push_frames - M) / H) * H; the video ends one frame after
-/// it (DESIGN.md §5g).
-sim::FrameSelection StreamVideoSelection(const StreamSettings& settings);
+/// The frames of a stream's video its run reads under `policy`: the
+/// M-frame window ending at each scored boundary M-1 + jH. A fixed schedule
+/// (sched::CollectPolicy::FixedStride, s) scores every s-th boundary, so
+/// the selection is {M, sH, end}; an adaptive one may score any, so it is
+/// {M, H, end}. `end` is one frame past the last scored boundary before
+/// push_frames, M-1 + floor((push_frames - M) / sH) * sH (DESIGN.md §5g).
+sim::FrameSelection StreamVideoSelection(
+    const StreamSettings& settings, const sched::CollectPolicySpec& policy);
 
 /// FNV-1a fold of every ForEachResultField field (doubles by bit pattern):
 /// the value of FleetStreamResult::state_digest.

@@ -131,7 +131,8 @@ class StreamPipeline {
 
   // Scores of the boundary inside Complete; nullptr for reused ones.
   const core::EventScores* completing_scores_ = nullptr;
-  std::vector<obs::AuditOutcome> outcomes_;  // Per-boundary scratch.
+  std::vector<data::EventLabel> truth_labels_;  // Per-boundary scratch.
+  std::vector<obs::AuditOutcome> outcomes_;     // Per-boundary scratch.
   int64_t billed_microusd_ = 0;  // Spend already reported.
   int64_t last_miss_decision_ = -1;
   int64_t last_miscover_decision_ = -1;

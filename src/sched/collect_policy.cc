@@ -15,6 +15,7 @@ class FullPolicy : public CollectPolicy {
   bool ShouldScore(int64_t) const override { return true; }
   void Observe(const ScoreObservation&) override {}
   int64_t CurrentStride() const override { return 1; }
+  int64_t FixedStride() const override { return 1; }
   void Reset() override {}
   std::unique_ptr<CollectPolicy> Clone() const override {
     return std::make_unique<FullPolicy>();
@@ -37,6 +38,7 @@ class DutyPolicy : public CollectPolicy {
   }
   void Observe(const ScoreObservation&) override {}
   int64_t CurrentStride() const override { return stride_; }
+  int64_t FixedStride() const override { return stride_; }
   void Reset() override {}
   std::unique_ptr<CollectPolicy> Clone() const override {
     return std::make_unique<DutyPolicy>(spec_);
@@ -85,6 +87,7 @@ class AdaptivePolicy : public CollectPolicy {
   int64_t CurrentStride() const override {
     return throttled_ ? spec_.quiet_stride : 1;
   }
+  int64_t FixedStride() const override { return 0; }
 
   void Reset() override {
     throttled_ = false;

@@ -84,6 +84,14 @@ class CollectPolicy {
   /// the sched.policy.stride gauge.
   virtual int64_t CurrentStride() const = 0;
 
+  /// The stride of a schedule that no score can change: boundary j is
+  /// scored exactly when j mod FixedStride() == 0 (full: 1; duty:<d>:
+  /// max(1, round(1/d))). 0 when observations steer the schedule
+  /// (adaptive). Callers that know the scored boundaries before any frame
+  /// arrives skip the unscored ones' windows (core::Marshaller, the
+  /// fleet's stream videos).
+  virtual int64_t FixedStride() const = 0;
+
   virtual void Reset() = 0;
 
   /// Fresh policy with the same spec and reset state (per-stream copies

@@ -25,9 +25,10 @@ struct ActionUnit {
 /// The frames t < end with t mod period < length: one window of `length`
 /// frames at the start of every period, up to an exclusive `end`. {M, H}
 /// selects exactly the frames a stream's collection windows read (windows
-/// end at M-1, M-1+H, ...); a stream that stops pushing sets `end` one past
-/// its last window. The default selects every frame, as does any
-/// length == period with no end.
+/// end at M-1, M-1+H, ...), and {M, sH} those of every s-th window, which
+/// a duty-cycled stream scores; a stream that stops pushing sets `end` one
+/// past its last window read. The default selects every frame, as does
+/// any length == period with no end.
 struct FrameSelection {
   int64_t length = 1;
   int64_t period = 1;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/marshaller.h"
 #include "obs/metrics.h"
 #include "obs/schema.h"
@@ -57,6 +59,26 @@ TEST(DutyPolicyTest, StrideIsRoundedReciprocal) {
   auto full_rate = sched::MakeCollectPolicy(spec);
   EXPECT_EQ(full_rate->CurrentStride(), 1);
   EXPECT_TRUE(full_rate->ShouldScore(17));
+  // The fixed stride: a duty cycle's rounded reciprocal, 1 at full rate,
+  // none (0) for the score-fed adaptive schedule.
+  const std::pair<double, int64_t> kStrides[] = {
+      {1.0, 1}, {0.5, 2}, {0.3, 3}, {0.25, 4}, {0.1, 10}};
+  for (const auto& [duty, stride] : kStrides) {
+    spec.duty = duty;
+    EXPECT_EQ(sched::MakeCollectPolicy(spec)->FixedStride(), stride)
+        << "duty " << duty;
+  }
+  EXPECT_EQ(sched::MakeCollectPolicy(sched::CollectPolicySpec{})
+                ->FixedStride(),
+            1);
+  auto adaptive =
+      sched::MakeCollectPolicy(sched::ParseCollectPolicy("adaptive").value());
+  EXPECT_EQ(adaptive->FixedStride(), 0);
+  for (int64_t index = 0; index < 4; ++index) {
+    adaptive->Observe({index, 0.01, false});  // Throttles; stride stays 0.
+  }
+  EXPECT_GT(adaptive->CurrentStride(), 1);
+  EXPECT_EQ(adaptive->FixedStride(), 0);
 }
 
 sched::ScoreObservation Quiet(int64_t index, double score = 0.05) {
@@ -420,6 +442,19 @@ TEST(MarshallerPolicyTest, LatePolicyInstallDies) {
   EXPECT_DEATH(marshaller.set_collect_policy(sched::MakeCollectPolicy(
                    sched::ParseCollectPolicy("adaptive").value())),
                "CHECK failed");
+}
+
+// The feature skip and the idle rule look at the next boundary only. With
+// M > H a frame before an unscored boundary can sit in the next scored
+// boundary's window, so a policy needs M <= H (M == H is covered by
+// MarshallerTest.IdleSkipMatchesFrameByFramePushes).
+TEST(MarshallerPolicyTest, PolicyWithWindowLongerThanHorizonDies) {
+  RecordingStrategy strategy;
+  core::Marshaller wide(&strategy, kHorizon + 1, kHorizon, kFeatureDim, 1);
+  EXPECT_DEATH(wide.set_collect_policy(sched::MakeCollectPolicy(
+                   sched::ParseCollectPolicy("duty:0.5").value())),
+               "CHECK failed");
+  wide.set_collect_policy(nullptr);  // Full rate reads every window.
 }
 
 TEST(MarshallerPolicyTest, NullFeaturesWithoutPolicyDies) {

@@ -74,7 +74,9 @@ void ExpectSameTranscript(const StreamTranscript& a,
 // What a run's schedule must count, from the streams' settings alone: one
 // tick per [0, max(phase + push_frames)) of each wave, every stream's
 // push_frames, and as idle every tick on which no stream has a frame
-// inside the window of a boundary it reaches.
+// inside the window of a boundary it reaches. Under a fixed schedule
+// (full, duty) an unscored boundary reads no window, so only its own
+// frame, where the reused completion fires, is busy.
 struct ExpectedSchedule {
   int64_t ticks = 0;
   int64_t idle_ticks = 0;
@@ -83,6 +85,8 @@ struct ExpectedSchedule {
 
 ExpectedSchedule ScheduleOf(const StreamFleet& fleet) {
   const FleetConfig& config = fleet.config();
+  const int64_t stride =
+      sched::MakeCollectPolicy(config.runner.collect_policy)->FixedStride();
   ExpectedSchedule out;
   for (int wave_start = 0; wave_start < config.num_streams;
        wave_start += config.wave_size) {
@@ -95,8 +99,12 @@ ExpectedSchedule ScheduleOf(const StreamFleet& fleet) {
       max_ticks = std::max(max_ticks, s.phase + s.push_frames);
       out.frames_pushed += s.push_frames;
       const int64_t m = s.spec.collection_window;
-      for (int64_t b = m - 1; b < s.push_frames; b += s.spec.horizon) {
-        for (int64_t f = b - m + 1; f <= b; ++f) busy.insert(s.phase + f);
+      for (int64_t b = m - 1, j = 0; b < s.push_frames;
+           b += s.spec.horizon, ++j) {
+        const bool unscored = stride > 0 && j % stride != 0;
+        for (int64_t f = unscored ? b : b - m + 1; f <= b; ++f) {
+          busy.insert(s.phase + f);
+        }
       }
     }
     out.ticks += max_ticks;
@@ -335,9 +343,11 @@ TEST(StreamFleetTest, WindowedStreamVideoMatchesWholeVideo) {
   }
 }
 
-// A fleet stream's video stores frames up to its last boundary window and
-// none after it: the video ends one frame after the last decision's
-// anchor, and every anchor's window is stored.
+// A fleet stream's video stores the windows of its scored boundaries and
+// nothing else: it ends one frame after the last scored anchor, every
+// scored window is stored, no unscored boundary's frame is, and the video
+// holds scored boundaries × M rows. A duty cycle's stream scores every
+// stride-th boundary, so its selection's period is stride × H.
 TEST(StreamFleetTest, StreamVideoEndsOneFrameAfterLastBoundary) {
   for (const char* task_name : {"TA10", "TA13"}) {
     const data::Task task = data::FindTask(task_name).value();
@@ -345,26 +355,48 @@ TEST(StreamFleetTest, StreamVideoEndsOneFrameAfterLastBoundary) {
     // push_frames a multiple of H, one frame past one, and in between.
     for (const int64_t frames : {3 * horizon + 100, 4 * horizon + 1,
                                  4 * horizon + horizon / 2 + 17}) {
-      SCOPED_TRACE(std::string(task_name) + " frames " +
-                   std::to_string(frames));
-      FleetConfig config = TestConfig();
-      config.num_streams = 2;
-      config.frames_per_stream = frames;
-      StreamFleet fleet(task, config);
-      const FleetRunResult run = fleet.Run();
-      for (const FleetStreamResult& stream : run.streams) {
-        const StreamSettings settings =
-            fleet.DeriveStreamSettings(stream.stream_index);
-        const sim::FrameSelection selection = StreamVideoSelection(settings);
-        const auto& decisions = stream.transcript.decisions;
-        ASSERT_FALSE(decisions.empty());
-        EXPECT_EQ(selection.end, decisions.back().anchor + 1);
-        EXPECT_LE(selection.end, settings.push_frames);
-        for (const auto& decision : decisions) {
-          for (int64_t t = decision.anchor - selection.length + 1;
-               t <= decision.anchor; ++t) {
-            EXPECT_TRUE(selection.Contains(t)) << "frame " << t;
+      for (const char* policy : {"full", "duty:0.25", "duty:0.5"}) {
+        SCOPED_TRACE(std::string(task_name) + " frames " +
+                     std::to_string(frames) + " " + policy);
+        FleetConfig config = TestConfig();
+        config.num_streams = 2;
+        config.frames_per_stream = frames;
+        config.runner.collect_policy =
+            sched::ParseCollectPolicy(policy).value();
+        const int64_t stride =
+            sched::MakeCollectPolicy(config.runner.collect_policy)
+                ->FixedStride();
+        StreamFleet fleet(task, config);
+        const FleetRunResult run = fleet.Run();
+        for (const FleetStreamResult& stream : run.streams) {
+          const StreamSettings settings =
+              fleet.DeriveStreamSettings(stream.stream_index);
+          const sim::FrameSelection selection =
+              StreamVideoSelection(settings, config.runner.collect_policy);
+          EXPECT_EQ(selection.period, stride * horizon);
+          const auto& decisions = stream.transcript.decisions;
+          ASSERT_FALSE(decisions.empty());
+          int64_t scored = 0;
+          for (size_t i = 0; i < decisions.size(); ++i) {
+            const int64_t anchor = decisions[i].anchor;
+            if (static_cast<int64_t>(i) % stride != 0) {
+              EXPECT_FALSE(selection.Contains(anchor)) << "anchor " << anchor;
+              continue;
+            }
+            ++scored;
+            for (int64_t t = anchor - selection.length + 1; t <= anchor;
+                 ++t) {
+              EXPECT_TRUE(selection.Contains(t)) << "frame " << t;
+            }
           }
+          const int64_t last_scored =
+              decisions[(decisions.size() - 1) / stride * stride].anchor;
+          EXPECT_EQ(selection.end, last_scored + 1);
+          EXPECT_LE(selection.end, settings.push_frames);
+          EXPECT_EQ(scored, stream.marshaller.horizons_predicted -
+                                stream.marshaller.horizons_reused);
+          EXPECT_EQ(selection.Rows(settings.spec.num_frames),
+                    scored * selection.length);
         }
       }
     }

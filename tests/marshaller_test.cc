@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <deque>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -372,6 +373,7 @@ class WindowMeanStrategy : public MarshalStrategy {
 struct StreamLog {
   std::vector<data::Record> windows;  // Every scored boundary's record.
   std::vector<std::tuple<int64_t, bool, sim::Interval, bool>> decisions;
+  int64_t pushes = 0;  // PushFrameDeferred calls.
 };
 
 // Drives `m` over an n-frame stream on the frame clock t = 0..n-1, scored
@@ -400,6 +402,7 @@ void DriveGridStream(Marshaller& m, const MarshalStrategy& strategy,
       ASSERT_EQ(m.stats().frames_seen, t);
       const std::vector<float> frame = GridFrame(t, horizon);
       const bool features = !skip || m.NextFrameNeedsFeatures();
+      ++log->pushes;
       if (m.PushFrameDeferred(features ? frame.data() : nullptr, &pending)) {
         log->windows.push_back(pending);
         held.push_back(pending);
@@ -420,24 +423,41 @@ void DriveGridStream(Marshaller& m, const MarshalStrategy& strategy,
 // Skipping idle frames in bulk is exact: over window and horizon lengths,
 // stream lengths aligned to H or not (some ending inside the window of a
 // boundary they never reach), every collection policy and completion
-// delays of 0-4 frames, a marshaller that calls
-// SkipIdleFrames(IdleFramesAhead()) before each push reports what one
-// pushed frame by frame reports.
+// delays of 0-4 frames, past the next window's start and up to the next
+// boundary, a marshaller that calls SkipIdleFrames(IdleFramesAhead())
+// before each push reports what one pushed frame by frame reports. Under a
+// fixed schedule (full, duty) the skipping marshaller sleeps through an
+// unscored boundary's window and wakes on the boundary's own frame, even
+// while the scored boundary before it is still pending.
 TEST(MarshallerTest, IdleSkipMatchesFrameByFramePushes) {
   const WindowMeanStrategy strategy;
   int64_t unreached_windows = 0;
   int64_t adaptive_reused = 0;
+  int64_t slept_windows = 0;
   for (const int window : {1, 10, 50}) {
     for (const int horizon : {window, 200, 500}) {
       const int64_t h = horizon;
+      const std::set<int64_t> delays = {0, 1, 2, 3, 4, h - window + 1, h - 1};
       for (const int64_t frames :
            {8 * h, 8 * h + 1, 8 * h + window - 1, 8 * h + window / 2,
             8 * h + window, 8 * h + h / 2 + 7}) {
         if ((frames - 1) % h < window - 1) ++unreached_windows;
-        for (const char* policy : {"full", "duty:0.25", "adaptive"}) {
+        for (const char* policy :
+             {"full", "duty:0.5", "duty:0.25", "adaptive"}) {
           const sched::CollectPolicySpec spec =
               sched::ParseCollectPolicy(policy).value();
-          for (int64_t delay = 0; delay <= 4; ++delay) {
+          const int64_t stride =
+              sched::MakeCollectPolicy(spec)->FixedStride();
+          // The skipping walk pushes a scored (or, under a score-fed
+          // schedule, any) boundary's whole window, and only the boundary
+          // frame of a fixed schedule's unscored one.
+          int64_t expected_pushes = 0;
+          for (int64_t b = window - 1, j = 0; b < frames; b += h, ++j) {
+            const bool slept = stride > 0 && j % stride != 0;
+            expected_pushes += slept ? 1 : window;
+            if (slept && window > 1) ++slept_windows;
+          }
+          for (const int64_t delay : delays) {
             // A policy needs each completion before the next boundary.
             if (spec.kind != sched::CollectPolicyKind::kFull &&
                 delay >= h) {
@@ -482,6 +502,7 @@ TEST(MarshallerTest, IdleSkipMatchesFrameByFramePushes) {
             EXPECT_EQ(skipping_ledger.Digest(), by_frame_ledger.Digest());
             EXPECT_EQ(skipping_ledger.boundaries(),
                       by_frame_ledger.boundaries());
+            EXPECT_EQ(actual.pushes, expected_pushes);
             if (spec.kind == sched::CollectPolicyKind::kAdaptive) {
               adaptive_reused += by_frame.stats().horizons_reused;
             }
@@ -493,6 +514,7 @@ TEST(MarshallerTest, IdleSkipMatchesFrameByFramePushes) {
   // The grid reaches the cases it is for.
   EXPECT_GT(unreached_windows, 0);
   EXPECT_GT(adaptive_reused, 0);
+  EXPECT_GT(slept_windows, 0);
 }
 
 // Skipping more than the idle frames would skip a frame some window reads

@@ -48,6 +48,30 @@ TEST(RecordExtractorTest, LabelsMatchTimeline) {
   const auto& occurrences = video.timeline().occurrences(event_index);
   ASSERT_FALSE(occurrences.empty());
 
+  // The labels-only lookup holds BuildRecord's labels at every anchor,
+  // for every THUMOS event at once, refilling one buffer.
+  Task all_events = task;
+  all_events.event_indices = {0, 1, 2};
+  std::vector<EventLabel> labels;
+  int64_t present = 0;
+  for (int64_t anchor = config.collection_window - 1;
+       anchor + config.horizon < video.num_frames(); anchor += 7) {
+    LookupLabels(video, all_events, config, anchor, &labels);
+    const Record record = BuildRecord(video, all_events, config, anchor);
+    ASSERT_EQ(labels.size(), record.labels.size());
+    for (size_t k = 0; k < labels.size(); ++k) {
+      EXPECT_EQ(labels[k].present, record.labels[k].present);
+      EXPECT_EQ(labels[k].start, record.labels[k].start);
+      EXPECT_EQ(labels[k].end, record.labels[k].end);
+      EXPECT_EQ(labels[k].censored, record.labels[k].censored);
+      present += labels[k].present ? 1 : 0;
+    }
+  }
+  EXPECT_GT(present, 0);
+  EXPECT_DEATH(LookupLabels(video, all_events, config,
+                            video.num_frames() - config.horizon, &labels),
+               "CHECK failed");
+
   // Anchor just before an occurrence fully inside the horizon.
   for (const sim::Interval& occ : occurrences) {
     const int64_t anchor = occ.start - 50;
@@ -218,6 +242,22 @@ TEST(RecordExtractorTest, WindowedVideoServesBoundaryWindowsOnly) {
       EXPECT_EQ(a.labels[k].censored, b.labels[k].censored);
     }
   }
+  // Truth labels need no window: at anchor 109, whose window (frames
+  // 100..109) was left out, the lookup reads the whole video's labels.
+  std::vector<EventLabel> labels;
+  for (const int64_t anchor : {int64_t{109}, int64_t{2509}}) {
+    EXPECT_FALSE(windowed.selection().Contains(anchor));
+    LookupLabels(windowed, task, config, anchor, &labels);
+    const Record b = BuildRecord(whole, task, config, anchor);
+    ASSERT_EQ(labels.size(), b.labels.size());
+    for (size_t k = 0; k < labels.size(); ++k) {
+      EXPECT_EQ(labels[k].present, b.labels[k].present);
+      EXPECT_EQ(labels[k].start, b.labels[k].start);
+      EXPECT_EQ(labels[k].end, b.labels[k].end);
+      EXPECT_EQ(labels[k].censored, b.labels[k].censored);
+    }
+  }
+  EXPECT_DEATH(BuildRecord(windowed, task, config, 109), "CHECK failed");
   // Frame 190 was left out...
   ExtractorConfig wide = config;
   wide.collection_window = 20;

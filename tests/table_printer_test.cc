@@ -36,6 +36,12 @@ TEST(FmtTest, FormatsDoublesAndInts) {
   EXPECT_EQ(Fmt(0.12345, 3), "0.123");
   EXPECT_EQ(Fmt(2.0, 1), "2.0");
   EXPECT_EQ(Fmt(static_cast<int64_t>(-42)), "-42");
+  // Significant digits keep a sub-unit latency that two places print as 0.
+  EXPECT_EQ(Fmt(0.0046, 2), "0.00");
+  EXPECT_EQ(FmtSig(0.0046), "0.0046");
+  EXPECT_EQ(FmtSig(0.0123456), "0.0123");
+  EXPECT_EQ(FmtSig(45.6789), "45.7");
+  EXPECT_EQ(FmtSig(2.0), "2");
 }
 
 }  // namespace

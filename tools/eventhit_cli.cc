@@ -71,6 +71,7 @@ namespace {
 
 using ::eventhit::Flags;
 using ::eventhit::Fmt;
+using ::eventhit::FmtSig;
 using ::eventhit::TablePrinter;
 namespace adapt = ::eventhit::adapt;
 namespace cloud = ::eventhit::cloud;
@@ -981,7 +982,7 @@ int RunFleet(const Flags& flags) {
   table.AddRow({"streams/sec", Fmt(stats.streams_per_sec, 1)});
   table.AddRow({"frames/sec", Fmt(stats.frames_per_sec, 0)});
   table.AddRow({"p50/p99 frame us",
-                Fmt(stats.p50_frame_us, 2) + "/" + Fmt(stats.p99_frame_us, 2)});
+                FmtSig(stats.p50_frame_us) + "/" + FmtSig(stats.p99_frame_us)});
   table.AddRow({"relay delivered/dropped/submitted",
                 Fmt(delivered) + "/" + Fmt(dropped) + "/" + Fmt(submitted)});
   table.AddRow({"relayed frames", Fmt(relayed_frames)});
