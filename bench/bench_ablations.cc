@@ -16,7 +16,6 @@
 
 #include "bench_common.h"
 #include "common/table_printer.h"
-#include "core/adaptive_c_regress.h"
 #include "core/interval_extraction.h"
 #include "core/strategies.h"
 #include "eval/curves.h"
@@ -245,54 +244,6 @@ void AblateSharedTrunk(const data::Task& task) {
                "parameters)\n";
 }
 
-// --- Ablation E ---
-void AblateAdaptiveWidening(const eval::TaskEnvironment& env,
-                            const eval::TrainedEventHit& trained) {
-  std::cout << "\n### Ablation E: fixed vs difficulty-adaptive C-REGRESS ("
-            << env.task().name << ")\n";
-  const core::AdaptiveCRegress adaptive(*trained.model, env.calib_records(),
-                                        0.5);
-  TablePrinter table({"Widening", "alpha", "REC", "SPL"});
-  for (double alpha : {0.5, 0.8, 0.95}) {
-    // Fixed (paper).
-    core::EventHitStrategyOptions options;
-    options.use_cregress = true;
-    options.coverage = alpha;
-    const core::EventHitStrategy fixed(trained.model.get(), nullptr,
-                                       trained.cregress.get(), options);
-    const eval::Metrics fixed_metrics =
-        eval::EvaluateFromScores(fixed, trained.test_scores,
-                                 env.test_records(), env.horizon());
-    table.AddRow({"fixed (paper)", Fmt(alpha, 2), Fmt(fixed_metrics.rec),
-                  Fmt(fixed_metrics.spl)});
-
-    // Adaptive: re-derive decisions with per-record difficulty scaling.
-    std::vector<core::MarshalDecision> decisions;
-    for (const core::EventScores& scores : trained.test_scores) {
-      core::MarshalDecision decision;
-      const size_t k_events = scores.existence.size();
-      decision.exists.resize(k_events);
-      decision.intervals.assign(k_events, sim::Interval::Empty());
-      for (size_t k = 0; k < k_events; ++k) {
-        decision.exists[k] = scores.existence[k] >= 0.5;
-        if (!decision.exists[k]) continue;
-        const sim::Interval estimate =
-            core::ExtractOccurrenceInterval(scores.occupancy[k], 0.5);
-        decision.intervals[k] =
-            adaptive.Adjust(k, estimate, scores.occupancy[k], alpha);
-      }
-      decisions.push_back(std::move(decision));
-    }
-    const eval::Metrics adaptive_metrics =
-        eval::ComputeMetrics(env.test_records(), decisions, env.horizon());
-    table.AddRow({"adaptive (ext.)", Fmt(alpha, 2),
-                  Fmt(adaptive_metrics.rec), Fmt(adaptive_metrics.spl)});
-  }
-  table.Print(std::cout);
-  std::cout << "(adaptive widening spends its budget on the diffuse "
-               "records; compare SPL at matched REC)\n";
-}
-
 }  // namespace
 
 int main() {
@@ -306,6 +257,5 @@ int main() {
   AblatePooledResiduals(env, trained);
   AblateConformalVsThreshold(env, trained);
   AblateSharedTrunk(task);
-  AblateAdaptiveWidening(env, trained);
   return 0;
 }

@@ -37,33 +37,4 @@ sim::Interval ClampToHorizon(const sim::Interval& interval, int horizon) {
   return out;
 }
 
-std::vector<sim::Interval> ExtractOccurrenceIntervals(
-    const std::vector<float>& theta, double tau2, int min_gap) {
-  EVENTHIT_CHECK(!theta.empty());
-  EVENTHIT_CHECK_GE(min_gap, 1);
-  std::vector<sim::Interval> runs;
-  int64_t run_start = -1;
-  for (size_t v = 0; v <= theta.size(); ++v) {
-    const bool above = v < theta.size() && theta[v] >= tau2;
-    if (above && run_start < 0) {
-      run_start = static_cast<int64_t>(v) + 1;
-    } else if (!above && run_start >= 0) {
-      runs.push_back(sim::Interval{run_start, static_cast<int64_t>(v)});
-      run_start = -1;
-    }
-  }
-  if (runs.empty()) return runs;
-  // Merge runs separated by fewer than min_gap below-threshold frames.
-  std::vector<sim::Interval> merged;
-  merged.push_back(runs.front());
-  for (size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].start - merged.back().end - 1 < min_gap) {
-      merged.back().end = runs[i].end;
-    } else {
-      merged.push_back(runs[i]);
-    }
-  }
-  return merged;
-}
-
 }  // namespace eventhit::core

@@ -21,16 +21,6 @@ sim::Interval ExtractOccurrenceInterval(const std::vector<float>& theta,
 /// leaves no overlap with [1, horizon] yields the nearest single frame.
 sim::Interval ClampToHorizon(const sim::Interval& interval, int horizon);
 
-/// Footnote-1 extension: extracts *all* occurrence intervals in the
-/// horizon, for streams where an event type can occur more than once per
-/// horizon. Maximal runs of theta_v >= tau2 become candidate intervals;
-/// runs separated by fewer than `min_gap` sub-threshold frames are merged
-/// (the paper's "events occur in continuous frames" smoothing). Returns an
-/// empty vector when no score clears tau2 (no argmax fallback here: with
-/// multiple instances an unconfident head should relay nothing extra).
-std::vector<sim::Interval> ExtractOccurrenceIntervals(
-    const std::vector<float>& theta, double tau2, int min_gap = 1);
-
 }  // namespace eventhit::core
 
 #endif  // EVENTHIT_CORE_INTERVAL_EXTRACTION_H_

@@ -2,7 +2,7 @@
 // applied by the caller so layers compose freely. Inference and training
 // run ForwardBatch through a backend's kernel table; the per-record
 // Forward/Backward over MatVec are the reference the tests check the
-// batched pass against (and the autoencoder's layers).
+// batched pass against.
 #ifndef EVENTHIT_NN_DENSE_H_
 #define EVENTHIT_NN_DENSE_H_
 

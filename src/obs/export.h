@@ -1,8 +1,7 @@
 // Snapshot exporters: render a MetricsSnapshot as a human table
-// (common/table_printer), CSV (common/csv_writer) or JSON, and write
-// trace buffers to disk. Lives in its own library (eventhit_obs_export)
-// so the core obs layer stays dependency-free and usable from
-// common/thread_pool without a cycle.
+// (common/table_printer) or JSON, and write trace buffers to disk. Lives
+// in its own library (eventhit_obs_export) so the core obs layer stays
+// dependency-free and usable from common/thread_pool without a cycle.
 #ifndef EVENTHIT_OBS_EXPORT_H_
 #define EVENTHIT_OBS_EXPORT_H_
 
@@ -18,10 +17,6 @@ namespace eventhit::obs {
 /// Pretty-prints the snapshot as aligned ASCII tables (one section per
 /// metric kind; empty kinds are skipped).
 void PrintMetricsTable(const MetricsSnapshot& snapshot, std::ostream& os);
-
-/// One row per metric: kind,name,value,count,sum,min,max (histograms fill
-/// every column; counters/gauges leave the rest empty).
-std::string MetricsToCsv(const MetricsSnapshot& snapshot);
 
 /// {"counters":{name:value,...},"gauges":{...},"histograms":{name:
 ///  {"bounds":[...],"bucket_counts":[...],"count":n,"sum":s,"min":m,

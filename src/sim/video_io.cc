@@ -48,6 +48,16 @@ bool ReadString(std::FILE* f, std::string* s) {
   return ReadBytes(f, s->data(), size);
 }
 
+// Bytes between the read position and the end of the file; -1 when the
+// file cannot seek.
+int64_t BytesLeft(std::FILE* f) {
+  const long here = std::ftell(f);
+  if (here < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
+  const long end = std::ftell(f);
+  if (end < here || std::fseek(f, here, SEEK_SET) != 0) return -1;
+  return end - here;
+}
+
 }  // namespace
 
 Status SaveVideo(const SyntheticVideo& video, const std::string& path) {
@@ -139,6 +149,24 @@ Result<SyntheticVideo> LoadVideo(const std::string& path) {
   if (spec.num_frames <= 0 || num_events == 0 || num_events > 1024) {
     return InvalidArgumentError("implausible spec values: " + path);
   }
+  if (distractors < 0 || noise < 0) {
+    return InvalidArgumentError("negative channel count: " + path);
+  }
+  if (shift_frame <= 0 || shift_frame > spec.num_frames) {
+    return InvalidArgumentError("shift frame outside the stream: " + path);
+  }
+  // The file ends with num_frames rows of D features and K counts. Sizing
+  // them against the bytes left keeps a corrupt frame count from sizing
+  // any allocation.
+  const uint64_t row_bytes =
+      (3 * uint64_t{num_events} + static_cast<uint64_t>(distractors) +
+       static_cast<uint64_t>(noise)) *
+      sizeof(float);
+  const int64_t left = BytesLeft(f);
+  if (left < 0 || static_cast<uint64_t>(spec.num_frames) >
+                      static_cast<uint64_t>(left) / row_bytes) {
+    return InvalidArgumentError("frame count exceeds the file: " + path);
+  }
   spec.collection_window = collection_window;
   spec.horizon = horizon;
   spec.num_distractor_channels = distractors;
@@ -166,6 +194,12 @@ Result<SyntheticVideo> LoadVideo(const std::string& path) {
       Interval occ;
       if (!ReadScalar(f, &occ.start) || !ReadScalar(f, &occ.end)) {
         return InvalidArgumentError("truncated timeline entry: " + path);
+      }
+      // EventTimeline::FromIntervals CHECKs the same: non-empty, inside
+      // the stream, each starting after the previous one ends.
+      if (occ.empty() || occ.start < 0 || occ.end >= spec.num_frames ||
+          (i > 0 && occ.start <= intervals[k].back().end)) {
+        return InvalidArgumentError("invalid timeline interval: " + path);
       }
       intervals[k].push_back(occ);
     }

@@ -18,7 +18,10 @@ namespace eventhit::sim {
 /// Writes `video` to `path` (overwrites).
 Status SaveVideo(const SyntheticVideo& video, const std::string& path);
 
-/// Loads a stream previously written by SaveVideo.
+/// Loads a stream previously written by SaveVideo. A file that is
+/// truncated or inconsistent (a negative channel count, more frames than
+/// the file holds, an empty, out-of-range or overlapping interval, a shift
+/// frame outside (0, num_frames]) yields InvalidArgument, never an abort.
 Result<SyntheticVideo> LoadVideo(const std::string& path);
 
 }  // namespace eventhit::sim

@@ -326,17 +326,6 @@ TEST(ExportTest, MetricsJsonRoundTripsStructure) {
   EXPECT_NE(json.find("\"bucket_counts\":[0,1,0]"), std::string::npos);
 }
 
-TEST(ExportTest, CsvHasOneRowPerMetric) {
-  MetricsRegistry registry;
-  registry.GetCounter("c.one")->Add(3);
-  registry.GetGauge("g.one")->Set(1.5);
-  const std::string csv = MetricsToCsv(registry.Snapshot());
-  EXPECT_NE(csv.find("kind,name,value,count,sum,min,max"),
-            std::string::npos);
-  EXPECT_NE(csv.find("counter,c.one,3"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g.one,1.5"), std::string::npos);
-}
-
 TEST(LabeledMetricsTest, LabeledNameIsCanonicalSortedAndEscaped) {
   EXPECT_EQ(LabeledName("m", {{"b", "2"}, {"a", "1"}}),
             "m{a=\"1\",b=\"2\"}");

@@ -385,5 +385,74 @@ TEST(SyntheticVideoTest, ReadingAnUnselectedFrameDies) {
                "CHECK failed");
 }
 
+TEST(ShiftedStreamTest, ConcatenatesRegimes) {
+  DatasetSpec before;
+  before.name = "before";
+  before.num_frames = 20000;
+  EventTypeSpec ev;
+  ev.name = "e";
+  ev.mean_gap = 900.0;
+  ev.duration_mean = 50.0;
+  ev.duration_std = 10.0;
+  before.events.push_back(ev);
+
+  DatasetSpec after = before;
+  after.name = "after";
+  after.num_frames = 20000;
+  after.events[0].mean_gap = 200.0;  // Events arrive ~4x as often.
+
+  const SyntheticVideo video =
+      SyntheticVideo::GenerateWithShift(before, after, 5);
+  EXPECT_EQ(video.num_frames(), 40000);
+  EXPECT_EQ(video.shift_frame(), 20000);
+
+  // Occurrence density must jump at the shift point.
+  int64_t early = 0, late = 0;
+  for (const Interval& occ : video.timeline().occurrences(0)) {
+    EXPECT_GE(occ.start, 0);
+    EXPECT_LT(occ.end, 40000);
+    (occ.start < 20000 ? early : late) += 1;
+  }
+  EXPECT_GT(late, 2 * early);
+
+  // Features are continuous (valid) across the boundary.
+  for (int64_t t = 19990; t < 20010; ++t) {
+    for (size_t c = 0; c < video.feature_dim(); ++c) {
+      const float v = video.FrameFeatures(t)[c];
+      EXPECT_GE(v, 0.0f);
+      EXPECT_LE(v, 1.6f);
+    }
+  }
+  // Object counts accessible across the whole concatenated stream.
+  EXPECT_GE(video.ObjectCount(0, 39999), 0.0);
+}
+
+TEST(ShiftedStreamTest, ActionUnitsCoverBothRegimes) {
+  DatasetSpec spec;
+  spec.num_frames = 15000;
+  EventTypeSpec ev;
+  ev.name = "e";
+  ev.mean_gap = 500.0;
+  spec.events.push_back(ev);
+  const SyntheticVideo video =
+      SyntheticVideo::GenerateWithShift(spec, spec, 9);
+  bool any_late = false;
+  for (const ActionUnit& unit : video.action_units()) {
+    any_late = any_late || unit.interval.start >= 15000;
+  }
+  EXPECT_TRUE(any_late);
+}
+
+TEST(ShiftedStreamTest, MismatchedSpecsDie) {
+  DatasetSpec a;
+  a.num_frames = 1000;
+  a.events.emplace_back();
+  a.events[0].duration_mean = 20;
+  DatasetSpec b = a;
+  b.events.emplace_back();
+  b.events[1].duration_mean = 20;
+  EXPECT_DEATH(SyntheticVideo::GenerateWithShift(a, b, 1), "CHECK failed");
+}
+
 }  // namespace
 }  // namespace eventhit::sim

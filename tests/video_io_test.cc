@@ -1,7 +1,13 @@
 #include "sim/video_io.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +76,73 @@ TEST(VideoIoTest, CorruptFileRejected) {
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
   EXPECT_EQ(LoadVideo(path).status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(VideoIoTest, HostileFilesRejected) {
+  // A 10-frame stream "v" with one event "e" over [2, 3] and [4, 8].
+  DatasetSpec spec;
+  spec.name = "v";
+  spec.num_frames = 10;
+  spec.num_distractor_channels = 0;
+  spec.num_noise_channels = 0;
+  spec.events.emplace_back();
+  spec.events[0].name = "e";
+  const size_t d = spec.FeatureDim();
+  EventTimeline timeline =
+      EventTimeline::FromIntervals({{Interval{2, 3}, Interval{4, 8}}}, 10);
+  const SyntheticVideo video = SyntheticVideo::FromParts(
+      spec, std::move(timeline), std::vector<float>(10 * d, 0.5f),
+      {std::vector<float>(10, 1.0f)}, 10);
+  const std::string path = TempPath("hostile.evvs");
+  ASSERT_TRUE(SaveVideo(video, path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  // Field offsets in SaveVideo's layout: magic, version, the name "v",
+  // then num_frames, M, H, distractors, noise, shift frame, the event
+  // count, event "e" (name and four doubles), and its timeline.
+  constexpr size_t kNumFrames = 4 + 4 + (4 + 1);
+  constexpr size_t kDistractors = kNumFrames + 8 + 4 + 4;
+  constexpr size_t kNoise = kDistractors + 4;
+  constexpr size_t kShift = kNoise + 4;
+  constexpr size_t kTimeline = kShift + 8 + 4 + (4 + 1) + 4 * 8;
+  constexpr size_t kFirstEnd = kTimeline + 8 + 8;
+  constexpr size_t kSecondEnd = kFirstEnd + 8 + 8;
+  struct Patch {
+    const char* what;
+    size_t offset;
+    size_t width;
+    int64_t saved;
+    int64_t value;
+  };
+  const Patch patches[] = {
+      {"negative distractor count", kDistractors, 4, 0, -3},
+      {"negative noise count", kNoise, 4, 0, -1},
+      {"more frames than the file holds", kNumFrames, 8, 10, int64_t{1} << 40},
+      {"interval past the last frame", kSecondEnd, 8, 8, 50},
+      {"empty interval", kFirstEnd, 8, 3, 1},
+      {"overlapping intervals", kFirstEnd, 8, 3, 6},
+      {"shift frame before the stream", kShift, 8, 10, -1},
+      {"shift frame past the stream", kShift, 8, 10, 11},
+  };
+  for (const Patch& patch : patches) {
+    SCOPED_TRACE(patch.what);
+    int64_t saved = 0;
+    std::memcpy(&saved, bytes.data() + patch.offset, patch.width);
+    if (patch.width == 4) saved = static_cast<int32_t>(saved);
+    ASSERT_EQ(saved, patch.saved);  // The offset names the field.
+    std::string hostile = bytes;
+    std::memcpy(hostile.data() + patch.offset, &patch.value, patch.width);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << hostile;
+    }
+    EXPECT_EQ(LoadVideo(path).status().code(), StatusCode::kInvalidArgument);
+  }
   std::remove(path.c_str());
 }
 
