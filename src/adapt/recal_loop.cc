@@ -9,6 +9,21 @@
 
 namespace eventhit::adapt {
 
+RecalLoopMetrics::RecalLoopMetrics(obs::MetricsRegistry& registry)
+    : triggers_breach(registry.GetCounter(obs::names::kRecalTriggersBreach)),
+      triggers_drift(registry.GetCounter(obs::names::kRecalTriggersDrift)),
+      refusals_cooldown(
+          registry.GetCounter(obs::names::kRecalRefusalsCooldown)),
+      refusals_min_samples(
+          registry.GetCounter(obs::names::kRecalRefusalsMinSamples)),
+      swaps(registry.GetCounter(obs::names::kRecalSwaps)),
+      last_swap_frame(registry.GetGauge(obs::names::kRecalLastSwapFrame)) {}
+
+const RecalLoopMetrics& RecalLoopMetrics::Of(obs::MetricsRegistry* registry) {
+  return (registry != nullptr ? *registry : obs::MetricsRegistry::Global())
+      .HandleSet<RecalLoopMetrics>();
+}
+
 RecalLoop::RecalLoop(const core::EventHitModel* model,
                      core::EventHitStrategy* strategy,
                      const obs::GuarantyAuditor* auditor,
@@ -19,21 +34,12 @@ RecalLoop::RecalLoop(const core::EventHitModel* model,
       auditor_(auditor),
       config_(config),
       recalibrator_(model, config.window_capacity, config.tau2),
-      detector_(config.drift) {
+      detector_(config.drift),
+      metrics_(&RecalLoopMetrics::Of(metrics)) {
   EVENTHIT_CHECK(model_ != nullptr);
   EVENTHIT_CHECK(strategy_ != nullptr);
   EVENTHIT_CHECK_GE(config_.min_records, 1u);
   EVENTHIT_CHECK_GE(config_.min_positives, 1u);
-  obs::MetricsRegistry& registry =
-      metrics != nullptr ? *metrics : obs::MetricsRegistry::Global();
-  triggers_breach_ = registry.GetCounter(obs::names::kRecalTriggersBreach);
-  triggers_drift_ = registry.GetCounter(obs::names::kRecalTriggersDrift);
-  refusals_cooldown_ =
-      registry.GetCounter(obs::names::kRecalRefusalsCooldown);
-  refusals_min_samples_ =
-      registry.GetCounter(obs::names::kRecalRefusalsMinSamples);
-  swaps_ = registry.GetCounter(obs::names::kRecalSwaps);
-  last_swap_frame_ = registry.GetGauge(obs::names::kRecalLastSwapFrame);
 }
 
 bool RecalLoop::Observe(int64_t sim_time, const data::Record& truth,
@@ -64,13 +70,13 @@ bool RecalLoop::MaybeRecalibrate(int64_t sim_time) {
     const int64_t fresh = auditor_->breach_count() - consumed_breaches_;
     consumed_breaches_ = auditor_->breach_count();
     stats_.triggers_breach += fresh;
-    triggers_breach_->Add(fresh);
+    metrics_->triggers_breach->Add(fresh);
     trigger_pending_ = true;
   }
   if (detector_.drift_detected() && !drift_consumed_) {
     drift_consumed_ = true;
     ++stats_.triggers_drift;
-    triggers_drift_->Add(1);
+    metrics_->triggers_drift->Add(1);
     trigger_pending_ = true;
   }
   if (!trigger_pending_) return false;
@@ -79,13 +85,13 @@ bool RecalLoop::MaybeRecalibrate(int64_t sim_time) {
   if (stats_.last_swap_time >= 0 &&
       sim_time - stats_.last_swap_time < config_.cooldown_frames) {
     ++stats_.refusals_cooldown;
-    refusals_cooldown_->Add(1);
+    metrics_->refusals_cooldown->Add(1);
     return false;
   }
   if (!recalibrator_.CanRebuild(config_.min_records,
                                 config_.min_positives)) {
     ++stats_.refusals_min_samples;
-    refusals_min_samples_->Add(1);
+    metrics_->refusals_min_samples->Add(1);
     return false;
   }
   Swap(sim_time);
@@ -112,8 +118,8 @@ void RecalLoop::Swap(int64_t sim_time) {
   ++stats_.swaps;
   if (stats_.first_swap_time < 0) stats_.first_swap_time = sim_time;
   stats_.last_swap_time = sim_time;
-  swaps_->Add(1);
-  last_swap_frame_->Set(static_cast<double>(sim_time));
+  metrics_->swaps->Add(1);
+  metrics_->last_swap_frame->Set(static_cast<double>(sim_time));
   obs::Logger::Global().Log(
       obs::LogLevel::kInfo, "recal", "hot_swap", sim_time,
       {obs::LogInt("window",

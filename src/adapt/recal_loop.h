@@ -69,6 +69,21 @@ struct RecalStats {
   int64_t last_swap_time = -1;
 };
 
+/// The loop's telemetry handles on one registry, resolved once per
+/// registry (obs::MetricsRegistry::HandleSet).
+struct RecalLoopMetrics {
+  explicit RecalLoopMetrics(obs::MetricsRegistry& registry);
+  /// The registry's set; nullptr selects obs::MetricsRegistry::Global().
+  static const RecalLoopMetrics& Of(obs::MetricsRegistry* registry);
+
+  obs::Counter* triggers_breach;
+  obs::Counter* triggers_drift;
+  obs::Counter* refusals_cooldown;
+  obs::Counter* refusals_min_samples;
+  obs::Counter* swaps;
+  obs::Gauge* last_swap_frame;
+};
+
 /// One breach/drift-triggered recalibration loop bound to a live strategy.
 /// Non-owning: `model`, `strategy` and `auditor` must outlive the loop
 /// (`auditor` may be nullptr, leaving only the drift-alarm trigger). The
@@ -130,12 +145,7 @@ class RecalLoop {
   bool drift_consumed_ = false;
   RecalStats stats_;
 
-  obs::Counter* triggers_breach_;
-  obs::Counter* triggers_drift_;
-  obs::Counter* refusals_cooldown_;
-  obs::Counter* refusals_min_samples_;
-  obs::Counter* swaps_;
-  obs::Gauge* last_swap_frame_;
+  const RecalLoopMetrics* metrics_;  // Valid for the registry's lifetime.
 };
 
 }  // namespace eventhit::adapt

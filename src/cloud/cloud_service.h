@@ -9,6 +9,7 @@
 #define EVENTHIT_CLOUD_CLOUD_SERVICE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,6 +38,21 @@ struct Invoice {
   double compute_seconds = 0.0;
 };
 
+/// The service's telemetry handles on one registry, resolved once per
+/// registry (obs::MetricsRegistry::HandleSet).
+struct CloudMetrics {
+  explicit CloudMetrics(obs::MetricsRegistry& registry);
+  /// The registry's set; nullptr selects obs::MetricsRegistry::Global().
+  static const CloudMetrics& Of(obs::MetricsRegistry* registry);
+
+  obs::Counter* requests;
+  obs::Counter* frames;
+  obs::Gauge* cost;
+  obs::Gauge* compute;
+  obs::Histogram* request_frames;
+  obs::Histogram* request_latency;
+};
+
 /// The service. Detection results come from the stream's ground truth,
 /// perturbed by the configured accuracy — callers treat it as the paper
 /// treats the CI: the most accurate detector available.
@@ -49,7 +65,15 @@ class CloudService {
                uint64_t seed, obs::MetricsRegistry* metrics = nullptr);
 
   /// Analyses the frames of `interval` (absolute stream frames) for event
-  /// `event_index`. Returns one flag per frame; accrues cost/time.
+  /// `event_index`. Returns one flag per frame (1 = detected), in a buffer
+  /// the service reuses: the view is valid until the next detection.
+  /// Accrues cost/time. Each frame draws once from the service's random
+  /// stream, in frame order; the truth is read run by run between the
+  /// event's occurrence edges.
+  std::span<const uint8_t> DetectView(size_t event_index,
+                                      const sim::Interval& interval);
+
+  /// DetectView, copied out.
   std::vector<bool> Detect(size_t event_index, const sim::Interval& interval);
 
   /// Charges for `count` frames without materialising results (used by the
@@ -69,14 +93,8 @@ class CloudService {
   CloudConfig config_;
   Invoice invoice_;
   Rng rng_;
-
-  // Cached telemetry handles (valid for the registry's lifetime).
-  obs::Counter* requests_metric_;
-  obs::Counter* frames_metric_;
-  obs::Gauge* cost_metric_;
-  obs::Gauge* compute_metric_;
-  obs::Histogram* request_frames_metric_;
-  obs::Histogram* request_latency_metric_;
+  std::vector<uint8_t> detections_;  // DetectView's buffer.
+  const CloudMetrics* metrics_;      // Valid for the registry's lifetime.
 };
 
 }  // namespace eventhit::cloud

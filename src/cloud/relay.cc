@@ -17,6 +17,33 @@ int64_t Micros(double seconds) {
 
 }  // namespace
 
+RelayMetrics::RelayMetrics(obs::MetricsRegistry& registry)
+    : orders_submitted(registry.GetCounter(obs::names::kRelayOrdersSubmitted)),
+      orders_delivered(registry.GetCounter(obs::names::kRelayOrdersDelivered)),
+      orders_dropped(registry.GetCounter(obs::names::kRelayOrdersDropped)),
+      orders_replayed(registry.GetCounter(obs::names::kRelayOrdersReplayed)),
+      frames_submitted(registry.GetCounter(obs::names::kRelayFramesSubmitted)),
+      frames_delivered(registry.GetCounter(obs::names::kRelayFramesDelivered)),
+      frames_dropped(registry.GetCounter(obs::names::kRelayFramesDropped)),
+      frames_buffered(registry.GetCounter(obs::names::kRelayFramesBuffered)),
+      attempts(registry.GetCounter(obs::names::kRelayAttemptsTotal)),
+      retries(registry.GetCounter(obs::names::kRelayAttemptsRetries)),
+      fault_errors(registry.GetCounter(obs::names::kRelayFaultErrors)),
+      fault_spikes(registry.GetCounter(obs::names::kRelayFaultLatencySpikes)),
+      breaker_transitions(registry.GetCounter(obs::names::kBreakerTransitions)),
+      breaker_opens(registry.GetCounter(obs::names::kBreakerOpens)),
+      breaker_state(registry.GetGauge(obs::names::kBreakerState)),
+      queue_depth(registry.GetGauge(obs::names::kRelayQueueDepth)),
+      request_attempts(registry.GetHistogram(
+          obs::names::kRelayRequestAttempts, obs::AttemptCountBounds())),
+      backoff_seconds(registry.GetHistogram(
+          obs::names::kRelayBackoffSeconds, obs::LatencySecondsBounds())) {}
+
+const RelayMetrics& RelayMetrics::Of(obs::MetricsRegistry* registry) {
+  return (registry != nullptr ? *registry : obs::MetricsRegistry::Global())
+      .HandleSet<RelayMetrics>();
+}
+
 CloudRelay::CloudRelay(CloudService* service, const RelayConfig& config,
                        uint64_t seed, const sim::FaultInjector* faults,
                        obs::MetricsRegistry* metrics,
@@ -28,7 +55,8 @@ CloudRelay::CloudRelay(CloudService* service, const RelayConfig& config,
       faults_(faults),
       pass_through_(faults == nullptr || !faults->profile().active()),
       trace_(trace),
-      log_(log != nullptr ? log : &obs::Logger::Global()) {
+      log_(log != nullptr ? log : &obs::Logger::Global()),
+      metrics_(&RelayMetrics::Of(metrics)) {
   EVENTHIT_CHECK(service_ != nullptr);
   EVENTHIT_CHECK_GT(config_.request_deadline_seconds, 0.0);
   EVENTHIT_CHECK_GE(config_.attempt_timeout_seconds, 0.0);
@@ -37,39 +65,9 @@ CloudRelay::CloudRelay(CloudService* service, const RelayConfig& config,
   if (config_.degraded_mode == DegradedMode::kBufferAndReplay) {
     EVENTHIT_CHECK_GT(config_.replay_horizon_frames, 0);
     EVENTHIT_CHECK_GT(config_.max_queue_depth, 0u);
+    // The queue never holds more, so buffering never allocates.
+    queue_.reserve(config_.max_queue_depth);
   }
-  obs::MetricsRegistry& registry =
-      metrics != nullptr ? *metrics : obs::MetricsRegistry::Global();
-  orders_submitted_metric_ =
-      registry.GetCounter(obs::names::kRelayOrdersSubmitted);
-  orders_delivered_metric_ =
-      registry.GetCounter(obs::names::kRelayOrdersDelivered);
-  orders_dropped_metric_ =
-      registry.GetCounter(obs::names::kRelayOrdersDropped);
-  orders_replayed_metric_ =
-      registry.GetCounter(obs::names::kRelayOrdersReplayed);
-  frames_submitted_metric_ =
-      registry.GetCounter(obs::names::kRelayFramesSubmitted);
-  frames_delivered_metric_ =
-      registry.GetCounter(obs::names::kRelayFramesDelivered);
-  frames_dropped_metric_ =
-      registry.GetCounter(obs::names::kRelayFramesDropped);
-  frames_buffered_metric_ =
-      registry.GetCounter(obs::names::kRelayFramesBuffered);
-  attempts_metric_ = registry.GetCounter(obs::names::kRelayAttemptsTotal);
-  retries_metric_ = registry.GetCounter(obs::names::kRelayAttemptsRetries);
-  fault_errors_metric_ = registry.GetCounter(obs::names::kRelayFaultErrors);
-  fault_spikes_metric_ =
-      registry.GetCounter(obs::names::kRelayFaultLatencySpikes);
-  breaker_transitions_metric_ =
-      registry.GetCounter(obs::names::kBreakerTransitions);
-  breaker_opens_metric_ = registry.GetCounter(obs::names::kBreakerOpens);
-  breaker_state_metric_ = registry.GetGauge(obs::names::kBreakerState);
-  queue_depth_metric_ = registry.GetGauge(obs::names::kRelayQueueDepth);
-  request_attempts_metric_ = registry.GetHistogram(
-      obs::names::kRelayRequestAttempts, obs::AttemptCountBounds());
-  backoff_seconds_metric_ = registry.GetHistogram(
-      obs::names::kRelayBackoffSeconds, obs::LatencySecondsBounds());
 }
 
 void CloudRelay::set_delivery_callback(DeliveryCallback callback) {
@@ -90,10 +88,10 @@ void CloudRelay::SyncBreaker(double now_seconds) {
   if (state == observed_state_) return;
   const BreakerState from = observed_state_;
   observed_state_ = state;
-  breaker_transitions_metric_->Add(1);
-  breaker_state_metric_->Set(static_cast<double>(static_cast<int>(state)));
+  metrics_->breaker_transitions->Add(1);
+  metrics_->breaker_state->Set(static_cast<double>(static_cast<int>(state)));
   if (state == BreakerState::kOpen) {
-    breaker_opens_metric_->Add(1);
+    metrics_->breaker_opens->Add(1);
     if (!outage_open_) {
       outage_open_ = true;
       outage_start_seconds_ = now_seconds;
@@ -109,24 +107,33 @@ void CloudRelay::SyncBreaker(double now_seconds) {
           std::max<int64_t>(1, Micros(now_seconds - outage_start_seconds_)));
     }
   }
-  log_->Log(state == BreakerState::kOpen ? obs::LogLevel::kWarn
-                                         : obs::LogLevel::kInfo,
-            "relay", "breaker_transition",
-            static_cast<int64_t>(std::llround(now_seconds * config_.stream_fps)),
-            {obs::LogStr("from", BreakerStateName(from)),
-             obs::LogStr("to", BreakerStateName(state))});
+  const obs::LogLevel level = state == BreakerState::kOpen
+                                  ? obs::LogLevel::kWarn
+                                  : obs::LogLevel::kInfo;
+  if (log_->Enabled(level)) {
+    log_->Log(
+        level, "relay", "breaker_transition",
+        static_cast<int64_t>(std::llround(now_seconds * config_.stream_fps)),
+        {obs::LogStr("from", BreakerStateName(from)),
+         obs::LogStr("to", BreakerStateName(state))});
+  }
   if (transition_callback_) transition_callback_(from, state, now_seconds);
 }
 
 void CloudRelay::Deliver(const PendingOrder& order, bool replay,
-                         std::vector<bool> detections, RelayResult* result) {
+                         RelayResult* result) {
+  // Only a delivered request touches the service — failed attempts are
+  // dropped RPCs, so they are never invoiced (cost_model_test pins the
+  // at-most-once billing contract).
+  const std::span<const uint8_t> detections =
+      service_->DetectView(order.event, order.frames);
   ++stats_.orders_delivered;
   stats_.frames_delivered += order.frames.length();
-  orders_delivered_metric_->Add(1);
-  frames_delivered_metric_->Add(order.frames.length());
+  metrics_->orders_delivered->Add(1);
+  metrics_->frames_delivered->Add(order.frames.length());
   if (replay) {
     ++stats_.orders_replayed;
-    orders_replayed_metric_->Add(1);
+    metrics_->orders_replayed->Add(1);
   }
   if (delivery_callback_) {
     RelayDelivery delivery;
@@ -137,22 +144,21 @@ void CloudRelay::Deliver(const PendingOrder& order, bool replay,
     delivery.detections = detections;
     delivery_callback_(delivery);
   }
-  if (result != nullptr) {
-    result->outcome = RelayOutcome::kDelivered;
-    result->detections = std::move(detections);
-  }
+  if (result != nullptr) result->outcome = RelayOutcome::kDelivered;
 }
 
 void CloudRelay::DropFrames(const PendingOrder& order) {
   ++stats_.orders_dropped;
   stats_.frames_dropped += order.frames.length();
-  orders_dropped_metric_->Add(1);
-  frames_dropped_metric_->Add(order.frames.length());
-  log_->Log(obs::LogLevel::kWarn, "relay", "order_dropped",
-            order.submit_frame,
-            {obs::LogInt("request_id", order.request_id),
-             obs::LogInt("event_index", static_cast<int64_t>(order.event)),
-             obs::LogInt("frames", order.frames.length())});
+  metrics_->orders_dropped->Add(1);
+  metrics_->frames_dropped->Add(order.frames.length());
+  if (log_->Enabled(obs::LogLevel::kWarn)) {
+    log_->Log(obs::LogLevel::kWarn, "relay", "order_dropped",
+              order.submit_frame,
+              {obs::LogInt("request_id", order.request_id),
+               obs::LogInt("event_index", static_cast<int64_t>(order.event)),
+               obs::LogInt("frames", order.frames.length())});
+  }
 }
 
 RelayOutcome CloudRelay::Degrade(const PendingOrder& order,
@@ -161,8 +167,8 @@ RelayOutcome CloudRelay::Degrade(const PendingOrder& order,
     if (queue_.size() < config_.max_queue_depth) {
       queue_.push_back(order);
       stats_.frames_pending += order.frames.length();
-      frames_buffered_metric_->Add(order.frames.length());
-      queue_depth_metric_->Set(static_cast<double>(queue_.size()));
+      metrics_->frames_buffered->Add(order.frames.length());
+      metrics_->queue_depth->Set(static_cast<double>(queue_.size()));
       return RelayOutcome::kBuffered;
     }
     DropFrames(order);
@@ -193,10 +199,10 @@ bool CloudRelay::ProcessOrder(const PendingOrder& order, int64_t now_frame,
     SyncBreaker(now_s + elapsed);  // AllowRequest may have half-opened.
     ++attempts_here;
     ++stats_.attempts;
-    attempts_metric_->Add(1);
+    metrics_->attempts->Add(1);
     if (attempt > 0) {
       ++stats_.retries;
-      retries_metric_->Add(1);
+      metrics_->retries->Add(1);
     }
     sim::FaultDecision fault;
     if (faults_ != nullptr) {
@@ -204,11 +210,11 @@ bool CloudRelay::ProcessOrder(const PendingOrder& order, int64_t now_frame,
     }
     if (fault.fail && !fault.blackout) {
       ++stats_.injected_errors;
-      fault_errors_metric_->Add(1);
+      metrics_->fault_errors->Add(1);
     }
     if (fault.extra_latency_seconds > 0.0) {
       ++stats_.injected_latency_spikes;
-      fault_spikes_metric_->Add(1);
+      metrics_->fault_spikes->Add(1);
     }
     const double latency = base_latency + fault.extra_latency_seconds;
     // Per-attempt budget: the cancellation timeout (if configured) and
@@ -229,13 +235,9 @@ bool CloudRelay::ProcessOrder(const PendingOrder& order, int64_t now_frame,
       breaker_.RecordSuccess(now_s + elapsed + attempt_cost);
       SyncBreaker(now_s + elapsed + attempt_cost);
       stats_.frames_in_flight -= order.frames.length();
-      request_attempts_metric_->Observe(static_cast<double>(attempts_here));
+      metrics_->request_attempts->Observe(static_cast<double>(attempts_here));
       if (result != nullptr) result->attempts = attempts_here;
-      // Only a delivered request touches the service — failed attempts
-      // are dropped RPCs, so they are never invoiced (cost_model_test
-      // pins the at-most-once billing contract).
-      Deliver(order, replay, service_->Detect(order.event, order.frames),
-              result);
+      Deliver(order, replay, result);
       return true;
     }
     ++stats_.failed_attempts;
@@ -246,14 +248,14 @@ bool CloudRelay::ProcessOrder(const PendingOrder& order, int64_t now_frame,
     if (attempt + 1 >= retry_.max_attempts()) break;
     const double backoff = retry_.BackoffSeconds(order.request_id,
                                                  attempt + 1);
-    backoff_seconds_metric_->Observe(backoff);
+    metrics_->backoff_seconds->Observe(backoff);
     if (elapsed + backoff + base_latency > config_.request_deadline_seconds) {
       break;  // No budget left for another full attempt.
     }
     elapsed += backoff;
   }
   stats_.frames_in_flight -= order.frames.length();
-  request_attempts_metric_->Observe(static_cast<double>(attempts_here));
+  metrics_->request_attempts->Observe(static_cast<double>(attempts_here));
   if (result != nullptr) {
     result->attempts = attempts_here;
     result->outcome = failure;
@@ -273,19 +275,18 @@ RelayResult CloudRelay::Submit(size_t event_index,
   order.expiry_frame = now_frame + config_.replay_horizon_frames;
   ++stats_.orders_submitted;
   stats_.frames_submitted += frames.length();
-  orders_submitted_metric_->Add(1);
-  frames_submitted_metric_->Add(frames.length());
+  metrics_->orders_submitted->Add(1);
+  metrics_->frames_submitted->Add(frames.length());
 
   RelayResult result;
   if (pass_through_) {
     // Zero-overhead pass-through: the exact Detect call sequence of the
     // pre-relay pipeline, no breaker, no retry bookkeeping beyond stats.
     ++stats_.attempts;
-    attempts_metric_->Add(1);
-    request_attempts_metric_->Observe(1.0);
+    metrics_->attempts->Add(1);
+    metrics_->request_attempts->Observe(1.0);
     result.attempts = 1;
-    Deliver(order, /*replay=*/false,
-            service_->Detect(order.event, order.frames), &result);
+    Deliver(order, /*replay=*/false, &result);
     return result;
   }
 
@@ -298,9 +299,10 @@ RelayResult CloudRelay::Submit(size_t event_index,
 
 void CloudRelay::AdvanceTo(int64_t now_frame) {
   if (queue_.empty()) return;
-  std::deque<PendingOrder> keep;
-  while (!queue_.empty()) {
-    PendingOrder order = queue_.front();
+  // One pass over the buffered orders in submission order; the ones that
+  // stay go back on the queue's tail, in the same order.
+  for (size_t n = queue_.size(); n > 0; --n) {
+    const PendingOrder order = queue_.front();
     queue_.pop_front();
     if (now_frame >= order.expiry_frame) {
       // Stale: detections past the horizon are useless.
@@ -313,7 +315,7 @@ void CloudRelay::AdvanceTo(int64_t now_frame) {
     // transition callback, which asserts the accounting identity.
     if (!breaker_.AllowRequest(FrameSeconds(now_frame))) {
       SyncBreaker(FrameSeconds(now_frame));
-      keep.push_back(order);
+      queue_.push_back(order);
       continue;
     }
     SyncBreaker(FrameSeconds(now_frame));
@@ -321,11 +323,10 @@ void CloudRelay::AdvanceTo(int64_t now_frame) {
     if (!ProcessOrder(order, now_frame, /*replay=*/true, nullptr)) {
       // Still failing; stays buffered until delivery or expiry.
       stats_.frames_pending += order.frames.length();
-      keep.push_back(order);
+      queue_.push_back(order);
     }
   }
-  queue_ = std::move(keep);
-  queue_depth_metric_->Set(static_cast<double>(queue_.size()));
+  metrics_->queue_depth->Set(static_cast<double>(queue_.size()));
 }
 
 void CloudRelay::Flush(int64_t final_frame) {
@@ -336,7 +337,7 @@ void CloudRelay::Flush(int64_t final_frame) {
     stats_.frames_pending -= order.frames.length();
     DropFrames(order);
   }
-  queue_depth_metric_->Set(0.0);
+  metrics_->queue_depth->Set(0.0);
   EVENTHIT_CHECK_EQ(stats_.frames_in_flight, 0);
   EVENTHIT_CHECK_EQ(stats_.frames_delivered + stats_.frames_dropped,
                     stats_.frames_submitted);

@@ -16,13 +16,13 @@
 #define EVENTHIT_CLOUD_RELAY_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <vector>
+#include <span>
 
 #include "cloud/circuit_breaker.h"
 #include "cloud/cloud_service.h"
 #include "cloud/retry_policy.h"
+#include "common/vector_fifo.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -71,10 +71,10 @@ enum class RelayOutcome {
   kDroppedBreakerOpen,
 };
 
+/// How a submission ended; a delivery's detections go to the delivery
+/// callback.
 struct RelayResult {
   RelayOutcome outcome = RelayOutcome::kDelivered;
-  /// Per-frame detections when delivered (empty otherwise).
-  std::vector<bool> detections;
   /// Attempts consumed by this submission (0 when the breaker rejected
   /// the request outright).
   int attempts = 0;
@@ -86,7 +86,36 @@ struct RelayDelivery {
   size_t event = 0;
   sim::Interval frames;
   bool replayed = false;
-  std::vector<bool> detections;
+  /// One flag per frame (1 = detected): a view of the service's buffer,
+  /// valid only during the callback.
+  std::span<const uint8_t> detections;
+};
+
+/// The relay's telemetry handles on one registry, resolved once per
+/// registry (obs::MetricsRegistry::HandleSet).
+struct RelayMetrics {
+  explicit RelayMetrics(obs::MetricsRegistry& registry);
+  /// The registry's set; nullptr selects obs::MetricsRegistry::Global().
+  static const RelayMetrics& Of(obs::MetricsRegistry* registry);
+
+  obs::Counter* orders_submitted;
+  obs::Counter* orders_delivered;
+  obs::Counter* orders_dropped;
+  obs::Counter* orders_replayed;
+  obs::Counter* frames_submitted;
+  obs::Counter* frames_delivered;
+  obs::Counter* frames_dropped;
+  obs::Counter* frames_buffered;
+  obs::Counter* attempts;
+  obs::Counter* retries;
+  obs::Counter* fault_errors;
+  obs::Counter* fault_spikes;
+  obs::Counter* breaker_transitions;
+  obs::Counter* breaker_opens;
+  obs::Gauge* breaker_state;
+  obs::Gauge* queue_depth;
+  obs::Histogram* request_attempts;
+  obs::Histogram* backoff_seconds;
 };
 
 /// Aggregate accounting. Invariant (checked by relay_chaos_test at every
@@ -173,8 +202,7 @@ class CloudRelay {
   /// delivered (detections in `*result` when non-null).
   bool ProcessOrder(const PendingOrder& order, int64_t now_frame,
                     bool replay, RelayResult* result);
-  void Deliver(const PendingOrder& order, bool replay,
-               std::vector<bool> detections, RelayResult* result);
+  void Deliver(const PendingOrder& order, bool replay, RelayResult* result);
   void DropFrames(const PendingOrder& order);
   RelayOutcome Degrade(const PendingOrder& order, RelayOutcome failure);
   /// Mirrors breaker state into metrics / outage spans / the transition
@@ -193,7 +221,7 @@ class CloudRelay {
   DeliveryCallback delivery_callback_;
   BreakerTransitionCallback transition_callback_;
 
-  std::deque<PendingOrder> queue_;
+  VectorFifo<PendingOrder> queue_;
   RelayStats stats_;
   int64_t next_request_id_ = 0;
   int64_t attempt_counter_ = 0;  // Global fault-draw index.
@@ -201,25 +229,7 @@ class CloudRelay {
   double outage_start_seconds_ = 0.0;
   bool outage_open_ = false;
 
-  // Cached telemetry handles (valid for the registry's lifetime).
-  obs::Counter* orders_submitted_metric_;
-  obs::Counter* orders_delivered_metric_;
-  obs::Counter* orders_dropped_metric_;
-  obs::Counter* orders_replayed_metric_;
-  obs::Counter* frames_submitted_metric_;
-  obs::Counter* frames_delivered_metric_;
-  obs::Counter* frames_dropped_metric_;
-  obs::Counter* frames_buffered_metric_;
-  obs::Counter* attempts_metric_;
-  obs::Counter* retries_metric_;
-  obs::Counter* fault_errors_metric_;
-  obs::Counter* fault_spikes_metric_;
-  obs::Counter* breaker_transitions_metric_;
-  obs::Counter* breaker_opens_metric_;
-  obs::Gauge* breaker_state_metric_;
-  obs::Gauge* queue_depth_metric_;
-  obs::Histogram* request_attempts_metric_;
-  obs::Histogram* backoff_seconds_metric_;
+  const RelayMetrics* metrics_;  // Valid for the registry's lifetime.
 };
 
 }  // namespace eventhit::cloud

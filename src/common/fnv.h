@@ -25,13 +25,26 @@ inline uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
 }
 
 /// Folds the eight bytes of `v`, least significant first.
-inline uint64_t FnvU64(uint64_t h, uint64_t v) {
+constexpr uint64_t FnvU64(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xffu;
     h *= kFnvPrime;
   }
   return h;
 }
+
+/// kFnvPrime^8 (mod 2^64).
+inline constexpr uint64_t kFnvPrime8 = FnvU64(1, 0);
+
+/// FnvU64(h, v) for a one-byte value: its seven zero bytes only multiply
+/// by the prime, so the fold is one xor and one multiply by kFnvPrime^8.
+constexpr uint64_t FnvU64Byte(uint64_t h, uint8_t v) {
+  return (h ^ v) * kFnvPrime8;
+}
+
+static_assert(FnvU64Byte(kFnvOffset, 0) == FnvU64(kFnvOffset, 0) &&
+              FnvU64Byte(kFnvOffset, 1) == FnvU64(kFnvOffset, 1) &&
+              FnvU64Byte(~0ull, 0xff) == FnvU64(~0ull, 0xff));
 
 }  // namespace eventhit
 

@@ -52,30 +52,6 @@ double Sigmoid(double x) {
   return z / (1.0 + z);
 }
 
-double SafeLog(double p) {
-  constexpr double kFloor = 1e-12;
-  return std::log(std::max(p, kFloor));
-}
-
-double PearsonCorrelation(const std::vector<double>& xs,
-                          const std::vector<double>& ys) {
-  EVENTHIT_CHECK_EQ(xs.size(), ys.size());
-  const size_t n = xs.size();
-  if (n < 2) return 0.0;
-  const double mx = Mean(xs);
-  const double my = Mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 void RunningStats::Add(double value) {
   ++count_;
   const double delta = value - mean_;

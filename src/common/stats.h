@@ -35,13 +35,6 @@ double Clamp(double value, double lo, double hi);
 /// Numerically-stable logistic sigmoid.
 double Sigmoid(double x);
 
-/// log(p) clamped away from -inf for cross-entropy computations.
-double SafeLog(double p);
-
-/// Pearson correlation of two equal-length series; 0 if degenerate.
-double PearsonCorrelation(const std::vector<double>& xs,
-                          const std::vector<double>& ys);
-
 /// Running mean/variance accumulator (Welford).
 class RunningStats {
  public:

@@ -192,7 +192,7 @@ uint64_t ExecutionContext::SeedFor(uint64_t stream_id) const {
   return SplitSeed(base_seed_, stream_id);
 }
 
-void ExecutionContext::ParallelFor(
+void ExecutionContext::ParallelForRef(
     size_t n, const std::function<void(size_t)>& body) const {
   if (pool_ != nullptr) {
     pool_->ParallelFor(n, body);

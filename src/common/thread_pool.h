@@ -115,7 +115,13 @@ class ExecutionContext {
 
   /// Runs body(i) over [0, n) — through the pool when threads() > 1,
   /// inline otherwise. The single entry point used by all wired-in stages.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body) const;
+  /// `body` is called through a reference, never copied: a lambda whose
+  /// captures outgrow std::function's local buffer would otherwise cost a
+  /// heap allocation per call (the fleet calls this on every busy tick).
+  template <typename Body>
+  void ParallelFor(size_t n, Body&& body) const {
+    ParallelForRef(n, std::ref(body));
+  }
 
   /// Serial context for stages nested inside a ParallelFor body (the pool
   /// is not reentrant). Keeps the base seed so derived streams line up.
@@ -124,6 +130,9 @@ class ExecutionContext {
   }
 
  private:
+  void ParallelForRef(size_t n,
+                      const std::function<void(size_t)>& body) const;
+
   uint64_t base_seed_ = 0;
   std::shared_ptr<ThreadPool> pool_;  // Null when threads == 1.
 };

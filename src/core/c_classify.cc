@@ -45,12 +45,19 @@ std::vector<double> CClassify::PValues(const EventScores& scores) const {
 
 std::vector<bool> CClassify::PredictExistence(const EventScores& scores,
                                               double confidence) const {
-  const std::vector<double> p = PValues(scores);
-  std::vector<bool> exists(p.size());
-  for (size_t k = 0; k < p.size(); ++k) {
-    exists[k] = p[k] >= 1.0 - confidence;
+  EVENTHIT_CHECK_EQ(scores.existence.size(), classifiers_.size());
+  std::vector<bool> exists(classifiers_.size());
+  for (size_t k = 0; k < classifiers_.size(); ++k) {
+    exists[k] = PredictsPresent(k, scores, confidence);
   }
   return exists;
+}
+
+bool CClassify::PredictsPresent(size_t k, const EventScores& scores,
+                                double confidence) const {
+  EVENTHIT_CHECK_LT(k, classifiers_.size());
+  return classifiers_[k].PredictPositive(1.0 - scores.existence[k],
+                                         confidence);
 }
 
 size_t CClassify::CalibrationSize(size_t k) const {

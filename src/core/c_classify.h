@@ -45,6 +45,10 @@ class CClassify {
   std::vector<bool> PredictExistence(const EventScores& scores,
                                      double confidence) const;
 
+  /// Event k's entry of PredictExistence, without building the vector.
+  bool PredictsPresent(size_t k, const EventScores& scores,
+                       double confidence) const;
+
   /// Number of positive calibration records for event `k`.
   size_t CalibrationSize(size_t k) const;
 

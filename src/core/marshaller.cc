@@ -9,6 +9,51 @@
 
 namespace eventhit::core {
 
+MarshallerMetrics::MarshallerMetrics(obs::MetricsRegistry& registry)
+    : frames_total(registry.GetCounter(obs::names::kMarshallerFramesTotal)),
+      frames_relayed(
+          registry.GetCounter(obs::names::kMarshallerFramesRelayed)),
+      frames_filtered(
+          registry.GetCounter(obs::names::kMarshallerFramesFiltered)),
+      horizons(registry.GetCounter(obs::names::kMarshallerHorizonsPredicted)),
+      relay_orders(registry.GetCounter(obs::names::kMarshallerRelayOrders)),
+      events_present(registry.GetCounter(
+          obs::names::kMarshallerEventsPredictedPresent)),
+      events_absent(registry.GetCounter(
+          obs::names::kMarshallerEventsPredictedAbsent)),
+      order_frames(registry.GetHistogram(
+          obs::names::kMarshallerRelayOrderFrames, obs::FrameCountBounds())),
+      sched_horizons_scored(
+          registry.GetCounter(obs::names::kSchedHorizonsScored)),
+      sched_horizons_reused(
+          registry.GetCounter(obs::names::kSchedHorizonsReused)),
+      sched_frames_scored(registry.GetCounter(obs::names::kSchedFramesScored)),
+      sched_frames_skipped(
+          registry.GetCounter(obs::names::kSchedFramesSkipped)),
+      sched_flops_local(
+          registry.GetCounter(obs::names::kSchedFlopsLocalMflops)),
+      sched_flops_saved(
+          registry.GetCounter(obs::names::kSchedFlopsSavedMflops)),
+      sched_stride(registry.GetGauge(obs::names::kSchedPolicyStride)) {}
+
+const MarshallerMetrics& MarshallerMetrics::Of(
+    obs::MetricsRegistry* registry) {
+  return (registry != nullptr ? *registry : obs::MetricsRegistry::Global())
+      .HandleSet<MarshallerMetrics>();
+}
+
+MarshallerEventMetrics::MarshallerEventMetrics(obs::MetricsRegistry& registry,
+                                               const std::string& label) {
+  const obs::Labels by_event = {{"event_type", label}};
+  present = registry.GetCounter(obs::names::kMarshallerEventsPredictedPresent,
+                                by_event);
+  absent = registry.GetCounter(obs::names::kMarshallerEventsPredictedAbsent,
+                               by_event);
+  orders = registry.GetCounter(obs::names::kMarshallerRelayOrders, by_event);
+  order_frames = registry.GetHistogram(obs::names::kMarshallerRelayOrderFrames,
+                                       obs::FrameCountBounds(), by_event);
+}
+
 Marshaller::Marshaller(const MarshalStrategy* strategy, int collection_window,
                        int horizon, size_t feature_dim, size_t num_events,
                        obs::MetricsRegistry* metrics,
@@ -18,59 +63,22 @@ Marshaller::Marshaller(const MarshalStrategy* strategy, int collection_window,
       horizon_(horizon),
       feature_dim_(feature_dim),
       num_events_(num_events),
-      next_boundary_(collection_window - 1) {
+      next_boundary_(collection_window - 1),
+      metrics_(&MarshallerMetrics::Of(metrics)) {
   EVENTHIT_CHECK(strategy_ != nullptr);
   EVENTHIT_CHECK_GT(collection_window_, 0);
   EVENTHIT_CHECK_GT(horizon_, 0);
   EVENTHIT_CHECK_GT(feature_dim_, 0u);
   EVENTHIT_CHECK_GT(num_events_, 0u);
   ring_.assign(static_cast<size_t>(collection_window_) * feature_dim_, 0.0f);
-  obs::MetricsRegistry& registry =
-      metrics != nullptr ? *metrics : obs::MetricsRegistry::Global();
-  frames_total_metric_ =
-      registry.GetCounter(obs::names::kMarshallerFramesTotal);
-  frames_relayed_metric_ =
-      registry.GetCounter(obs::names::kMarshallerFramesRelayed);
-  frames_filtered_metric_ =
-      registry.GetCounter(obs::names::kMarshallerFramesFiltered);
-  horizons_metric_ =
-      registry.GetCounter(obs::names::kMarshallerHorizonsPredicted);
-  relay_orders_metric_ =
-      registry.GetCounter(obs::names::kMarshallerRelayOrders);
-  events_present_metric_ =
-      registry.GetCounter(obs::names::kMarshallerEventsPredictedPresent);
-  events_absent_metric_ =
-      registry.GetCounter(obs::names::kMarshallerEventsPredictedAbsent);
-  order_frames_metric_ = registry.GetHistogram(
-      obs::names::kMarshallerRelayOrderFrames, obs::FrameCountBounds());
-  sched_horizons_scored_metric_ =
-      registry.GetCounter(obs::names::kSchedHorizonsScored);
-  sched_horizons_reused_metric_ =
-      registry.GetCounter(obs::names::kSchedHorizonsReused);
-  sched_frames_scored_metric_ =
-      registry.GetCounter(obs::names::kSchedFramesScored);
-  sched_frames_skipped_metric_ =
-      registry.GetCounter(obs::names::kSchedFramesSkipped);
-  sched_flops_local_metric_ =
-      registry.GetCounter(obs::names::kSchedFlopsLocalMflops);
-  sched_flops_saved_metric_ =
-      registry.GetCounter(obs::names::kSchedFlopsSavedMflops);
-  sched_stride_gauge_ = registry.GetGauge(obs::names::kSchedPolicyStride);
+  relayed_.reserve(num_events_);
   if (!event_labels.empty()) {
+    obs::MetricsRegistry& registry =
+        metrics != nullptr ? *metrics : obs::MetricsRegistry::Global();
     for (size_t k = 0; k < num_events_; ++k) {
-      const std::string label = k < event_labels.size()
-                                    ? event_labels[k]
-                                    : "event" + std::to_string(k);
-      const obs::Labels by_event = {{"event_type", label}};
-      present_by_event_.push_back(registry.GetCounter(
-          obs::names::kMarshallerEventsPredictedPresent, by_event));
-      absent_by_event_.push_back(registry.GetCounter(
-          obs::names::kMarshallerEventsPredictedAbsent, by_event));
-      orders_by_event_.push_back(
-          registry.GetCounter(obs::names::kMarshallerRelayOrders, by_event));
-      order_frames_by_event_.push_back(
-          registry.GetHistogram(obs::names::kMarshallerRelayOrderFrames,
-                                obs::FrameCountBounds(), by_event));
+      by_event_.push_back(&registry.HandleSet<MarshallerEventMetrics>(
+          k < event_labels.size() ? event_labels[k]
+                                  : "event" + std::to_string(k)));
     }
   }
 }
@@ -180,20 +188,21 @@ bool Marshaller::PushFrameDeferred(const float* features,
     return false;
   }
 
-  // Reconstruct the window in logical (oldest-first) order.
-  std::vector<float> covariates(
-      static_cast<size_t>(collection_window_) * feature_dim_);
+  // Reconstruct the window in logical (oldest-first) order, into the
+  // record's own buffers: a caller that hands the same record back
+  // allocates nothing.
+  pending->covariates.resize(static_cast<size_t>(collection_window_) *
+                             feature_dim_);
   for (int m = 0; m < collection_window_; ++m) {
     const int64_t frame = current_frame - collection_window_ + 1 + m;
     const size_t src = static_cast<size_t>(
         frame % static_cast<int64_t>(collection_window_));
-    std::memcpy(covariates.data() + static_cast<size_t>(m) * feature_dim_,
-                ring_.data() + src * feature_dim_,
-                feature_dim_ * sizeof(float));
+    std::memcpy(
+        pending->covariates.data() + static_cast<size_t>(m) * feature_dim_,
+        ring_.data() + src * feature_dim_, feature_dim_ * sizeof(float));
   }
 
   pending->frame = current_frame;
-  pending->covariates = std::move(covariates);
   pending->labels.assign(num_events_, data::EventLabel{});  // Unknown.
   pending_anchors_.push_back(current_frame);
   return true;
@@ -211,18 +220,18 @@ void Marshaller::CompletePredictionInternal(const MarshalDecision& decision,
   const int64_t horizon_index = boundaries_completed_++;
   if (&decision != &last_decision_) last_decision_ = decision;
   ++stats_.horizons_predicted;
-  horizons_metric_->Add(1);
+  metrics_->horizons->Add(1);
 
   // Relay orders in absolute frames; count billed frames as the union.
-  std::vector<sim::Interval> relayed;
+  relayed_.clear();
   int64_t events_present = 0;
   for (size_t k = 0; k < last_decision_.exists.size(); ++k) {
     if (!last_decision_.exists[k]) {
-      if (k < absent_by_event_.size()) absent_by_event_[k]->Add(1);
+      if (k < by_event_.size()) by_event_[k]->absent->Add(1);
       continue;
     }
     ++events_present;
-    if (k < present_by_event_.size()) present_by_event_[k]->Add(1);
+    if (k < by_event_.size()) by_event_[k]->present->Add(1);
     const sim::Interval& offsets = last_decision_.intervals[k];
     // A present prediction with an empty interval relays nothing: no
     // order is issued (the cloud service rejects empty requests) and the
@@ -234,28 +243,29 @@ void Marshaller::CompletePredictionInternal(const MarshalDecision& decision,
     order.frames = sim::Interval{current_frame + offsets.start,
                                  current_frame + offsets.end};
     order.anchor = current_frame;
-    relayed.push_back(order.frames);
+    relayed_.push_back(order.frames);
     ++stats_.relay_orders;
-    relay_orders_metric_->Add(1);
-    order_frames_metric_->Observe(static_cast<double>(order.frames.length()));
-    if (k < orders_by_event_.size()) {
-      orders_by_event_[k]->Add(1);
-      order_frames_by_event_[k]->Observe(
+    metrics_->relay_orders->Add(1);
+    metrics_->order_frames->Observe(
+        static_cast<double>(order.frames.length()));
+    if (k < by_event_.size()) {
+      by_event_[k]->orders->Add(1);
+      by_event_[k]->order_frames->Observe(
           static_cast<double>(order.frames.length()));
     }
     if (relay_callback_) relay_callback_(order);
   }
-  events_present_metric_->Add(events_present);
-  events_absent_metric_->Add(
+  metrics_->events_present->Add(events_present);
+  metrics_->events_absent->Add(
       static_cast<int64_t>(last_decision_.exists.size()) - events_present);
   int64_t billed = 0;
-  if (!relayed.empty()) {
-    std::sort(relayed.begin(), relayed.end(),
+  if (!relayed_.empty()) {
+    std::sort(relayed_.begin(), relayed_.end(),
               [](const sim::Interval& a, const sim::Interval& b) {
                 return a.start < b.start;
               });
-    int64_t cursor = relayed.front().start - 1;
-    for (const sim::Interval& interval : relayed) {
+    int64_t cursor = relayed_.front().start - 1;
+    for (const sim::Interval& interval : relayed_) {
       const int64_t from = std::max(interval.start, cursor + 1);
       if (interval.end >= from) {
         billed += interval.end - from + 1;
@@ -271,9 +281,9 @@ void Marshaller::CompletePredictionInternal(const MarshalDecision& decision,
   // boundary, so "total" is max(H, billed) rather than H — the invariant
   // relayed + filtered == total holds unconditionally.
   const int64_t filtered = std::max<int64_t>(0, horizon_ - billed);
-  frames_relayed_metric_->Add(billed);
-  frames_filtered_metric_->Add(filtered);
-  frames_total_metric_->Add(billed + filtered);
+  metrics_->frames_relayed->Add(billed);
+  metrics_->frames_filtered->Add(filtered);
+  metrics_->frames_total->Add(billed + filtered);
 
   // Local-compute accounting for the segment this boundary covers: the
   // first boundary covers the M window-fill frames, every later one the
@@ -305,17 +315,17 @@ void Marshaller::CompletePredictionInternal(const MarshalDecision& decision,
       (reused ? cost_.forward_mflops_per_boundary : 0.0);
   const int64_t local_mflops = std::llround(local_mflops_total_);
   const int64_t saved_mflops = std::llround(saved_mflops_total_);
-  sched_flops_local_metric_->Add(local_mflops - stats_.local_mflops);
-  sched_flops_saved_metric_->Add(saved_mflops - stats_.saved_mflops);
+  metrics_->sched_flops_local->Add(local_mflops - stats_.local_mflops);
+  metrics_->sched_flops_saved->Add(saved_mflops - stats_.saved_mflops);
   stats_.local_mflops = local_mflops;
   stats_.saved_mflops = saved_mflops;
-  sched_frames_scored_metric_->Add(frames_scored);
-  sched_frames_skipped_metric_->Add(frames_skipped);
+  metrics_->sched_frames_scored->Add(frames_scored);
+  metrics_->sched_frames_skipped->Add(frames_skipped);
   if (reused) {
     ++stats_.horizons_reused;
-    sched_horizons_reused_metric_->Add(1);
+    metrics_->sched_horizons_reused->Add(1);
   } else {
-    sched_horizons_scored_metric_->Add(1);
+    metrics_->sched_horizons_scored->Add(1);
     if (policy_ != nullptr) {
       sched::ScoreObservation observation;
       observation.horizon_index = horizon_index;
@@ -326,7 +336,7 @@ void Marshaller::CompletePredictionInternal(const MarshalDecision& decision,
       policy_->Observe(observation);
     }
   }
-  sched_stride_gauge_->Set(static_cast<double>(
+  metrics_->sched_stride->Set(static_cast<double>(
       policy_ != nullptr ? policy_->CurrentStride() : 1));
 
   if (provenance_ != nullptr) {
@@ -341,7 +351,7 @@ void Marshaller::CompletePredictionInternal(const MarshalDecision& decision,
     }
     provenance_->StampDecision(current_frame, reused, policy_name_,
                                exists_mask, static_cast<int>(events_present),
-                               static_cast<int>(relayed.size()), billed,
+                               static_cast<int>(relayed_.size()), billed,
                                last_decision_.max_existence);
   }
 

@@ -6,12 +6,13 @@
 #define EVENTHIT_CORE_MARSHALLER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/vector_fifo.h"
 #include "core/prediction.h"
 #include "nn/matrix.h"
 #include "obs/metrics.h"
@@ -44,6 +45,42 @@ struct MarshallerStats {
   // The MFLOPs fields are the stream's exact running totals, rounded.
   int64_t local_mflops = 0;     // Estimated local compute actually spent.
   int64_t saved_mflops = 0;     // Estimated local compute avoided.
+};
+
+/// The marshaller's telemetry handles on one registry, resolved once per
+/// registry (obs::MetricsRegistry::HandleSet) and shared by every
+/// marshaller that reports there.
+struct MarshallerMetrics {
+  explicit MarshallerMetrics(obs::MetricsRegistry& registry);
+  /// The registry's set; nullptr selects obs::MetricsRegistry::Global().
+  static const MarshallerMetrics& Of(obs::MetricsRegistry* registry);
+
+  obs::Counter* frames_total;
+  obs::Counter* frames_relayed;
+  obs::Counter* frames_filtered;
+  obs::Counter* horizons;
+  obs::Counter* relay_orders;
+  obs::Counter* events_present;
+  obs::Counter* events_absent;
+  obs::Histogram* order_frames;
+  obs::Counter* sched_horizons_scored;
+  obs::Counter* sched_horizons_reused;
+  obs::Counter* sched_frames_scored;
+  obs::Counter* sched_frames_skipped;
+  obs::Counter* sched_flops_local;
+  obs::Counter* sched_flops_saved;
+  obs::Gauge* sched_stride;
+};
+
+/// The `{event_type=label}` series of one event type on one registry.
+struct MarshallerEventMetrics {
+  MarshallerEventMetrics(obs::MetricsRegistry& registry,
+                         const std::string& label);
+
+  obs::Counter* present;
+  obs::Counter* absent;
+  obs::Counter* orders;
+  obs::Histogram* order_frames;
 };
 
 /// Frame-by-frame driver around a MarshalStrategy.
@@ -230,7 +267,9 @@ class Marshaller {
   int64_t boundaries_completed_ = 0;
 
   // Anchor frames of deferred predictions awaiting CompletePrediction.
-  std::deque<int64_t> pending_anchors_;
+  VectorFifo<int64_t> pending_anchors_;
+  // One boundary's relayed intervals (per-boundary scratch).
+  std::vector<sim::Interval> relayed_;
 
   MarshalDecision last_decision_;
   MarshallerStats stats_;
@@ -238,28 +277,10 @@ class Marshaller {
   double local_mflops_total_ = 0.0;
   double saved_mflops_total_ = 0.0;
 
-  // Cached telemetry handles (valid for the registry's lifetime).
-  obs::Counter* frames_total_metric_;
-  obs::Counter* frames_relayed_metric_;
-  obs::Counter* frames_filtered_metric_;
-  obs::Counter* horizons_metric_;
-  obs::Counter* relay_orders_metric_;
-  obs::Counter* events_present_metric_;
-  obs::Counter* events_absent_metric_;
-  obs::Histogram* order_frames_metric_;
-  obs::Counter* sched_horizons_scored_metric_;
-  obs::Counter* sched_horizons_reused_metric_;
-  obs::Counter* sched_frames_scored_metric_;
-  obs::Counter* sched_frames_skipped_metric_;
-  obs::Counter* sched_flops_local_metric_;
-  obs::Counter* sched_flops_saved_metric_;
-  obs::Gauge* sched_stride_gauge_;
-
+  // Telemetry handles (valid for the registry's lifetime).
+  const MarshallerMetrics* metrics_;
   // Per-event labeled series (empty when no event labels were given).
-  std::vector<obs::Counter*> present_by_event_;
-  std::vector<obs::Counter*> absent_by_event_;
-  std::vector<obs::Counter*> orders_by_event_;
-  std::vector<obs::Histogram*> order_frames_by_event_;
+  std::vector<const MarshallerEventMetrics*> by_event_;
 };
 
 }  // namespace eventhit::core

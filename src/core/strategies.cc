@@ -38,35 +38,38 @@ std::string EventHitStrategy::name() const {
 
 MarshalDecision EventHitStrategy::DecideFromScores(
     const EventScores& scores) const {
-  const size_t k_events = scores.existence.size();
   MarshalDecision decision;
-  decision.exists.resize(k_events);
-  decision.intervals.assign(k_events, sim::Interval::Empty());
-  for (const double b : scores.existence) {
-    decision.max_existence = std::max(decision.max_existence, b);
-  }
+  DecideFromScores(scores, &decision);
+  return decision;
+}
 
-  std::vector<bool> exists;
+void EventHitStrategy::DecideFromScores(const EventScores& scores,
+                                        MarshalDecision* decision) const {
+  const size_t k_events = scores.existence.size();
+  decision->exists.assign(k_events, false);
+  decision->intervals.assign(k_events, sim::Interval::Empty());
+  decision->max_existence = 0.0;
+  for (const double b : scores.existence) {
+    decision->max_existence = std::max(decision->max_existence, b);
+  }
   if (options_.use_cclassify) {
-    exists = cclassify_->PredictExistence(scores, options_.confidence);
-  } else {
-    exists.resize(k_events);
-    for (size_t k = 0; k < k_events; ++k) {
-      exists[k] = scores.existence[k] >= options_.tau1;
-    }
+    EVENTHIT_CHECK_EQ(k_events, cclassify_->num_events());
   }
 
   for (size_t k = 0; k < k_events; ++k) {
-    decision.exists[k] = exists[k];
-    if (!exists[k]) continue;
+    const bool exists =
+        options_.use_cclassify
+            ? cclassify_->PredictsPresent(k, scores, options_.confidence)
+            : scores.existence[k] >= options_.tau1;
+    decision->exists[k] = exists;
+    if (!exists) continue;
     sim::Interval interval =
         ExtractOccurrenceInterval(scores.occupancy[k], options_.tau2);
     if (options_.use_cregress) {
       interval = cregress_->Adjust(k, interval, options_.coverage);
     }
-    decision.intervals[k] = interval;
+    decision->intervals[k] = interval;
   }
-  return decision;
 }
 
 MarshalDecision EventHitStrategy::Decide(const data::Record& record) const {

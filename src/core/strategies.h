@@ -50,6 +50,11 @@ class EventHitStrategy : public MarshalStrategy {
   /// one forward pass per record).
   MarshalDecision DecideFromScores(const EventScores& scores) const;
 
+  /// The same decision, written into `*decision`: once its vectors have
+  /// held K events, deciding allocates nothing (the fleet's boundaries).
+  void DecideFromScores(const EventScores& scores,
+                        MarshalDecision* decision) const;
+
   void set_confidence(double c) { options_.confidence = c; }
   void set_coverage(double alpha) { options_.coverage = alpha; }
   void set_tau1(double tau1) { options_.tau1 = tau1; }

@@ -172,11 +172,22 @@ PolicyWalk WalkPolicy(const TaskEnvironment& env, const sim::Interval& range,
   PolicyWalk walk;
   walk.records.reserve(static_cast<size_t>(boundaries));
   walk.decisions.reserve(static_cast<size_t>(boundaries));
+  // Calibration reads the covariates of scored boundaries only; the metrics
+  // and the audit read labels. A reused boundary's record is its frame and
+  // labels, with no window copied.
   marshaller.set_decision_callback(
       [&](int64_t anchor, const core::MarshalDecision& decision,
           bool reused) {
-        walk.records.push_back(data::BuildRecord(
-            env.video(), env.task(), env.extractor(), first_frame + anchor));
+        const int64_t frame = first_frame + anchor;
+        if (reused) {
+          data::Record& record = walk.records.emplace_back();
+          record.frame = frame;
+          data::LookupLabels(env.video(), env.task(), env.extractor(), frame,
+                             &record.labels);
+        } else {
+          walk.records.push_back(data::BuildRecord(env.video(), env.task(),
+                                                   env.extractor(), frame));
+        }
         walk.decisions.push_back(decision);
         walk.reused.push_back(reused);
       });

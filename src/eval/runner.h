@@ -136,8 +136,9 @@ std::vector<core::MarshalDecision> DecisionsFromScores(
     const ExecutionContext& ctx = ExecutionContext());
 
 /// The prediction boundaries of one WalkPolicy run, in stream order:
-/// each boundary's record (with its true labels), the decision the
-/// marshaller acted on, and whether that decision was a policy replay.
+/// each boundary's record (its frame and true labels, and for a scored
+/// boundary its covariate window), the decision the marshaller acted on,
+/// and whether that decision was a policy replay.
 struct PolicyWalk {
   std::vector<data::Record> records;
   std::vector<core::MarshalDecision> decisions;

@@ -19,11 +19,13 @@
 #define EVENTHIT_FLEET_DYNAMIC_BATCHER_H_
 
 #include <cstdint>
-#include <deque>
+#include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/vector_fifo.h"
 #include "data/record.h"
 
 namespace eventhit::fleet {
@@ -60,41 +62,52 @@ class DynamicBatcher {
   size_t pending() const { return pending_.size(); }
 
   /// Pops every batch ready at `tick`: full batches first, then the
-  /// deadline sweep; `final` flushes the remainder regardless of age.
-  std::vector<BatchFlush> TakeReady(int64_t tick, bool final) {
-    std::vector<BatchFlush> flushes;
+  /// deadline sweep; `final` flushes the remainder regardless of age. The
+  /// flushes are the batcher's own and stay valid until the next call;
+  /// their request vectors keep their capacity, so a warm batcher takes
+  /// flushes without allocating.
+  std::span<BatchFlush> TakeReadyInPlace(int64_t tick, bool final) {
+    ready_ = 0;
     while (pending_.size() >= batch_size_) {
-      flushes.push_back(Pop(batch_size_, FlushReason::kFull));
+      Pop(batch_size_, FlushReason::kFull);
     }
     while (!pending_.empty() &&
            tick - pending_.front().enqueue_tick >= max_delay_ticks_) {
-      flushes.push_back(Pop(std::min(pending_.size(), batch_size_),
-                            FlushReason::kDeadline));
+      Pop(std::min(pending_.size(), batch_size_), FlushReason::kDeadline);
     }
-    if (final && !pending_.empty()) {
+    if (final) {
       while (!pending_.empty()) {
-        flushes.push_back(
-            Pop(std::min(pending_.size(), batch_size_), FlushReason::kFinal));
+        Pop(std::min(pending_.size(), batch_size_), FlushReason::kFinal);
       }
     }
-    return flushes;
+    return {flushes_.data(), ready_};
+  }
+
+  /// TakeReadyInPlace, moved into a vector of the caller's.
+  std::vector<BatchFlush> TakeReady(int64_t tick, bool final) {
+    const std::span<BatchFlush> ready = TakeReadyInPlace(tick, final);
+    return {std::make_move_iterator(ready.begin()),
+            std::make_move_iterator(ready.end())};
   }
 
  private:
-  BatchFlush Pop(size_t count, FlushReason reason) {
-    BatchFlush flush;
+  void Pop(size_t count, FlushReason reason) {
+    if (ready_ == flushes_.size()) flushes_.emplace_back();
+    BatchFlush& flush = flushes_[ready_++];
     flush.reason = reason;
-    flush.requests.reserve(count);
+    flush.requests.clear();
+    flush.requests.reserve(batch_size_);  // A no-op once warm.
     for (size_t i = 0; i < count; ++i) {
       flush.requests.push_back(std::move(pending_.front()));
       pending_.pop_front();
     }
-    return flush;
   }
 
   const size_t batch_size_;
   const int64_t max_delay_ticks_;
-  std::deque<InferenceRequest> pending_;
+  VectorFifo<InferenceRequest> pending_;
+  std::vector<BatchFlush> flushes_;  // flushes_[0, ready_) are this tick's.
+  size_t ready_ = 0;
 };
 
 }  // namespace eventhit::fleet

@@ -118,6 +118,9 @@ StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
   stream_metrics_ = std::make_unique<obs::MetricsRegistry>();
   stream_log_ = std::make_unique<obs::Logger>();
   stream_log_->set_min_level(obs::LogLevel::kError);
+  // Every series the streams report is registered here, once: Run() and
+  // RunStreamSolo() then build pipelines without a by-name lookup.
+  StreamPipeline::ResolveMetrics(config_, task_, StreamSinks());
 
   // One shared model for the whole fleet, trained on the task's canonical
   // environment (training is independent of the per-stream specs).
@@ -151,6 +154,17 @@ StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
                                               obs::BatchSizeBounds());
   request_delay_metric_ = metrics_->GetHistogram(
       obs::names::kFleetRequestDelayTicks, obs::DelayTickBounds());
+  audit_misses_metric_ = metrics_->GetCounter(obs::names::kAuditMisses);
+  audit_miscovered_metric_ =
+      metrics_->GetCounter(obs::names::kAuditMiscovered);
+  audit_breaches_metric_ = metrics_->GetCounter(obs::names::kAuditBreaches);
+}
+
+PipelineSinks StreamFleet::StreamSinks() {
+  PipelineSinks sinks;
+  sinks.metrics = stream_metrics_.get();
+  sinks.log = stream_log_.get();
+  return sinks;
 }
 
 StreamFleet::~StreamFleet() = default;
@@ -204,9 +218,7 @@ FleetRunResult StreamFleet::Run() {
   std::vector<double> tick_us;
   std::vector<double> frame_us;
   int64_t batch_fill_sum = 0;
-  PipelineSinks sinks;
-  sinks.metrics = stream_metrics_.get();
-  sinks.log = stream_log_.get();
+  PipelineSinks sinks = StreamSinks();
   sinks.spend_microusd = &budget_spend_microusd_;
   // Flush scratch, reused across every flush of the run. `scores` only
   // grows, so a warm entry's existence/occupancy vectors keep their
@@ -215,6 +227,9 @@ FleetRunResult StreamFleet::Run() {
   std::vector<data::Record> records;
   std::vector<core::EventScores> scores;
   std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) per shard
+  // Scored records, their windows' buffers kept: each request hands its
+  // shard one back, so a boundary's window reuses an earlier one's buffers.
+  std::vector<data::Record> spare_records;
 
   for (int wave_start = 0; wave_start < config_.num_streams;
        wave_start += config_.wave_size) {
@@ -278,6 +293,8 @@ FleetRunResult StreamFleet::Run() {
 
     DynamicBatcher batcher(config_.batch_size,
                            config_.max_batch_delay_ticks);
+    tick_us.reserve(tick_us.size() + static_cast<size_t>(max_ticks));
+    frame_us.reserve(frame_us.size() + static_cast<size_t>(max_ticks));
     // fresh[i] != 0: this tick's push left a window in shard i. wake[i]:
     // the tick of stream i's next frame whose push does more than count.
     // Both live outside the shards so the serial scan reads flat arrays,
@@ -329,6 +346,10 @@ FleetRunResult StreamFleet::Run() {
           request.anchor_frame = shard.pending_record.frame;
           request.enqueue_tick = tick;
           request.record = std::move(shard.pending_record);
+          if (!spare_records.empty()) {
+            shard.pending_record = std::move(spare_records.back());
+            spare_records.pop_back();
+          }
           batcher.Enqueue(std::move(request));
           ++enqueued;
         }
@@ -337,7 +358,7 @@ FleetRunResult StreamFleet::Run() {
       }
 
       const bool final_tick = tick == max_ticks - 1;
-      for (BatchFlush& flush : batcher.TakeReady(tick, final_tick)) {
+      for (BatchFlush& flush : batcher.TakeReadyInPlace(tick, final_tick)) {
         obs::TraceSpan span(trace_, obs::names::kSpanFleetBatch, "fleet");
         const size_t n = flush.requests.size();
         // Batch ordinal within this run — stamped onto every member's
@@ -373,7 +394,10 @@ FleetRunResult StreamFleet::Run() {
         if (scores.size() < n) scores.resize(n);
         trained_->model->PredictBatched(records.data(), n, scores.data(),
                                         ws_);
-        records.clear();  // frees the scored windows; keeps the capacity
+        for (data::Record& record : records) {
+          spare_records.push_back(std::move(record));
+        }
+        records.clear();
         // Group completions by shard (order within a shard is preserved),
         // then apply shard groups concurrently: different groups touch
         // disjoint pipelines, and each decides with its own strategy.
@@ -439,22 +463,16 @@ FleetRunResult StreamFleet::Run() {
   // offending stream's last offending decision id) is deterministic at any
   // thread count. The per-stream auditors themselves write to the private
   // stream registry; this is the fleet-wide aggregate a scrape sees.
-  obs::Counter* fleet_audit_misses =
-      metrics_->GetCounter(obs::names::kAuditMisses);
-  obs::Counter* fleet_audit_miscovered =
-      metrics_->GetCounter(obs::names::kAuditMiscovered);
-  obs::Counter* fleet_audit_breaches =
-      metrics_->GetCounter(obs::names::kAuditBreaches);
   for (const FleetStreamResult& result : run.streams) {
     stats.total_cost_usd += result.invoice.total_cost_usd;
     if (result.audit_breaches > 0) ++stats.streams_with_breaches;
     // A stream's last offending id is -1 exactly when it has no offence
     // (or no ledger), so the exemplar is only recorded where one exists.
-    fleet_audit_misses->Add(result.audit_misses, result.last_miss_decision);
-    fleet_audit_miscovered->Add(result.audit_miscovered,
-                                result.last_miscover_decision);
-    fleet_audit_breaches->Add(result.audit_breaches,
-                              result.last_breach_decision);
+    audit_misses_metric_->Add(result.audit_misses, result.last_miss_decision);
+    audit_miscovered_metric_->Add(result.audit_miscovered,
+                                  result.last_miscover_decision);
+    audit_breaches_metric_->Add(result.audit_breaches,
+                                result.last_breach_decision);
   }
   stats.budget_spend_microusd =
       budget_spend_microusd_.load(std::memory_order_relaxed);
@@ -484,11 +502,8 @@ FleetStreamResult StreamFleet::RunStreamSolo(int stream_index) {
   const sim::SyntheticVideo video = sim::SyntheticVideo::Generate(
       settings.spec, settings.video_seed,
       StreamVideoSelection(settings, config_.runner.collect_policy));
-  PipelineSinks sinks;
-  sinks.metrics = stream_metrics_.get();
-  sinks.log = stream_log_.get();
   StreamPipeline pipeline(config_, settings, task_, *trained_, video,
-                          /*first_frame=*/0, sinks);
+                          /*first_frame=*/0, StreamSinks());
   return RunInline(pipeline, *trained_->model);
 }
 

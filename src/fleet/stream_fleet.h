@@ -347,6 +347,8 @@ std::string HealthReportText(const FleetHealthReport& report, int top_n);
 /// One-line JSON per stream (the rows of `fleet --health-out` JSONL).
 std::string StreamHealthJson(const StreamHealth& health);
 
+struct PipelineSinks;  // fleet/stream_pipeline.h
+
 class StreamFleet {
  public:
   /// Builds the shared environment and trains the one fleet model
@@ -381,6 +383,10 @@ class StreamFleet {
  private:
   struct Shard;  // One resident stream of a wave (stream_fleet.cc).
 
+  /// Where every stream's components report: the private registry and
+  /// logger.
+  PipelineSinks StreamSinks();
+
   data::Task task_;
   FleetConfig config_;
   int threads_ = 1;
@@ -409,6 +415,9 @@ class StreamFleet {
   obs::Gauge* budget_spend_metric_;
   obs::Histogram* batch_fill_metric_;
   obs::Histogram* request_delay_metric_;
+  obs::Counter* audit_misses_metric_;
+  obs::Counter* audit_miscovered_metric_;
+  obs::Counter* audit_breaches_metric_;
 };
 
 }  // namespace eventhit::fleet

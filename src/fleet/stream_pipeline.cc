@@ -51,6 +51,31 @@ obs::AuditConfig MakeAuditConfig(const FleetConfig& config,
 
 }  // namespace
 
+void StreamPipeline::ResolveMetrics(const FleetConfig& config,
+                                    const data::Task& task,
+                                    const PipelineSinks& sinks) {
+  // The components' constructors resolve the same sets; the auditor
+  // resolves an event's set at its first outcome.
+  core::MarshallerMetrics::Of(sinks.metrics);
+  cloud::CloudMetrics::Of(sinks.metrics);
+  cloud::RelayMetrics::Of(sinks.metrics);
+  obs::AuditMetrics::Of(sinks.metrics);
+  const obs::AuditConfig audit_config =
+      MakeAuditConfig(config, StreamSettings{}, sinks);
+  obs::MetricsRegistry& registry = sinks.metrics != nullptr
+                                       ? *sinks.metrics
+                                       : obs::MetricsRegistry::Global();
+  for (size_t k = 0; k < task.event_indices.size(); ++k) {
+    const std::string label =
+        obs::AuditEventLabel(audit_config, static_cast<int>(k));
+    registry.HandleSet<obs::AuditEventMetrics>(label);
+    if (!sinks.event_labels.empty()) {
+      registry.HandleSet<core::MarshallerEventMetrics>(label);
+    }
+  }
+  if (config.recal) adapt::RecalLoopMetrics::Of(sinks.metrics);
+}
+
 StreamPipeline::StreamPipeline(const FleetConfig& config,
                                StreamSettings settings,
                                const data::Task& task,
@@ -143,7 +168,8 @@ void StreamPipeline::Complete(int64_t anchor, const core::EventScores& scores,
         strategy_.calibrator_generation());
   }
   completing_scores_ = &scores;
-  marshaller_.CompletePrediction(strategy_.DecideFromScores(scores));
+  strategy_.DecideFromScores(scores, &decision_);
+  marshaller_.CompletePrediction(decision_);
   completing_scores_ = nullptr;
 }
 
@@ -154,7 +180,9 @@ void StreamPipeline::OnDelivery(const cloud::RelayDelivery& delivery) {
   h = FnvU64(h, static_cast<uint64_t>(delivery.frames.start));
   h = FnvU64(h, static_cast<uint64_t>(delivery.frames.end));
   h = FnvU64(h, delivery.replayed ? 1 : 0);
-  for (const bool hit : delivery.detections) h = FnvU64(h, hit ? 1 : 0);
+  for (const uint8_t hit : delivery.detections) {
+    h = FnvU64Byte(h, hit != 0 ? 1 : 0);
+  }
   delivery_digest_ = h;
   if (config_.record_transcripts) {
     transcript_.deliveries.push_back(

@@ -64,6 +64,12 @@ class StreamPipeline {
   StreamPipeline(const StreamPipeline&) = delete;
   StreamPipeline& operator=(const StreamPipeline&) = delete;
 
+  /// Resolves every metric handle set that a pipeline built with this
+  /// config, task and sinks uses, so that building one registers no series
+  /// and looks none up by name (obs::MetricsRegistry::HandleSet).
+  static void ResolveMetrics(const FleetConfig& config, const data::Task& task,
+                             const PipelineSinks& sinks);
+
   /// Pushes the stream's next frame. Returns true when it is a scored
   /// boundary: `*pending` then holds the window to score, and the boundary
   /// waits for Complete. Policy-skipped boundaries complete inside.
@@ -131,6 +137,7 @@ class StreamPipeline {
 
   // Scores of the boundary inside Complete; nullptr for reused ones.
   const core::EventScores* completing_scores_ = nullptr;
+  core::MarshalDecision decision_;              // Per-boundary scratch.
   std::vector<data::EventLabel> truth_labels_;  // Per-boundary scratch.
   std::vector<obs::AuditOutcome> outcomes_;     // Per-boundary scratch.
   int64_t billed_microusd_ = 0;  // Spend already reported.

@@ -25,12 +25,6 @@ void Matrix::SetZero() {
   std::memset(data_.data(), 0, data_.size() * sizeof(float));
 }
 
-void Matrix::Axpy(float scale, const Matrix& other) {
-  EVENTHIT_CHECK_EQ(rows_, other.rows_);
-  EVENTHIT_CHECK_EQ(cols_, other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += scale * other.data_[i];
-}
-
 double Matrix::SquaredNorm() const {
   double sum = 0.0;
   for (float v : data_) sum += static_cast<double>(v) * v;

@@ -51,9 +51,6 @@ class Matrix {
   /// Sets every element to zero (used to reset gradients between steps).
   void SetZero();
 
-  /// Element-wise in-place: this += scale * other. Shapes must match.
-  void Axpy(float scale, const Matrix& other);
-
   /// Sum of squared elements (for gradient-norm clipping).
   double SquaredNorm() const;
 

@@ -22,6 +22,51 @@ const char* AuditGuaranteeName(AuditGuarantee guarantee) {
   return guarantee == AuditGuarantee::kMiss ? "miss" : "miscoverage";
 }
 
+AuditMetrics::AuditMetrics(MetricsRegistry& registry)
+    : outcomes(registry.GetCounter(names::kAuditOutcomes)),
+      positives(registry.GetCounter(names::kAuditPositives)),
+      misses(registry.GetCounter(names::kAuditMisses)),
+      endpoints(registry.GetCounter(names::kAuditEndpoints)),
+      miscovered(registry.GetCounter(names::kAuditMiscovered)),
+      breaches(registry.GetCounter(names::kAuditBreaches)) {}
+
+const AuditMetrics& AuditMetrics::Of(MetricsRegistry* registry) {
+  return (registry != nullptr ? *registry : MetricsRegistry::Global())
+      .HandleSet<AuditMetrics>();
+}
+
+AuditEventMetrics::AuditEventMetrics(MetricsRegistry& registry,
+                                     const std::string& label) {
+  const Labels by_event = {{"event_type", label}};
+  outcomes = registry.GetCounter(names::kAuditOutcomes, by_event);
+  positives = registry.GetCounter(names::kAuditPositives, by_event);
+  misses = registry.GetCounter(names::kAuditMisses, by_event);
+  endpoints = registry.GetCounter(names::kAuditEndpoints, by_event);
+  miscovered = registry.GetCounter(names::kAuditMiscovered, by_event);
+  miss_rate = registry.GetGauge(names::kAuditMissRate, by_event);
+  miss_wilson = registry.GetGauge(names::kAuditMissWilsonLower, by_event);
+  miss_budget = registry.GetGauge(names::kAuditMissBudget, by_event);
+  miscoverage_rate = registry.GetGauge(names::kAuditMiscoverageRate, by_event);
+  miscoverage_wilson =
+      registry.GetGauge(names::kAuditMiscoverageWilsonLower, by_event);
+  miscoverage_budget =
+      registry.GetGauge(names::kAuditMiscoverageBudget, by_event);
+  for (const AuditGuarantee guarantee :
+       {AuditGuarantee::kMiss, AuditGuarantee::kMiscoverage}) {
+    const Labels by_track = {{"event_type", label},
+                             {"guarantee", AuditGuaranteeName(guarantee)}};
+    const int g = static_cast<int>(guarantee);
+    breach_active[g] = registry.GetGauge(names::kAuditBreachActive, by_track);
+    breach_counter[g] = registry.GetCounter(names::kAuditBreaches, by_track);
+  }
+}
+
+std::string AuditEventLabel(const AuditConfig& config, int event) {
+  return event >= 0 && static_cast<size_t>(event) < config.event_labels.size()
+             ? config.event_labels[static_cast<size_t>(event)]
+             : "event" + std::to_string(event);
+}
+
 GuarantyAuditor::GuarantyAuditor(const AuditConfig& config,
                                  MetricsRegistry* metrics, TraceBuffer* trace,
                                  Logger* log)
@@ -31,51 +76,34 @@ GuarantyAuditor::GuarantyAuditor(const AuditConfig& config,
       log_(log != nullptr ? log : &Logger::Global()),
       miss_budget_(1.0 - config.confidence),
       miscoverage_budget_(1.0 - config.coverage),
-      total_outcomes_(metrics_->GetCounter(names::kAuditOutcomes)),
-      total_positives_(metrics_->GetCounter(names::kAuditPositives)),
-      total_misses_(metrics_->GetCounter(names::kAuditMisses)),
-      total_endpoints_(metrics_->GetCounter(names::kAuditEndpoints)),
-      total_miscovered_(metrics_->GetCounter(names::kAuditMiscovered)),
-      total_breaches_(metrics_->GetCounter(names::kAuditBreaches)) {}
+      totals_(&AuditMetrics::Of(metrics_)) {}
 
 GuarantyAuditor::EventState& GuarantyAuditor::State(int event) {
   auto it = events_.find(event);
   if (it != events_.end()) return it->second;
 
   EventState state;
-  state.label = event >= 0 &&
-                        static_cast<size_t>(event) <
-                            config_.event_labels.size()
-                    ? config_.event_labels[event]
-                    : "event" + std::to_string(event);
-  const Labels by_event = {{"event_type", state.label}};
-  state.outcomes = metrics_->GetCounter(names::kAuditOutcomes, by_event);
-  state.positives = metrics_->GetCounter(names::kAuditPositives, by_event);
-  state.misses = metrics_->GetCounter(names::kAuditMisses, by_event);
-  state.endpoints = metrics_->GetCounter(names::kAuditEndpoints, by_event);
-  state.miscovered = metrics_->GetCounter(names::kAuditMiscovered, by_event);
-
-  state.miss.rate = metrics_->GetGauge(names::kAuditMissRate, by_event);
-  state.miss.wilson =
-      metrics_->GetGauge(names::kAuditMissWilsonLower, by_event);
-  metrics_->GetGauge(names::kAuditMissBudget, by_event)->Set(miss_budget_);
-  state.coverage.rate =
-      metrics_->GetGauge(names::kAuditMiscoverageRate, by_event);
-  state.coverage.wilson =
-      metrics_->GetGauge(names::kAuditMiscoverageWilsonLower, by_event);
-  metrics_->GetGauge(names::kAuditMiscoverageBudget, by_event)
-      ->Set(miscoverage_budget_);
-
-  for (Track* track : {&state.miss, &state.coverage}) {
-    const AuditGuarantee guarantee = track == &state.miss
-                                         ? AuditGuarantee::kMiss
-                                         : AuditGuarantee::kMiscoverage;
-    const Labels by_track = {{"event_type", state.label},
-                             {"guarantee", AuditGuaranteeName(guarantee)}};
-    track->breach_active =
-        metrics_->GetGauge(names::kAuditBreachActive, by_track);
+  state.label = AuditEventLabel(config_, event);
+  const AuditEventMetrics& series =
+      metrics_->HandleSet<AuditEventMetrics>(state.label);
+  state.outcomes = series.outcomes;
+  state.positives = series.positives;
+  state.misses = series.misses;
+  state.endpoints = series.endpoints;
+  state.miscovered = series.miscovered;
+  state.miss.rate = series.miss_rate;
+  state.miss.wilson = series.miss_wilson;
+  series.miss_budget->Set(miss_budget_);
+  state.coverage.rate = series.miscoverage_rate;
+  state.coverage.wilson = series.miscoverage_wilson;
+  series.miscoverage_budget->Set(miscoverage_budget_);
+  for (const AuditGuarantee guarantee :
+       {AuditGuarantee::kMiss, AuditGuarantee::kMiscoverage}) {
+    Track* track = guarantee == AuditGuarantee::kMiss ? &state.miss
+                                                      : &state.coverage;
+    track->breach_active = series.breach_active[static_cast<int>(guarantee)];
     track->breach_counter =
-        metrics_->GetCounter(names::kAuditBreaches, by_track);
+        series.breach_counter[static_cast<int>(guarantee)];
     track->ring.reserve(static_cast<size_t>(config_.slow_window));
   }
   return events_.emplace(event, std::move(state)).first->second;
@@ -130,7 +158,7 @@ void GuarantyAuditor::ObserveTrack(EventState& state, Track* track,
     // `eventhit_cli explain --decision=<id>`.
     if (decision_id >= 0) last_breach_decision_ = decision_id;
     track->breach_counter->Add(1, decision_id);
-    total_breaches_->Add(1, decision_id);
+    totals_->breaches->Add(1, decision_id);
     ++breaches_;
     log_->Log(LogLevel::kError, "audit", "breach", sim_time,
               {LogStr("event_type", state.label),
@@ -152,15 +180,15 @@ double GuarantyAuditor::FastBurnThreshold(AuditGuarantee guarantee) const {
 void GuarantyAuditor::Observe(const AuditOutcome& outcome) {
   EventState& state = State(outcome.event);
   ++outcomes_;
-  total_outcomes_->Add(1);
+  totals_->outcomes->Add(1);
   state.outcomes->Add(1);
 
   if (outcome.truth_present) {
-    total_positives_->Add(1);
+    totals_->positives->Add(1);
     state.positives->Add(1);
     const bool missed = !outcome.predicted_present;
     if (missed) {
-      total_misses_->Add(1, outcome.decision_id);
+      totals_->misses->Add(1, outcome.decision_id);
       state.misses->Add(1, outcome.decision_id);
     }
     ObserveTrack(state, &state.miss, AuditGuarantee::kMiss, missed,
@@ -171,10 +199,10 @@ void GuarantyAuditor::Observe(const AuditOutcome& outcome) {
     // Two endpoint samples per scored interval (Theorem 5.2 bounds each
     // endpoint separately).
     for (const bool covered : {outcome.start_covered, outcome.end_covered}) {
-      total_endpoints_->Add(1);
+      totals_->endpoints->Add(1);
       state.endpoints->Add(1);
       if (!covered) {
-        total_miscovered_->Add(1, outcome.decision_id);
+        totals_->miscovered->Add(1, outcome.decision_id);
         state.miscovered->Add(1, outcome.decision_id);
       }
       ObserveTrack(state, &state.coverage, AuditGuarantee::kMiscoverage,

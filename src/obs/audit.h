@@ -89,6 +89,46 @@ enum class AuditGuarantee { kMiss = 0, kMiscoverage = 1 };
 
 const char* AuditGuaranteeName(AuditGuarantee guarantee);  // "miss"/...
 
+/// The auditor's unlabeled totals on one registry, resolved once per
+/// registry (MetricsRegistry::HandleSet).
+struct AuditMetrics {
+  explicit AuditMetrics(MetricsRegistry& registry);
+  /// The registry's set; nullptr selects MetricsRegistry::Global().
+  static const AuditMetrics& Of(MetricsRegistry* registry);
+
+  Counter* outcomes;
+  Counter* positives;
+  Counter* misses;
+  Counter* endpoints;
+  Counter* miscovered;
+  Counter* breaches;
+};
+
+/// The `{event_type=label}` series of one event type on one registry, and
+/// its per-guarantee breach series: the registry's handle set for `label`.
+struct AuditEventMetrics {
+  AuditEventMetrics(MetricsRegistry& registry, const std::string& label);
+
+  Counter* outcomes;
+  Counter* positives;
+  Counter* misses;
+  Counter* endpoints;
+  Counter* miscovered;
+  Gauge* miss_rate;
+  Gauge* miss_wilson;
+  Gauge* miss_budget;
+  Gauge* miscoverage_rate;
+  Gauge* miscoverage_wilson;
+  Gauge* miscoverage_budget;
+  // Indexed by AuditGuarantee.
+  Gauge* breach_active[2];
+  Counter* breach_counter[2];
+};
+
+/// The label the auditor gives event `event`: config.event_labels[event]
+/// when present, else "event<k>".
+std::string AuditEventLabel(const AuditConfig& config, int event);
+
 class GuarantyAuditor {
  public:
   /// nullptr registry/trace/log select the process-wide defaults (trace
@@ -185,13 +225,7 @@ class GuarantyAuditor {
   Logger* const log_;
   const double miss_budget_;
   const double miscoverage_budget_;
-
-  Counter* total_outcomes_;
-  Counter* total_positives_;
-  Counter* total_misses_;
-  Counter* total_endpoints_;
-  Counter* total_miscovered_;
-  Counter* total_breaches_;
+  const AuditMetrics* const totals_;
 
   std::map<int, EventState> events_;
   int64_t outcomes_ = 0;

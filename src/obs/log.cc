@@ -59,7 +59,7 @@ void Logger::Log(LogLevel level, const std::string& component,
                  const std::string& event, int64_t sim_time,
                  std::vector<LogField> fields) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (level < min_level_) return;
+  if (!Enabled(level)) return;
   int64_t& count = per_key_[component + '\0' + event];
   if (count >= rate_limit_) {
     ++suppressed_;
@@ -93,13 +93,11 @@ void Logger::Log(LogLevel level, const std::string& component,
 }
 
 void Logger::set_min_level(LogLevel level) {
-  std::lock_guard<std::mutex> lock(mu_);
-  min_level_ = level;
+  min_level_.store(level, std::memory_order_relaxed);
 }
 
 LogLevel Logger::min_level() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return min_level_;
+  return min_level_.load(std::memory_order_relaxed);
 }
 
 void Logger::set_rate_limit(int64_t n) {

@@ -16,6 +16,7 @@
 #ifndef EVENTHIT_OBS_LOG_H_
 #define EVENTHIT_OBS_LOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -74,6 +75,12 @@ class Logger {
   void set_min_level(LogLevel level);
   LogLevel min_level() const;
 
+  /// Whether a record at `level` would pass the level filter. Callers on a
+  /// hot path test it before building a record's fields, which allocate.
+  bool Enabled(LogLevel level) const {
+    return level >= min_level_.load(std::memory_order_relaxed);
+  }
+
   /// First `n` records kept per (component, event) key; the rest count as
   /// suppressed. Applies to records accepted after the call.
   void set_rate_limit(int64_t n);
@@ -106,7 +113,7 @@ class Logger {
  private:
   const size_t capacity_;
   mutable std::mutex mu_;
-  LogLevel min_level_ = LogLevel::kInfo;      // Guarded by mu_.
+  std::atomic<LogLevel> min_level_{LogLevel::kInfo};
   int64_t rate_limit_ = 128;                  // Guarded by mu_.
   int64_t next_seq_ = 0;                      // Guarded by mu_.
   int64_t suppressed_ = 0;                    // Guarded by mu_.

@@ -11,7 +11,9 @@
 //
 // Registration (GetCounter/GetGauge/GetHistogram) takes a mutex and is
 // meant for setup code; hot loops cache the returned pointer, which stays
-// valid for the registry's lifetime.
+// valid for the registry's lifetime. A component's pointers form one
+// handle set that the registry itself caches (HandleSet), so building the
+// thousandth marshaller or relay on a registry looks up no series by name.
 #ifndef EVENTHIT_OBS_METRICS_H_
 #define EVENTHIT_OBS_METRICS_H_
 
@@ -22,6 +24,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
+#include <typeindex>
 #include <utility>
 #include <vector>
 
@@ -233,6 +237,15 @@ class MetricsRegistry {
   /// Zeroes all values; registered metrics (and cached pointers) survive.
   void Reset();
 
+  /// The registry's one handle set of type `Set` for `key`: built on the
+  /// first call, as Set(*this, key) or, for an unkeyed set, Set(*this),
+  /// under the registry's handle-set mutex; every later call returns the
+  /// same object. The set lives as long as the registry, so it can never
+  /// outlive the metrics it points to (a cache outside the registry could
+  /// serve a freed registry's pointers to a new one at the same address).
+  template <typename Set>
+  const Set& HandleSet(const std::string& key = {});
+
   /// The process-wide registry used by default instrumentation.
   static MetricsRegistry& Global();
 
@@ -259,7 +272,29 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Entry> metrics_;       // Guarded by mu_.
   std::map<std::string, int> label_sets_;      // base -> #series. By mu_.
+
+  // Handle sets by (type, key). A set's constructor registers through mu_,
+  // so the sets take their own mutex (always acquired before mu_).
+  std::mutex sets_mu_;
+  std::map<std::pair<std::type_index, std::string>, std::shared_ptr<const void>>
+      handle_sets_;  // Guarded by sets_mu_.
 };
+
+template <typename Set>
+const Set& MetricsRegistry::HandleSet(const std::string& key) {
+  std::lock_guard<std::mutex> lock(sets_mu_);
+  std::shared_ptr<const void>& set =
+      handle_sets_[{std::type_index(typeid(Set)), key}];
+  if (set == nullptr) {
+    if constexpr (std::is_constructible_v<Set, MetricsRegistry&,
+                                          const std::string&>) {
+      set = std::make_shared<const Set>(*this, key);
+    } else {
+      set = std::make_shared<const Set>(*this);
+    }
+  }
+  return *static_cast<const Set*>(set.get());
+}
 
 }  // namespace eventhit::obs
 

@@ -45,6 +45,11 @@ EventTimeline EventTimeline::Generate(
       return proc.gap_cv > 0.0 ? stream.LogNormal(gap_mu, gap_sigma)
                                : stream.Exponential(proc.mean_gap);
     };
+    // Room for as many occurrences as fit, then one exact-size copy: two
+    // allocations at any stream length, not one per doubling.
+    std::vector<Interval>& occurrences = timeline.occurrences_[k];
+    occurrences.reserve(static_cast<size_t>(
+        num_frames / std::max<int64_t>(1, proc.min_duration) + 1));
     while (true) {
       const int64_t gap = static_cast<int64_t>(std::llround(draw_gap()));
       int64_t duration =
@@ -53,9 +58,10 @@ EventTimeline EventTimeline::Generate(
       const int64_t start = cursor + gap;
       const int64_t end = start + duration - 1;
       if (end >= num_frames) break;
-      timeline.occurrences_[k].push_back(Interval{start, end});
+      occurrences.push_back(Interval{start, end});
       cursor = end + 1;
     }
+    occurrences.shrink_to_fit();
   }
   return timeline;
 }
@@ -101,12 +107,6 @@ std::optional<Interval> EventTimeline::FirstOverlapping(
       [](const Interval& iv, int64_t value) { return iv.end < value; });
   if (it == events.end() || !it->Overlaps(window)) return std::nullopt;
   return *it;
-}
-
-int64_t EventTimeline::TotalActiveFrames(size_t k) const {
-  int64_t total = 0;
-  for (const Interval& iv : occurrences(k)) total += iv.length();
-  return total;
 }
 
 }  // namespace eventhit::sim

@@ -374,6 +374,11 @@ void SyntheticVideo::GenerateLanes(const VideoSource* sources, int count,
   for (int l = 0; l < count; ++l) {
     SyntheticVideo& video = videos[l];
     video.shift_frame_ = n;
+    size_t units = 0;
+    for (size_t k = 0; k < k_events; ++k) {
+      units += video.timeline_.occurrences(k).size();
+    }
+    video.action_units_.reserve(units);
     for (size_t k = 0; k < k_events; ++k) {
       for (const Interval& occ : video.timeline_.occurrences(k)) {
         video.action_units_.push_back(ActionUnit{k, occ});

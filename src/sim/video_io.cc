@@ -149,6 +149,10 @@ Result<SyntheticVideo> LoadVideo(const std::string& path) {
   if (spec.num_frames <= 0 || num_events == 0 || num_events > 1024) {
     return InvalidArgumentError("implausible spec values: " + path);
   }
+  if (collection_window < 1 || horizon < 1) {
+    return InvalidArgumentError("collection window or horizon below one: " +
+                                path);
+  }
   if (distractors < 0 || noise < 0) {
     return InvalidArgumentError("negative channel count: " + path);
   }

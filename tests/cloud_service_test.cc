@@ -1,7 +1,11 @@
 #include "cloud/cloud_service.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/datasets.h"
 
 namespace eventhit::cloud {
@@ -64,6 +68,60 @@ TEST(CloudServiceTest, ImperfectAccuracyFlipsSomeLabels) {
     }
   }
   EXPECT_NEAR(static_cast<double>(flips) / 10000.0, 0.1, 0.02);
+}
+
+// Detect walks an interval in runs of constant truth. The reference looks
+// each frame up on the timeline and draws its Bernoulli from a stream with
+// the same seed, in the same order, across a sequence of intervals that
+// start and end inside, before, after and across occurrences.
+TEST(CloudServiceTest, RunWalkMatchesPerFrameLookup) {
+  const sim::SyntheticVideo video = SmallVideo();
+  const sim::EventTimeline& timeline = video.timeline();
+  const int64_t last = video.num_frames() - 1;
+  std::vector<std::pair<size_t, sim::Interval>> requests;
+  Rng pick(8);
+  for (size_t k = 0; k < timeline.num_event_types(); ++k) {
+    const std::vector<sim::Interval>& occ = timeline.occurrences(k);
+    ASSERT_GE(occ.size(), 3u);
+    // Whole stream, then around every occurrence edge.
+    requests.push_back({k, {0, last}});
+    for (size_t i = 0; i < occ.size(); ++i) {
+      const sim::Interval& o = occ[i];
+      const int64_t next_start =
+          i + 1 < occ.size() ? occ[i + 1].start : last + 1;
+      requests.push_back({k, {std::max<int64_t>(0, o.start - 7), o.start}});
+      requests.push_back({k, {o.start, o.start}});
+      requests.push_back({k, {o.start + 1, o.end - 1}});
+      requests.push_back({k, {o.end, std::min(last, o.end + 5)}});
+      requests.push_back({k, {o.end + 1, next_start - 1}});  // The gap.
+      requests.push_back(
+          {k, {std::max<int64_t>(0, o.start - 30), std::min(last, o.end + 30)}});
+    }
+    // Spanning several occurrences and their gaps.
+    requests.push_back({k, {occ[0].start - 1, occ[2].end + 1}});
+    for (int r = 0; r < 200; ++r) {
+      const int64_t start = pick.UniformInt(0, last);
+      const int64_t length = pick.UniformInt(1, 600);
+      requests.push_back({k, {start, std::min(last, start + length - 1)}});
+    }
+  }
+
+  CloudConfig config;
+  config.accuracy = 0.9;
+  CloudService service(&video, config, 23);
+  Rng reference_rng(23);
+  for (const auto& [k, interval] : requests) {
+    if (interval.empty()) continue;
+    std::vector<bool> reference;
+    for (int64_t t = interval.start; t <= interval.end; ++t) {
+      const bool truth = timeline.IsActive(k, t);
+      const bool correct = reference_rng.Bernoulli(config.accuracy);
+      reference.push_back(correct ? truth : !truth);
+    }
+    ASSERT_EQ(service.Detect(k, interval), reference)
+        << "event " << k << " [" << interval.start << ", " << interval.end
+        << "]";
+  }
 }
 
 TEST(CloudServiceTest, ChargeFramesWithoutDetection) {

@@ -20,8 +20,6 @@ TEST(EventTimelineTest, FromIntervalsAccessors) {
   EXPECT_EQ(timeline.num_event_types(), 2u);
   EXPECT_EQ(timeline.occurrences(0).size(), 2u);
   EXPECT_EQ(timeline.occurrences(1).size(), 1u);
-  EXPECT_EQ(timeline.TotalActiveFrames(0), 15);
-  EXPECT_EQ(timeline.TotalActiveFrames(1), 10);
 }
 
 TEST(EventTimelineTest, IsActive) {

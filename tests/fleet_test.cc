@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -521,6 +522,24 @@ TEST(StreamFleetTest, FleetMetricsUpholdFlushAndFrameInvariants) {
   EXPECT_EQ(spans, run.stats.batches);
 }
 
+// Building a stream's pipeline registers nothing: the fleet's constructor
+// resolves every series its streams report, and Run() and RunStreamSolo()
+// only reuse those handles.
+TEST(StreamFleetTest, RunsRegisterNoStreamSeries) {
+  const data::Task task = data::FindTask("TA9").value();  // Three events.
+  FleetConfig config = TestConfig();
+  config.fault_profile = "flaky";
+  config.degraded_mode = cloud::DegradedMode::kBufferAndReplay;
+  config.recal = true;
+  StreamFleet fleet(task, config);
+  const std::vector<std::string> names = fleet.stream_metrics().Names();
+  EXPECT_FALSE(names.empty());
+  fleet.Run();
+  EXPECT_EQ(fleet.stream_metrics().Names(), names);
+  fleet.RunStreamSolo(1);
+  EXPECT_EQ(fleet.stream_metrics().Names(), names);
+}
+
 TEST(StreamFleetTest, BudgetAccountantLatchesBreachWithoutFeedback) {
   const data::Task task = data::FindTask("TA10").value();
   FleetConfig capped = TestConfig();
@@ -593,6 +612,27 @@ TEST(DynamicBatcherTest, DeadlineSweepPadsWithYoungerRequests) {
   EXPECT_EQ(flushes[0].reason, FlushReason::kDeadline);
   EXPECT_EQ(flushes[0].requests.size(), 3u);
   EXPECT_EQ(batcher.pending(), 0u);
+}
+
+// The in-place form hands out the batcher's own flushes, whose request
+// vectors keep their storage from one call to the next.
+TEST(DynamicBatcherTest, InPlaceFlushesReuseTheirStorage) {
+  DynamicBatcher batcher(2, 100);
+  const InferenceRequest* storage = nullptr;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      InferenceRequest request;
+      request.seq = round * 2 + i;
+      batcher.Enqueue(std::move(request));
+    }
+    const std::span<BatchFlush> flushes = batcher.TakeReadyInPlace(0, false);
+    ASSERT_EQ(flushes.size(), 1u);
+    ASSERT_EQ(flushes[0].requests.size(), 2u);
+    EXPECT_EQ(flushes[0].requests[0].seq, round * 2);
+    if (round == 0) storage = flushes[0].requests.data();
+    EXPECT_EQ(flushes[0].requests.data(), storage);
+  }
+  EXPECT_TRUE(batcher.TakeReadyInPlace(1, false).empty());
 }
 
 TEST(DynamicBatcherTest, FinalDrainsEverything) {

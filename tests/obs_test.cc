@@ -38,6 +38,37 @@ TEST(CounterTest, GetReturnsSameInstance) {
   EXPECT_EQ(b->Value(), 7);
 }
 
+struct TestHandles {
+  explicit TestHandles(MetricsRegistry& registry)
+      : hits(registry.GetCounter("test.handles.hits")) {}
+  Counter* hits;
+};
+
+struct TestLabeledHandles {
+  TestLabeledHandles(MetricsRegistry& registry, const std::string& label)
+      : hits(registry.GetCounter("test.handles.hits", {{"key", label}})) {}
+  Counter* hits;
+};
+
+TEST(RegistryTest, HandleSetIsResolvedOncePerRegistryAndKey) {
+  MetricsRegistry registry;
+  const TestHandles& a = registry.HandleSet<TestHandles>();
+  const std::vector<std::string> names = registry.Names();
+  EXPECT_EQ(&registry.HandleSet<TestHandles>(), &a);
+  EXPECT_EQ(registry.Names(), names);
+  EXPECT_EQ(a.hits, registry.GetCounter("test.handles.hits"));
+
+  const TestLabeledHandles& x = registry.HandleSet<TestLabeledHandles>("x");
+  const TestLabeledHandles& y = registry.HandleSet<TestLabeledHandles>("y");
+  EXPECT_NE(&x, &y);
+  EXPECT_NE(x.hits, y.hits);
+  EXPECT_EQ(&registry.HandleSet<TestLabeledHandles>("x"), &x);
+
+  // Each registry owns its sets: another registry resolves its own.
+  MetricsRegistry other;
+  EXPECT_NE(other.HandleSet<TestHandles>().hits, a.hits);
+}
+
 TEST(CounterTest, KindMismatchDies) {
   MetricsRegistry registry;
   registry.GetCounter("test.metric");

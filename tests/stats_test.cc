@@ -57,20 +57,6 @@ TEST(StatsTest, SigmoidSymmetryAndStability) {
   EXPECT_NEAR(Sigmoid(-1000.0), 0.0, 1e-12);  // No underflow surprises.
 }
 
-TEST(StatsTest, SafeLogFloorsAtTinyProbability) {
-  EXPECT_DOUBLE_EQ(SafeLog(1.0), 0.0);
-  EXPECT_TRUE(std::isfinite(SafeLog(0.0)));
-  EXPECT_LT(SafeLog(0.0), -20.0);
-}
-
-TEST(StatsTest, PearsonCorrelation) {
-  EXPECT_NEAR(PearsonCorrelation({1, 2, 3, 4}, {2, 4, 6, 8}), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation({1, 2, 3, 4}, {8, 6, 4, 2}), -1.0, 1e-12);
-  // Constant series has no correlation.
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 2, 3}, {5, 5, 5}), 0.0);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1.0}, {2.0}), 0.0);
-}
-
 TEST(RunningStatsTest, MatchesBatchComputation) {
   const std::vector<double> values{1.5, -2.0, 0.5, 3.25, 7.0, -1.0};
   RunningStats stats;

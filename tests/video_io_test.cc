@@ -106,7 +106,9 @@ TEST(VideoIoTest, HostileFilesRejected) {
   // then num_frames, M, H, distractors, noise, shift frame, the event
   // count, event "e" (name and four doubles), and its timeline.
   constexpr size_t kNumFrames = 4 + 4 + (4 + 1);
-  constexpr size_t kDistractors = kNumFrames + 8 + 4 + 4;
+  constexpr size_t kWindow = kNumFrames + 8;
+  constexpr size_t kHorizon = kWindow + 4;
+  constexpr size_t kDistractors = kHorizon + 4;
   constexpr size_t kNoise = kDistractors + 4;
   constexpr size_t kShift = kNoise + 4;
   constexpr size_t kTimeline = kShift + 8 + 4 + (4 + 1) + 4 * 8;
@@ -120,6 +122,8 @@ TEST(VideoIoTest, HostileFilesRejected) {
     int64_t value;
   };
   const Patch patches[] = {
+      {"collection window below one", kWindow, 4, 25, -5},
+      {"horizon below one", kHorizon, 4, 500, 0},
       {"negative distractor count", kDistractors, 4, 0, -3},
       {"negative noise count", kNoise, 4, 0, -1},
       {"more frames than the file holds", kNumFrames, 8, 10, int64_t{1} << 40},
