@@ -23,18 +23,18 @@
 #include <string>
 #include <vector>
 
-#include "adapt/recovery_lab.h"
 #include "bench_common.h"
 #include "common/check.h"
 #include "common/table_printer.h"
+#include "fleet/recovery_lab.h"
 #include "sim/drift_scenario.h"
 
 namespace {
 
 using ::eventhit::Fmt;
 using ::eventhit::TablePrinter;
-namespace adapt = ::eventhit::adapt;
 namespace bench = ::eventhit::bench;
+namespace fleet = ::eventhit::fleet;
 namespace sim = ::eventhit::sim;
 
 constexpr double kStreamFps = 30.0;
@@ -54,14 +54,14 @@ int main() {
 
   struct Row {
     std::string scenario;
-    adapt::RecoveryControl control;
+    fleet::RecoveryControl control;
   };
   std::vector<Row> rows;
   for (const std::string& scenario : sim::DriftScenarioNames()) {
-    adapt::RecoveryLabConfig config;
+    fleet::RecoveryLabConfig config;
     config.scenario = scenario;
     config.threads = threads;
-    auto control = adapt::RunRecoveryControl(config);
+    auto control = fleet::RunRecoveryControl(config);
     EVENTHIT_CHECK(control.ok());
     rows.push_back({scenario, std::move(control).value()});
   }
@@ -71,8 +71,8 @@ int main() {
   int off_restored = 0;
   int on_unrestored = 0;
   for (const Row& row : rows) {
-    const adapt::RecoveryReport& on = row.control.with_recal;
-    const adapt::RecoveryReport& off = row.control.without_recal;
+    const fleet::RecoveryReport& on = row.control.with_recal;
+    const fleet::RecoveryReport& off = row.control.without_recal;
     if (off.restore_time >= 0 || !off.end_breached) ++off_restored;
     if (on.restore_time < 0) ++on_unrestored;
     table.AddRow({row.scenario, Fmt(on.breach_time), Fmt(on.first_swap_time),
@@ -89,7 +89,7 @@ int main() {
        << "  \"recal_off_restored_diff\": " << off_restored << ",\n"
        << "  \"recal_on_unrestored_diff\": " << on_unrestored << ",\n";
   for (const Row& row : rows) {
-    const adapt::RecoveryReport& on = row.control.with_recal;
+    const fleet::RecoveryReport& on = row.control.with_recal;
     const std::string key = JsonKeyName(row.scenario);
     json << "  \"" << key << "_time_to_restore_seconds\": "
          << static_cast<double>(on.time_to_restore) / kStreamFps << ",\n"

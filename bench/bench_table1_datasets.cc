@@ -75,7 +75,8 @@ int main() {
     std::string events;
     for (size_t i = 0; i < task.global_events.size(); ++i) {
       if (i > 0) events += ", ";
-      events += "E" + std::to_string(task.global_events[i]);
+      events += 'E';
+      events += std::to_string(task.global_events[i]);
     }
     tasks.AddRow({task.name, sim::DatasetName(task.dataset), events});
   }

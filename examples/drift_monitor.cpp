@@ -1,10 +1,11 @@
 // Drift monitoring (§VIII future work): a deployed EventHit model watches
 // a stream whose occurrence regime changes mid-deployment (precursors lose
 // their advance warning). The conformal drift detector, fed the p-values of
-// CI-confirmed positive horizons, raises a recalibration alarm shortly
-// after the change — and stays quiet before it.
+// CI-confirmed positive horizons, raises a recalibration alarm after the
+// change — and stays quiet before it. The scenario is the one
+// tests/drift_pipeline_test.cc pins (DetectorFiresAfterDistributionShift).
 //
-// Usage: drift_monitor [seed]
+// Usage: drift_monitor [seed]   (exits 1 when no alarm fires)
 
 #include <cstdlib>
 #include <iostream>
@@ -27,20 +28,19 @@ namespace sim = ::eventhit::sim;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 21;
+  const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 97;
 
   // Regime A = THUMOS as published; regime B = precursors collapse.
   sim::DatasetSpec before = sim::MakeDatasetSpec(sim::DatasetId::kThumos);
-  before.num_frames = 120000;
-  // The camera angle changes: precursors lose their advance warning and
-  // the lightweight detector misses most event-frame observations.
+  before.num_frames = 90000;
+  // The camera angle changes: precursors arrive with almost no advance
+  // warning and are mostly too weak for the detector.
   sim::DatasetSpec after = before;
-  after.num_frames = 80000;
-  after.detector_miss_prob = 0.75;
+  after.num_frames = 90000;
   for (auto& ev : after.events) {
     ev.lead_mean = 25.0;
     ev.lead_std = 5.0;
-    ev.weak_precursor_prob = 0.7;
+    ev.weak_precursor_prob = 0.95;
   }
   std::cout << "Generating a stream that shifts regimes at frame "
             << before.num_frames << "...\n";
@@ -52,34 +52,33 @@ int main(int argc, char** argv) {
   extractor.collection_window = before.collection_window;
   extractor.horizon = before.horizon;
 
-  eventhit::Rng rng(seed + 1);
+  // Record sampling is seeded apart from the stream, as in the test. A
+  // deep calibration set keeps the detector responsive: a valid conformal
+  // p-value is never below 1/(n+1).
+  eventhit::Rng rng(3);
   const auto train = data::SampleBalancedRecords(
       video, task, extractor,
-      sim::Interval{extractor.collection_window, 70000}, 800, 0.5, rng);
+      sim::Interval{extractor.collection_window, 55000}, 400, 0.5, rng);
   const auto calib = data::SampleUniformRecords(
-      video, task, extractor, sim::Interval{70001, 100000}, 600, rng);
+      video, task, extractor, sim::Interval{55001, 80000}, 800, rng);
 
   core::EventHitConfig config;
   config.collection_window = extractor.collection_window;
   config.horizon = extractor.horizon;
   config.feature_dim = video.feature_dim();
   config.num_events = 1;
+  config.epochs = 10;
   core::EventHitModel model(config);
   std::cout << "Training on the pre-shift regime...\n";
   model.Train(train);
   const core::CClassify cclassify(model, calib);
 
-  // epsilon 0.35 is more sensitive to the moderate p-value deflation this
-  // scenario produces (small epsilon targets extreme p-values instead);
-  // the false-alarm run length is unchanged.
-  core::DriftDetectorOptions drift_options;
-  drift_options.epsilon = 0.35;
-  core::DriftDetector detector(drift_options);
+  core::DriftDetector detector;
   std::cout << "Monitoring confirmed positives...\n\n";
   eventhit::TablePrinter table({"Frame", "log-martingale", "Status"});
   int64_t alarm_frame = -1;
   int64_t last_logged = 0;
-  for (int64_t frame = 100001;
+  for (int64_t frame = 80001;
        frame + extractor.horizon < video.num_frames(); frame += 60) {
     const auto record = data::BuildRecord(video, task, extractor, frame);
     if (!record.labels[0].present) continue;
@@ -101,8 +100,8 @@ int main(int argc, char** argv) {
               << " frames after the shift. Recommended action: re-route the "
                  "stream to the CI, collect fresh labels, retrain and "
                  "recalibrate.\n";
-  } else {
-    std::cout << "No alarm raised (unexpected for this scenario).\n";
+    return 0;
   }
-  return 0;
+  std::cout << "No alarm raised: the detector missed this shift.\n";
+  return 1;
 }

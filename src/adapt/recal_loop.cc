@@ -31,7 +31,7 @@ RecalLoop::RecalLoop(const core::EventHitModel* model,
                      obs::MetricsRegistry* metrics)
     : model_(model),
       strategy_(strategy),
-      auditor_(auditor),
+      auditor_(config.breach_trigger ? auditor : nullptr),
       config_(config),
       recalibrator_(model, config.window_capacity, config.tau2),
       detector_(config.drift),

@@ -48,6 +48,9 @@ struct RecalConfig {
   int64_t cooldown_frames = 4000;
   /// Occupancy threshold used when rebuilding C-REGRESS.
   double tau2 = 0.5;
+  /// Feed the auditor's breach latches into the loop; false leaves only
+  /// the drift-alarm trigger (the auditor still scores every boundary).
+  bool breach_trigger = true;
   /// Martingale knobs for the drift-alarm trigger.
   core::DriftDetectorOptions drift;
 };
@@ -86,7 +89,7 @@ struct RecalLoopMetrics {
 
 /// One breach/drift-triggered recalibration loop bound to a live strategy.
 /// Non-owning: `model`, `strategy` and `auditor` must outlive the loop
-/// (`auditor` may be nullptr, leaving only the drift-alarm trigger). The
+/// (`auditor` may be nullptr, as if config.breach_trigger were false). The
 /// loop owns the calibrators it builds and keeps the previous generation
 /// alive until the next swap completes, so decisions in flight never see a
 /// mix of old and new quantiles.

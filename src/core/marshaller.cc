@@ -258,24 +258,8 @@ void Marshaller::CompletePredictionInternal(const MarshalDecision& decision,
   metrics_->events_present->Add(events_present);
   metrics_->events_absent->Add(
       static_cast<int64_t>(last_decision_.exists.size()) - events_present);
-  int64_t billed = 0;
-  if (!relayed_.empty()) {
-    std::sort(relayed_.begin(), relayed_.end(),
-              [](const sim::Interval& a, const sim::Interval& b) {
-                return a.start < b.start;
-              });
-    int64_t cursor = relayed_.front().start - 1;
-    for (const sim::Interval& interval : relayed_) {
-      const int64_t from = std::max(interval.start, cursor + 1);
-      if (interval.end >= from) {
-        billed += interval.end - from + 1;
-        cursor = interval.end;
-      } else {
-        cursor = std::max(cursor, interval.end);
-      }
-    }
-    stats_.frames_relayed += billed;
-  }
+  const int64_t billed = sim::UnionLength(relayed_);
+  stats_.frames_relayed += billed;
   // Frame accounting: the horizon's frames split into the billed union and
   // the filtered remainder. Widened intervals can spill past the horizon
   // boundary, so "total" is max(H, billed) rather than H — the invariant

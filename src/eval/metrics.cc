@@ -1,41 +1,8 @@
 #include "eval/metrics.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace eventhit::eval {
-namespace {
-
-// Union length of a set of intervals (destructive sort).
-int64_t UnionLength(std::vector<sim::Interval> intervals) {
-  intervals.erase(std::remove_if(intervals.begin(), intervals.end(),
-                                 [](const sim::Interval& iv) {
-                                   return iv.empty();
-                                 }),
-                  intervals.end());
-  if (intervals.empty()) return 0;
-  std::sort(intervals.begin(), intervals.end(),
-            [](const sim::Interval& a, const sim::Interval& b) {
-              return a.start < b.start;
-            });
-  int64_t total = 0;
-  int64_t cur_start = intervals[0].start;
-  int64_t cur_end = intervals[0].end;
-  for (size_t i = 1; i < intervals.size(); ++i) {
-    if (intervals[i].start <= cur_end + 1) {
-      cur_end = std::max(cur_end, intervals[i].end);
-    } else {
-      total += cur_end - cur_start + 1;
-      cur_start = intervals[i].start;
-      cur_end = intervals[i].end;
-    }
-  }
-  total += cur_end - cur_start + 1;
-  return total;
-}
-
-}  // namespace
 
 double FrameRecall(const data::EventLabel& label, bool predicted_present,
                    const sim::Interval& predicted) {
@@ -115,7 +82,8 @@ Metrics ComputeMetrics(const std::vector<data::Record>& records,
     }
 
     // Cloud billing counts each relayed frame once per record.
-    metrics.relayed_frames += UnionLength(decision.intervals);
+    std::vector<sim::Interval> intervals = decision.intervals;
+    metrics.relayed_frames += sim::UnionLength(intervals);
   }
 
   metrics.positives = rec_den;

@@ -637,9 +637,10 @@ std::string StreamHealthJson(const StreamHealth& h) {
   field("recal_swaps", std::to_string(h.recal_swaps));
   field("relay_dropped_orders", std::to_string(h.relay_dropped_orders));
   field("relay_drop_rate", Fixed(h.relay_drop_rate, 6));
-  field("breaker_state",
-        "\"" + std::string(obs::ProvenanceBreakerName(h.breaker_state)) +
-            "\"");
+  std::string breaker = "\"";
+  breaker += obs::ProvenanceBreakerName(h.breaker_state);
+  breaker += '"';
+  field("breaker_state", breaker);
   field("residency_p50", Fixed(h.residency_p50, 1));
   field("residency_p99", Fixed(h.residency_p99, 1));
   field("spend_usd", Fixed(h.spend_usd, 6));

@@ -73,6 +73,10 @@ struct FleetConfig {
   /// Conformal knobs of the shared EHCR strategy.
   double confidence = 0.9;
   double coverage = 0.5;
+  /// Burn-rate windows of every stream's auditor, in failure-track samples
+  /// (obs::AuditConfig).
+  int audit_fast_window = 32;
+  int audit_slow_window = 256;
   /// Named fault profile for every stream's relay ("none" disables;
   /// per-stream schedules decorrelate via SplitSeed(fault_seed, stream)).
   std::string fault_profile = "none";

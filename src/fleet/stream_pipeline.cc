@@ -44,6 +44,8 @@ obs::AuditConfig MakeAuditConfig(const FleetConfig& config,
   obs::AuditConfig audit_config;
   audit_config.confidence = config.confidence;
   audit_config.coverage = config.coverage;
+  audit_config.fast_window = config.audit_fast_window;
+  audit_config.slow_window = config.audit_slow_window;
   audit_config.sim_tid = settings.stream_index;
   audit_config.event_labels = sinks.event_labels;
   return audit_config;
@@ -215,12 +217,12 @@ void StreamPipeline::OnCompletion(int64_t anchor,
   // fleet stream's: it pushes frames - H frames). The labels come from the
   // timeline: a fixed schedule's unscored windows are not stored.
   const int64_t video_anchor = first_frame_ + anchor;
+  outcomes_.clear();
   if (video_anchor + extractor_.horizon < video_.num_frames()) {
     data::LookupLabels(video_, task_, extractor_, video_anchor,
                        &truth_labels_);
     const int64_t decision_id =
         provenance_ != nullptr ? provenance_->DecisionIdOfAnchor(anchor) : -1;
-    outcomes_.clear();
     core::AppendAuditOutcomes(truth_labels_, decision, anchor, decision_id,
                               &outcomes_);
     for (const obs::AuditOutcome& outcome : outcomes_) {
@@ -245,6 +247,7 @@ void StreamPipeline::OnCompletion(int64_t anchor,
           *completing_scores_);
     }
   }
+  if (observer_) observer_(anchor, decision, outcomes_);
 
   // Integer micro-USD deltas commute: the shared total at a tick boundary
   // does not depend on completion interleaving.

@@ -2,7 +2,8 @@
 // EventHit → C-CLASSIFY/C-REGRESS → relay to the CI) with its auditor,
 // recalibration loop, provenance ledger and digests, assembled in one
 // place. StreamFleet::Run schedules many pipelines through its batcher;
-// RunStreamSolo, `explain` and `evaluate --fault-profile` drive one inline.
+// RunStreamSolo, `explain`, `evaluate --fault-profile` and the drift lab
+// (fleet/recovery_lab.h) drive one inline.
 // Whoever drives it, a stream's results depend only on its FleetConfig,
 // StreamSettings, model and video (DESIGN.md §5g): completions replay the
 // inline decision path in FIFO order, and the relay clock advances on each
@@ -12,7 +13,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,9 +109,23 @@ class StreamPipeline {
   /// completed, and returns the stream's result.
   FleetStreamResult Finish();
 
+  /// Called at each completed boundary after its audit and recal steps,
+  /// with its audit outcomes (none when its horizon leaves the video).
+  using BoundaryObserver =
+      std::function<void(int64_t anchor, const core::MarshalDecision&,
+                         std::span<const obs::AuditOutcome> outcomes)>;
+  void set_boundary_observer(BoundaryObserver observer) {
+    observer_ = std::move(observer);
+  }
+
   const StreamSettings& settings() const { return settings_; }
   int64_t next_frame() const { return next_frame_; }
   const cloud::CloudRelay& relay() const { return relay_; }
+  const obs::GuarantyAuditor& auditor() const { return auditor_; }
+  /// The recal loop's counters; nullptr when recal is off.
+  const adapt::RecalStats* recal_stats() const {
+    return recal_ != nullptr ? &recal_->stats() : nullptr;
+  }
 
  private:
   void OnDelivery(const cloud::RelayDelivery& delivery);
@@ -134,6 +151,7 @@ class StreamPipeline {
   core::Marshaller marshaller_;
   obs::GuarantyAuditor auditor_;
   std::unique_ptr<adapt::RecalLoop> recal_;
+  BoundaryObserver observer_;  // Empty: none.
 
   // Scores of the boundary inside Complete; nullptr for reused ones.
   const core::EventScores* completing_scores_ = nullptr;

@@ -61,22 +61,24 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot) {
   for (const CounterSnapshot& counter : snapshot.counters) {
     if (!first) json += ",";
     first = false;
-    json += "\"" + JsonEscape(counter.name) +
-            "\":" + std::to_string(counter.value);
+    AppendJsonKey(counter.name, &json);
+    json += std::to_string(counter.value);
   }
   json += "},\"gauges\":{";
   first = true;
   for (const GaugeSnapshot& gauge : snapshot.gauges) {
     if (!first) json += ",";
     first = false;
-    json += "\"" + JsonEscape(gauge.name) + "\":" + JsonNumber(gauge.value);
+    AppendJsonKey(gauge.name, &json);
+    json += JsonNumber(gauge.value);
   }
   json += "},\"histograms\":{";
   first = true;
   for (const HistogramSnapshot& histogram : snapshot.histograms) {
     if (!first) json += ",";
     first = false;
-    json += "\"" + JsonEscape(histogram.name) + "\":{\"bounds\":[";
+    AppendJsonKey(histogram.name, &json);
+    json += "{\"bounds\":[";
     for (size_t i = 0; i < histogram.bounds.size(); ++i) {
       if (i > 0) json += ",";
       json += JsonNumber(histogram.bounds[i]);

@@ -39,6 +39,12 @@ std::string JsonEscape(const std::string& value) {
   return out;
 }
 
+void AppendJsonKey(const std::string& key, std::string* out) {
+  *out += '"';
+  *out += JsonEscape(key);
+  *out += "\":";
+}
+
 std::string JsonNumber(double value) {
   if (!std::isfinite(value)) return "null";
   char buffer[64];

@@ -10,6 +10,9 @@ namespace eventhit::obs {
 /// backslashes, control characters).
 std::string JsonEscape(const std::string& value);
 
+/// Appends `"<escaped key>":` to `out`.
+void AppendJsonKey(const std::string& key, std::string* out);
+
 /// Formats a double as a JSON number. JSON has no Infinity/NaN literals,
 /// so non-finite values render as `null` — a broken gauge must not parse
 /// back as a legitimate zero.

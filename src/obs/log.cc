@@ -38,7 +38,10 @@ bool ParseLogLevel(const std::string& text, LogLevel* level) {
 }
 
 LogField LogStr(const std::string& key, const std::string& value) {
-  return {key, "\"" + JsonEscape(value) + "\""};
+  std::string quoted = "\"";
+  quoted += JsonEscape(value);
+  quoted += '"';
+  return {key, quoted};
 }
 
 LogField LogInt(const std::string& key, int64_t value) {

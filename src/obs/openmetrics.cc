@@ -59,7 +59,7 @@ std::string OpenMetricsName(const std::string& base) {
     if (i == 0 && c >= '0' && c <= '9') out += '_';
     out += ValidNameChar(c, out.empty()) ? c : '_';
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out += '_';
   return out;
 }
 

@@ -27,7 +27,8 @@ void MetricsDeltaWriter::Emit(const MetricsSnapshot& snapshot,
     last = counter.value;
     if (!first) line += ",";
     first = false;
-    line += "\"" + JsonEscape(counter.name) + "\":" + std::to_string(delta);
+    AppendJsonKey(counter.name, &line);
+    line += std::to_string(delta);
   }
   line += "},\"gauges\":{";
   first = true;
@@ -38,7 +39,8 @@ void MetricsDeltaWriter::Emit(const MetricsSnapshot& snapshot,
     last_gauges_[gauge.name] = gauge.value;
     if (!first) line += ",";
     first = false;
-    line += "\"" + JsonEscape(gauge.name) + "\":" + JsonNumber(gauge.value);
+    AppendJsonKey(gauge.name, &line);
+    line += JsonNumber(gauge.value);
   }
   line += "},\"histograms\":{";
   first = true;
@@ -51,9 +53,12 @@ void MetricsDeltaWriter::Emit(const MetricsSnapshot& snapshot,
     last = {histogram.count, histogram.sum};
     if (!first) line += ",";
     first = false;
-    line += "\"" + JsonEscape(histogram.name) +
-            "\":{\"count\":" + std::to_string(count_delta) +
-            ",\"sum\":" + JsonNumber(sum_delta) + "}";
+    AppendJsonKey(histogram.name, &line);
+    line += "{\"count\":";
+    line += std::to_string(count_delta);
+    line += ",\"sum\":";
+    line += JsonNumber(sum_delta);
+    line += '}';
   }
   line += "}}\n";
   *os_ << line;

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 
 namespace eventhit::sim {
 
@@ -46,6 +48,23 @@ inline Interval Intersect(const Interval& a, const Interval& b) {
 /// |a \ b|: frames of `a` not covered by `b`.
 inline int64_t DifferenceLength(const Interval& a, const Interval& b) {
   return a.length() - Intersect(a, b).length();
+}
+
+/// Frames covered by the union of `intervals`, which it sorts in place by
+/// start. Empty intervals cover nothing.
+inline int64_t UnionLength(std::span<Interval> intervals) {
+  std::sort(intervals.begin(), intervals.end(),
+            [](const Interval& a, const Interval& b) {
+              return a.start < b.start;
+            });
+  int64_t total = 0;
+  int64_t covered_to = std::numeric_limits<int64_t>::min();  // Last counted.
+  for (const Interval& interval : intervals) {
+    if (interval.empty() || interval.end <= covered_to) continue;
+    total += interval.end - std::max(interval.start, covered_to + 1) + 1;
+    covered_to = interval.end;
+  }
+  return total;
 }
 
 }  // namespace eventhit::sim

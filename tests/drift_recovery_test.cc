@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "adapt/recovery_lab.h"
 #include "common/rng.h"
 #include "core/c_classify.h"
 #include "core/c_regress.h"
@@ -21,10 +20,11 @@
 #include "core/strategies.h"
 #include "data/record_extractor.h"
 #include "data/tasks.h"
+#include "fleet/recovery_lab.h"
 #include "sim/drift_scenario.h"
 #include "sim/synthetic_video.h"
 
-namespace eventhit::adapt {
+namespace eventhit::fleet {
 namespace {
 
 // Generous ceiling on time-to-restore: every scenario's golden value is
@@ -256,4 +256,4 @@ TEST(RecalibratedValidityTest, RebuiltCalibratorsKeepBudgetsOnFreshSlice) {
 }
 
 }  // namespace
-}  // namespace eventhit::adapt
+}  // namespace eventhit::fleet

@@ -147,7 +147,9 @@ TEST(FleetAllocTest, WarmRunAllocationsDoNotGrowWithBoundaries) {
     ASSERT_EQ(shorter.empty_timelines, longer.empty_timelines);
     ASSERT_GT(longer.boundaries, shorter.boundaries);
     ASSERT_GT(shorter.relay_orders, 0);
-    if (c.replays) ASSERT_GT(shorter.replayed_orders, 0);
+    if (c.replays) {
+      ASSERT_GT(shorter.replayed_orders, 0);
+    }
     EXPECT_EQ(longer.allocations, shorter.allocations)
         << shorter.boundaries << " vs " << longer.boundaries
         << " boundaries";

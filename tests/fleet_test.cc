@@ -7,6 +7,7 @@
 #include "fleet/stream_fleet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <span>
@@ -17,6 +18,8 @@
 
 #include "cloud/cloud_service.h"
 #include "common/thread_pool.h"
+#include "core/eventhit_model.h"
+#include "core/strategies.h"
 #include "data/tasks.h"
 #include "eval/runner.h"
 #include "fleet/dynamic_batcher.h"
@@ -25,6 +28,7 @@
 #include "obs/schema.h"
 #include "obs/trace.h"
 #include "sched/collect_policy.h"
+#include "sim/datasets.h"
 #include "sim/synthetic_video.h"
 
 namespace eventhit::fleet {
@@ -435,6 +439,93 @@ TEST(StreamFleetTest, CloudDetectsTheTasksDatasetEvent) {
   ASSERT_GE(frames, 500);
   EXPECT_GE(static_cast<double>(agree) / static_cast<double>(frames),
             cloud::CloudConfig{}.accuracy - 0.02);
+}
+
+// eval::WalkPolicy is the stream driver left beside the pipeline: it runs
+// inside TrainEventHit with the caller's strategy and no relay or audit.
+// A pipeline replayed inline over the same range, with the same strategy
+// options, must decide alike at every boundary and count alike. The one
+// exception: a full-rate pipeline prices no forward pass, so its
+// local_mflops falls short of the walk's by exactly its boundaries'
+// passes (DESIGN.md §5g).
+TEST(StreamFleetTest, InlineReplayDecidesLikeWalkPolicy) {
+  const data::Task task = data::FindTask("TA10").value();
+  FleetConfig config = TestConfig();
+  // Enough training that C-REGRESS widens intervals by varying amounts:
+  // at 80 records every interval is [1, H], whatever the coverage.
+  config.runner.train_records = 200;
+  const eval::TaskEnvironment env =
+      eval::TaskEnvironment::Build(task, config.runner);
+  const eval::TrainedEventHit trained = eval::TrainEventHit(env, config.runner);
+  core::EventHitStrategyOptions options;
+  options.use_cclassify = true;
+  options.use_cregress = true;
+  options.confidence = config.confidence;
+  options.coverage = config.coverage;
+  const core::EventHitStrategy strategy(trained.model.get(),
+                                        trained.cclassify.get(),
+                                        trained.cregress.get(), options);
+  const sim::Interval range = env.splits().test;
+  const int64_t window = env.collection_window();
+  const int64_t first_frame = range.start - (window - 1);
+  const double forward_mflops =
+      core::LocalCostModelFor(trained.model->config())
+          .forward_mflops_per_boundary;
+  ASSERT_GT(forward_mflops, 0.0);
+
+  for (const char* policy : {"full", "duty:0.5", "adaptive"}) {
+    SCOPED_TRACE(policy);
+    config.runner.collect_policy = sched::ParseCollectPolicy(policy).value();
+    const eval::PolicyWalk walk =
+        eval::WalkPolicy(env, range, strategy, config.runner.collect_policy);
+    const int64_t boundaries = static_cast<int64_t>(walk.decisions.size());
+    ASSERT_GT(boundaries, 10);
+    StreamSettings settings;
+    settings.stream_index = 0;
+    settings.spec = sim::MakeDatasetSpec(task.dataset);
+    settings.push_frames = window + (boundaries - 1) * env.horizon();
+    StreamPipeline pipeline(config, settings, task, trained, env.video(),
+                            first_frame, PipelineSinks{});
+    const FleetStreamResult replay = RunInline(pipeline, *trained.model);
+
+    const auto& decisions = replay.transcript.decisions;
+    ASSERT_EQ(decisions.size(), walk.decisions.size());
+    std::set<int64_t> widths;  // Of the relayed intervals.
+    for (size_t i = 0; i < decisions.size(); ++i) {
+      EXPECT_EQ(first_frame + decisions[i].anchor, walk.records[i].frame);
+      const core::MarshalDecision& expected = walk.decisions[i];
+      ASSERT_EQ(decisions[i].exists.size(), expected.exists.size());
+      for (size_t k = 0; k < expected.exists.size(); ++k) {
+        EXPECT_EQ(decisions[i].exists[k] != 0, expected.exists[k])
+            << "boundary " << i;
+        EXPECT_EQ(decisions[i].intervals[k], expected.intervals[k])
+            << "boundary " << i;
+        if (expected.exists[k]) widths.insert(expected.intervals[k].length());
+      }
+    }
+    EXPECT_GE(widths.size(), 2u);  // Intervals the options could move.
+
+    core::MarshallerStats expected = walk.stats;
+    if (config.runner.collect_policy.kind == sched::CollectPolicyKind::kFull) {
+      // Full rate: the pipeline installs no cost model, so every
+      // boundary's forward pass goes unpriced. Pricing it flips this pin.
+      EXPECT_EQ(expected.horizons_reused, 0);
+      expected.local_mflops -= std::llround(
+          static_cast<double>(boundaries) * forward_mflops);
+    }
+    const core::MarshallerStats& actual = replay.marshaller;
+    for (auto field : {&core::MarshallerStats::frames_seen,
+                       &core::MarshallerStats::horizons_predicted,
+                       &core::MarshallerStats::frames_relayed,
+                       &core::MarshallerStats::relay_orders,
+                       &core::MarshallerStats::horizons_reused,
+                       &core::MarshallerStats::frames_scored,
+                       &core::MarshallerStats::frames_skipped,
+                       &core::MarshallerStats::local_mflops,
+                       &core::MarshallerStats::saved_mflops}) {
+      EXPECT_EQ(actual.*field, expected.*field);
+    }
+  }
 }
 
 // SameStreamResult and StateDigest both iterate ForEachResultField, so

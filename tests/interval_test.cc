@@ -1,5 +1,7 @@
 #include "sim/interval.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace eventhit::sim {
@@ -51,6 +53,33 @@ TEST(IntervalTest, DifferenceLength) {
 
 TEST(IntervalTest, AllEmptyIntervalsEqual) {
   EXPECT_EQ((Interval{5, 2}), Interval::Empty());
+}
+
+TEST(IntervalTest, UnionLengthCases) {
+  const auto union_length = [](std::vector<Interval> intervals) {
+    return UnionLength(intervals);
+  };
+  EXPECT_EQ(union_length({}), 0);
+  EXPECT_EQ(union_length({Interval::Empty(), Interval{9, 3}}), 0);
+  // Empty intervals cover nothing, wherever the sort puts them.
+  EXPECT_EQ(union_length({Interval{-5, -9}, Interval{4, 6}, Interval{7, 1}}),
+            3);
+  EXPECT_EQ(union_length({Interval{1, 10}, Interval{3, 5}}), 10);   // Nested.
+  EXPECT_EQ(union_length({Interval{3, 5}, Interval{1, 10}}), 10);
+  EXPECT_EQ(union_length({Interval{1, 4}, Interval{5, 8}}), 8);     // Touching.
+  EXPECT_EQ(union_length({Interval{1, 5}, Interval{4, 8}}), 8);     // Overlap.
+  EXPECT_EQ(union_length({Interval{1, 2}, Interval{6, 8}}), 5);     // Disjoint.
+  EXPECT_EQ(union_length({Interval{6, 9}, Interval{1, 7}, Interval{2, 3},
+                          Interval{12, 12}}),
+            10);
+}
+
+TEST(IntervalTest, UnionLengthSortsInPlace) {
+  std::vector<Interval> intervals{{7, 9}, Interval::Empty(), {1, 2}};
+  EXPECT_EQ(UnionLength(intervals), 5);
+  EXPECT_TRUE(intervals[0].empty());
+  EXPECT_EQ(intervals[1], (Interval{1, 2}));
+  EXPECT_EQ(intervals[2], (Interval{7, 9}));
 }
 
 }  // namespace

@@ -500,7 +500,9 @@ TEST(TraceBufferTest, DroppedCounterMirrorsIntoRegistry) {
   MetricsRegistry registry;
   TraceBuffer buffer(2, &registry);
   for (int i = 0; i < 5; ++i) {
-    TraceSpan span(&buffer, "s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    TraceSpan span(&buffer, name);
   }
   EXPECT_EQ(buffer.dropped(), 3);
   EXPECT_EQ(registry.GetCounter(names::kTraceEventsDropped)->Value(), 3);

@@ -37,7 +37,6 @@
 #include <iostream>
 #include <memory>
 
-#include "adapt/recovery_lab.h"
 #include "baselines/oracle.h"
 #include "cloud/cost_model.h"
 #include "cloud/relay.h"
@@ -49,6 +48,7 @@
 #include "core/strategies.h"
 #include "data/tasks.h"
 #include "eval/curves.h"
+#include "fleet/recovery_lab.h"
 #include "fleet/stream_fleet.h"
 #include "fleet/stream_pipeline.h"
 #include "eval/hyper_search.h"
@@ -73,7 +73,6 @@ using ::eventhit::Flags;
 using ::eventhit::Fmt;
 using ::eventhit::FmtSig;
 using ::eventhit::TablePrinter;
-namespace adapt = ::eventhit::adapt;
 namespace cloud = ::eventhit::cloud;
 namespace obs = ::eventhit::obs;
 namespace eval = ::eventhit::eval;
@@ -209,7 +208,7 @@ std::vector<std::string> EventLabels(const data::Task& task) {
   std::vector<std::string> labels;
   labels.reserve(task.global_events.size());
   for (const int global : task.global_events) {
-    labels.push_back("E" + std::to_string(global));
+    labels.emplace_back("E") += std::to_string(global);
   }
   return labels;
 }
@@ -474,13 +473,13 @@ int RunFaultReplay(const Flags& flags, fleet::FleetConfig config,
 }
 
 // `evaluate --drift-profile=NAME`: the seeded drift-recovery lab
-// (adapt/recovery_lab.h). Builds its own single-event drifting rig —
-// --task is ignored — then streams the regime shift through a live
-// marshaller + auditor with the recalibration loop armed or disarmed and
+// (fleet/recovery_lab.h). Builds its own single-event drifting rig —
+// --task is ignored — then streams the regime shift through a
+// StreamPipeline with the recalibration loop armed or disarmed and
 // prints the breach → swap → restore chain. Fully reproducible from
 // --seed; recal.* metrics land in the global registry for --metrics-out.
 int RunDriftRecovery(const Flags& flags) {
-  adapt::RecoveryLabConfig config;
+  fleet::RecoveryLabConfig config;
   config.scenario = flags.GetString("drift-profile", "");
   const std::string recal_name = flags.GetString("recal", "on");
   if (recal_name != "on" && recal_name != "off") {
@@ -513,12 +512,12 @@ int RunDriftRecovery(const Flags& flags) {
   std::cerr << "streaming drift scenario " << config.scenario
             << " (recal=" << recal_name << ", seed=" << config.seed
             << ")...\n";
-  const auto run = adapt::RunRecovery(config);
+  const auto run = fleet::RunRecovery(config);
   if (!run.ok()) {
     std::cerr << run.status() << "\n";
     return 1;
   }
-  const adapt::RecoveryReport& r = run.value();
+  const fleet::RecoveryReport& r = run.value();
 
   std::cout << "=== Drift recovery (" << r.scenario
             << ", recal=" << (r.recal_enabled ? "on" : "off") << ") ===\n";
