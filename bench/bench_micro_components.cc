@@ -24,6 +24,7 @@
 #include "obs/metrics.h"
 #include "sched/collect_policy.h"
 #include "data/record_extractor.h"
+#include "data/tasks.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "sim/datasets.h"
@@ -273,6 +274,29 @@ void BM_EventHitTrainEpoch(benchmark::State& state, int window, int horizon) {
 BENCHMARK_CAPTURE(BM_EventHitTrainEpoch, thumos, 10, 200)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EventHitTrainEpoch, breakfast, 50, 500)
+    ->Unit(benchmark::kMillisecond);
+
+// A fleet's whole set-up outside the fleet: TaskEnvironment::Build plus
+// TrainEventHit (training, calibration, test scores) at perfbench's runner
+// configuration, whose steady and duty-flaky workloads train on TA10
+// (THUMOS) and long-window on TA13 (Breakfast).
+void BM_TrainEventHit(benchmark::State& state, const char* task_name) {
+  const data::Task task = data::FindTask(task_name).value();
+  eval::RunnerConfig config;
+  config.seed = 42;
+  config.stream_frames_override = 60000;
+  config.train_records = 400;
+  config.calib_records = 400;
+  config.test_records = 100;
+  config.model_template.epochs = 6;
+  for (auto _ : state) {
+    const eval::TaskEnvironment env = eval::TaskEnvironment::Build(task, config);
+    benchmark::DoNotOptimize(eval::TrainEventHit(env, config));
+  }
+}
+BENCHMARK_CAPTURE(BM_TrainEventHit, thumos, "TA10")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TrainEventHit, breakfast, "TA13")
     ->Unit(benchmark::kMillisecond);
 
 void BM_ConformalPValue(benchmark::State& state) {

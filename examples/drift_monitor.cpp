@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "common/table_printer.h"
-#include "core/c_classify.h"
+#include "core/calibration.h"
 #include "core/drift_detector.h"
 #include "core/eventhit_model.h"
 #include "data/record_extractor.h"
@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
   core::EventHitModel model(config);
   std::cout << "Training on the pre-shift regime...\n";
   model.Train(train);
-  const core::CClassify cclassify(model, calib);
+  const core::Calibrators calibrators = core::Calibrate(model, calib, 0.5);
+  const core::CClassify& cclassify = *calibrators.cclassify;
 
   core::DriftDetector detector;
   std::cout << "Monitoring confirmed positives...\n\n";

@@ -99,15 +99,11 @@ bool RecalLoop::MaybeRecalibrate(int64_t sim_time) {
 }
 
 void RecalLoop::Swap(int64_t sim_time) {
-  std::unique_ptr<core::CClassify> cclassify =
-      recalibrator_.BuildCClassify();
-  std::unique_ptr<core::CRegress> cregress = recalibrator_.BuildCRegress();
+  core::Calibrators fresh = recalibrator_.Rebuild();
   // One-call swap: no decision can see old C-CLASSIFY with new C-REGRESS.
-  strategy_->set_calibrators(cclassify.get(), cregress.get());
-  retired_cclassify_ = std::move(live_cclassify_);
-  retired_cregress_ = std::move(live_cregress_);
-  live_cclassify_ = std::move(cclassify);
-  live_cregress_ = std::move(cregress);
+  strategy_->set_calibrators(fresh.cclassify.get(), fresh.cregress.get());
+  retired_ = std::move(live_);
+  live_ = std::move(fresh);
 
   // A fresh calibration resets the drift evidence; the next alarm must be
   // earned against the new quantiles.

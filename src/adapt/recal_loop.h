@@ -24,7 +24,6 @@
 #define EVENTHIT_ADAPT_RECAL_LOOP_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "core/drift_detector.h"
 #include "core/prediction.h"
@@ -138,10 +137,8 @@ class RecalLoop {
 
   // Current and previous calibrator generations (previous kept so a swap
   // never frees quantiles a caller may still reference this boundary).
-  std::unique_ptr<core::CClassify> live_cclassify_;
-  std::unique_ptr<core::CRegress> live_cregress_;
-  std::unique_ptr<core::CClassify> retired_cclassify_;
-  std::unique_ptr<core::CRegress> retired_cregress_;
+  core::Calibrators live_;
+  core::Calibrators retired_;
 
   bool trigger_pending_ = false;
   int64_t consumed_breaches_ = 0;

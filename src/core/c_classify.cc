@@ -4,28 +4,6 @@
 
 namespace eventhit::core {
 
-CClassify::CClassify(const EventHitModel& model,
-                     const std::vector<data::Record>& calibration,
-                     const ExecutionContext& ctx) {
-  const size_t k_events = model.config().num_events;
-  const std::vector<EventScores> all_scores =
-      PredictBatch(model, calibration, ctx);
-  std::vector<std::vector<double>> positive_scores(k_events);
-  for (size_t i = 0; i < calibration.size(); ++i) {
-    const data::Record& record = calibration[i];
-    EVENTHIT_CHECK_EQ(record.labels.size(), k_events);
-    for (size_t k = 0; k < k_events; ++k) {
-      if (record.labels[k].present) {
-        positive_scores[k].push_back(1.0 - all_scores[i].existence[k]);
-      }
-    }
-  }
-  classifiers_.reserve(k_events);
-  for (auto& scores : positive_scores) {
-    classifiers_.emplace_back(std::move(scores));
-  }
-}
-
 CClassify::CClassify(
     std::vector<std::vector<double>> positive_scores_per_event) {
   classifiers_.reserve(positive_scores_per_event.size());

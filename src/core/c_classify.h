@@ -12,26 +12,17 @@
 #include <vector>
 
 #include "conformal/conformal_classifier.h"
-#include "core/eventhit_model.h"
 #include "core/prediction.h"
-#include "data/record.h"
 
 namespace eventhit::core {
 
 /// Calibrated conformal existence predictor over all K event types.
 class CClassify {
  public:
-  /// Runs `model` over the calibration records and builds one conformal
-  /// classifier per event type from the positive records' scores. The
-  /// forward passes run across `ctx.threads()` workers; the per-event
-  /// score lists are assembled serially in record order, so the result is
-  /// identical to a serial calibration.
-  CClassify(const EventHitModel& model,
-            const std::vector<data::Record>& calibration,
-            const ExecutionContext& ctx = ExecutionContext());
-
-  /// Builds directly from per-event positive-class non-conformity scores
-  /// (tests, or reuse of precomputed model outputs).
+  /// Builds one conformal classifier per event type from its
+  /// positive-class non-conformity scores 1 - b_k. core::Calibrate
+  /// (core/calibration.h) computes them from a model and calibration
+  /// records.
   explicit CClassify(
       std::vector<std::vector<double>> positive_scores_per_event);
 

@@ -7,51 +7,6 @@
 
 namespace eventhit::core {
 
-CRegress::CRegress(const EventHitModel& model,
-                   const std::vector<data::Record>& calibration, double tau2,
-                   const ExecutionContext& ctx)
-    : horizon_(model.config().horizon) {
-  const size_t k_events = model.config().num_events;
-  // Forward passes go through the batched GEMM path (bit-identical to
-  // per-record Predict, so the calibrated residuals are unchanged); the
-  // interval extraction stays a parallel per-record map. One slot per
-  // (record, event), so workers never contend and the reduction below sees
-  // record order.
-  const std::vector<EventScores> all_scores =
-      PredictBatch(model, calibration, ctx);
-  std::vector<std::vector<sim::Interval>> estimates(calibration.size());
-  ctx.ParallelFor(calibration.size(), [&](size_t i) {
-    const data::Record& record = calibration[i];
-    EVENTHIT_CHECK_EQ(record.labels.size(), k_events);
-    const EventScores& scores = all_scores[i];
-    estimates[i].resize(k_events);
-    for (size_t k = 0; k < k_events; ++k) {
-      if (!record.labels[k].present) continue;
-      estimates[i][k] = ExtractOccurrenceInterval(scores.occupancy[k], tau2);
-    }
-  });
-  // Serial ordered reduction: identical residual order to the serial loop.
-  std::vector<std::vector<double>> start_residuals(k_events);
-  std::vector<std::vector<double>> end_residuals(k_events);
-  for (size_t i = 0; i < calibration.size(); ++i) {
-    for (size_t k = 0; k < k_events; ++k) {
-      const data::EventLabel& label = calibration[i].labels[k];
-      if (!label.present) continue;
-      const sim::Interval& estimate = estimates[i][k];
-      start_residuals[k].push_back(
-          std::fabs(static_cast<double>(estimate.start - label.start)));
-      end_residuals[k].push_back(
-          std::fabs(static_cast<double>(estimate.end - label.end)));
-    }
-  }
-  start_.reserve(k_events);
-  end_.reserve(k_events);
-  for (size_t k = 0; k < k_events; ++k) {
-    start_.emplace_back(std::move(start_residuals[k]));
-    end_.emplace_back(std::move(end_residuals[k]));
-  }
-}
-
 CRegress::CRegress(std::vector<std::vector<double>> start_residuals,
                    std::vector<std::vector<double>> end_residuals, int horizon)
     : horizon_(horizon) {

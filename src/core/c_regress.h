@@ -13,9 +13,6 @@
 #include <vector>
 
 #include "conformal/split_conformal_regressor.h"
-#include "core/eventhit_model.h"
-#include "core/prediction.h"
-#include "data/record.h"
 #include "sim/interval.h"
 
 namespace eventhit::core {
@@ -23,15 +20,9 @@ namespace eventhit::core {
 /// Calibrated conformal interval adjuster over all K event types.
 class CRegress {
  public:
-  /// Runs `model` over the calibration records (Lines 6–12 of Alg. 2).
-  /// `tau2` is the occupancy threshold used to extract intervals. Forward
-  /// passes and interval extraction run across `ctx.threads()` workers;
-  /// residual lists are reduced serially in record order (deterministic).
-  CRegress(const EventHitModel& model,
-           const std::vector<data::Record>& calibration, double tau2,
-           const ExecutionContext& ctx = ExecutionContext());
-
-  /// Builds directly from per-event (start, end) residual sets.
+  /// Builds from per-event (start, end) residual sets. core::Calibrate
+  /// (core/calibration.h) computes them from a model and calibration
+  /// records (Lines 6–12 of Alg. 2).
   CRegress(std::vector<std::vector<double>> start_residuals,
            std::vector<std::vector<double>> end_residuals, int horizon);
 

@@ -1,5 +1,8 @@
 #include "core/recalibrator.h"
 
+#include <cstdint>
+#include <vector>
+
 #include "common/check.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -70,28 +73,22 @@ bool Recalibrator::CanRebuild(size_t min_records, size_t min_positives) const {
   return true;
 }
 
-std::unique_ptr<CClassify> Recalibrator::BuildCClassify() const {
+Calibrators Recalibrator::Rebuild() const {
   EVENTHIT_CHECK(CanRebuild(1, 1));
-  RecalMetrics::Get().rebuilds_cclassify->Add(1);
   // The recalibrator has no stream clock of its own; sim_time is the
   // window fill at rebuild time.
-  obs::Logger::Global().Log(
-      obs::LogLevel::kInfo, "recalibrator", "rebuild_cclassify",
-      static_cast<int64_t>(window_.size()),
-      {obs::LogInt("window", static_cast<int64_t>(window_.size()))});
+  const auto window = static_cast<int64_t>(window_.size());
+  const RecalMetrics& metrics = RecalMetrics::Get();
+  metrics.rebuilds_cclassify->Add(1);
+  obs::Logger::Global().Log(obs::LogLevel::kInfo, "recalibrator",
+                            "rebuild_cclassify", window,
+                            {obs::LogInt("window", window)});
+  metrics.rebuilds_cregress->Add(1);
+  obs::Logger::Global().Log(obs::LogLevel::kInfo, "recalibrator",
+                            "rebuild_cregress", window,
+                            {obs::LogInt("window", window)});
   const std::vector<data::Record> records(window_.begin(), window_.end());
-  return std::make_unique<CClassify>(*model_, records);
-}
-
-std::unique_ptr<CRegress> Recalibrator::BuildCRegress() const {
-  EVENTHIT_CHECK(CanRebuild(1, 1));
-  RecalMetrics::Get().rebuilds_cregress->Add(1);
-  obs::Logger::Global().Log(
-      obs::LogLevel::kInfo, "recalibrator", "rebuild_cregress",
-      static_cast<int64_t>(window_.size()),
-      {obs::LogInt("window", static_cast<int64_t>(window_.size()))});
-  const std::vector<data::Record> records(window_.begin(), window_.end());
-  return std::make_unique<CRegress>(*model_, records, tau2_);
+  return Calibrate(*model_, records, tau2_);
 }
 
 void Recalibrator::Clear() {

@@ -11,11 +11,8 @@
 #define EVENTHIT_CORE_RECALIBRATOR_H_
 
 #include <deque>
-#include <memory>
-#include <vector>
 
-#include "core/c_classify.h"
-#include "core/c_regress.h"
+#include "core/calibration.h"
 #include "core/eventhit_model.h"
 #include "data/record.h"
 
@@ -45,16 +42,13 @@ class Recalibrator {
   /// window that fails it would yield degenerate quantiles — C-CLASSIFY
   /// with an empty positive set answers p == 1 for every event (existence
   /// always asserted, unbounded spillage) and C-REGRESS with no residuals
-  /// widens by nothing — so Build* refuses such windows outright.
+  /// widens by nothing — so Rebuild refuses such windows outright.
   bool CanRebuild(size_t min_records, size_t min_positives) const;
 
-  /// Rebuilds the conformal existence classifier from the current window.
-  /// CHECK-fails unless `CanRebuild(1, 1)` holds.
-  std::unique_ptr<CClassify> BuildCClassify() const;
-
-  /// Rebuilds the conformal interval adjuster from the current window.
-  /// CHECK-fails unless `CanRebuild(1, 1)` holds.
-  std::unique_ptr<CRegress> BuildCRegress() const;
+  /// Rebuilds C-CLASSIFY and C-REGRESS from the current window in one
+  /// scoring pass over its positive records (core::Calibrate). Counts and
+  /// logs one rebuild of each. CHECK-fails unless `CanRebuild(1, 1)` holds.
+  Calibrators Rebuild() const;
 
   /// Drops every windowed record (e.g. after a confirmed regime change,
   /// when pre-shift records would poison the calibration).

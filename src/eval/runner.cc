@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "core/audit_feed.h"
+#include "core/calibration.h"
 #include "obs/metrics.h"
 #include "obs/schema.h"
 #include "obs/trace.h"
@@ -78,10 +79,10 @@ TrainedEventHit TrainEventHit(const TaskEnvironment& env,
     obs::TraceSpan span(obs::names::kSpanRunnerTrain);
     trained.history = trained.model->Train(env.train_records());
   }
-  // Select the inference backend BEFORE calibration: the conformal
-  // constructors below score the calibration split through the model, so
-  // thresholds are built on backend-specific scores (simd's fused
-  // multiply-adds move them off blocked's bits — docs/BACKENDS.md).
+  // Select the inference backend BEFORE calibration: core::Calibrate below
+  // scores the calibration split through the model, so thresholds are
+  // built on backend-specific scores (simd's fused multiply-adds move them
+  // off blocked's bits — docs/BACKENDS.md).
   trained.model->SetInferenceBackend(config.nn_backend);
   {
     obs::TraceSpan span(obs::names::kSpanRunnerCalibrate);
@@ -105,10 +106,10 @@ TrainedEventHit TrainEventHit(const TaskEnvironment& env,
         calib = &policy_calib;
       }
     }
-    trained.cclassify =
-        std::make_unique<core::CClassify>(*trained.model, *calib, ctx);
-    trained.cregress =
-        std::make_unique<core::CRegress>(*trained.model, *calib, tau2, ctx);
+    core::Calibrators calibrators =
+        core::Calibrate(*trained.model, *calib, tau2, ctx);
+    trained.cclassify = std::move(calibrators.cclassify);
+    trained.cregress = std::move(calibrators.cregress);
   }
   {
     obs::TraceSpan span(obs::names::kSpanRunnerPredictBatch);

@@ -108,9 +108,10 @@ struct TrainedEventHit {
 /// Trains + calibrates EventHit on the environment. `tau2` is the occupancy
 /// threshold used for C-REGRESS calibration (the compared algorithms all
 /// use 0.5). Training itself is serial (its SGD step order is part of the
-/// model definition); conformal calibration and test-score precomputation
-/// run across `ctx.threads()` workers with deterministic, order-preserving
-/// reductions.
+/// model definition); conformal calibration (core::Calibrate: one scoring
+/// pass over the calibration records with some event present) and
+/// test-score precomputation run across `ctx.threads()` workers with
+/// deterministic, order-preserving reductions.
 TrainedEventHit TrainEventHit(const TaskEnvironment& env,
                               const RunnerConfig& config, double tau2 = 0.5,
                               const ExecutionContext& ctx = ExecutionContext());

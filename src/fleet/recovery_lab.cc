@@ -5,11 +5,13 @@
 #include <deque>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "common/check.h"
 #include "common/fnv.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/calibration.h"
 #include "data/record_extractor.h"
 #include "data/tasks.h"
 #include "eval/runner.h"
@@ -101,11 +103,11 @@ Result<Rig> BuildRig(const RecoveryLabConfig& config) {
   trained.model->Train(train);
 
   const ExecutionContext ctx(config.threads, config.seed);
-  trained.cclassify =
-      std::make_unique<core::CClassify>(*trained.model, calib, ctx);
   // tau2 0.5: the occupancy threshold of the strategy and the recal loop.
-  trained.cregress = std::make_unique<core::CRegress>(*trained.model, calib,
-                                                      /*tau2=*/0.5, ctx);
+  core::Calibrators calibrators =
+      core::Calibrate(*trained.model, calib, /*tau2=*/0.5, ctx);
+  trained.cclassify = std::move(calibrators.cclassify);
+  trained.cregress = std::move(calibrators.cregress);
   return rig;
 }
 

@@ -123,12 +123,16 @@ StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
   StreamPipeline::ResolveMetrics(config_, task_, StreamSinks());
 
   // One shared model for the whole fleet, trained on the task's canonical
-  // environment (training is independent of the per-stream specs).
-  env_ = std::make_unique<eval::TaskEnvironment>(
-      eval::TaskEnvironment::Build(task_, config_.runner));
-  const ExecutionContext train_ctx(threads_, config_.runner.seed);
-  trained_ = std::make_unique<eval::TrainedEventHit>(
-      eval::TrainEventHit(*env_, config_.runner, 0.5, train_ctx));
+  // environment (training is independent of the per-stream specs). Nothing
+  // reads that world after calibration, so it is freed here rather than
+  // held for the fleet's life (DESIGN.md §5g).
+  {
+    const eval::TaskEnvironment env =
+        eval::TaskEnvironment::Build(task_, config_.runner);
+    const ExecutionContext train_ctx(threads_, config_.runner.seed);
+    trained_ = std::make_unique<eval::TrainedEventHit>(
+        eval::TrainEventHit(env, config_.runner, 0.5, train_ctx));
+  }
 
   streams_completed_metric_ =
       metrics_->GetCounter(obs::names::kFleetStreamsCompleted);
@@ -192,6 +196,14 @@ StreamSettings StreamFleet::DeriveStreamSettings(int stream_index) const {
   s.spec = sim::MakeDatasetSpec(task_.dataset);
   if (config_.frames_per_stream > 0) {
     s.spec.num_frames = config_.frames_per_stream;
+  }
+  // The stream marshals at the M and H the shared model was trained at
+  // (TaskEnvironment::Build honours the same overrides).
+  if (config_.runner.collection_window_override > 0) {
+    s.spec.collection_window = config_.runner.collection_window_override;
+  }
+  if (config_.runner.horizon_override > 0) {
+    s.spec.horizon = config_.runner.horizon_override;
   }
   for (auto& event : s.spec.events) {
     event.mean_gap *= s.gap_scale;

@@ -355,8 +355,9 @@ struct PipelineSinks;  // fleet/stream_pipeline.h
 
 class StreamFleet {
  public:
-  /// Builds the shared environment and trains the one fleet model
-  /// (deterministic in config.runner.seed and thread count). Fleet-level
+  /// Builds the shared environment, trains and calibrates the one fleet
+  /// model on it (deterministic in config.runner.seed and thread count),
+  /// and frees it: the fleet keeps only the trained model. Fleet-level
   /// telemetry goes to `metrics` (nullptr = the global registry) and
   /// fleet.batch spans to `trace` (nullptr disables). Per-stream
   /// components report into a fleet-private registry/logger so N streams
@@ -369,7 +370,9 @@ class StreamFleet {
   StreamFleet(const StreamFleet&) = delete;
   StreamFleet& operator=(const StreamFleet&) = delete;
 
-  /// Pure derivation of one stream's settings from the config.
+  /// Pure derivation of one stream's settings from the config. The spec's
+  /// M and H are the dataset's, or config.runner's overrides where set —
+  /// those of the shared model.
   StreamSettings DeriveStreamSettings(int stream_index) const;
 
   /// Runs every stream through the batched fleet loop, wave by wave.
@@ -399,7 +402,6 @@ class StreamFleet {
   std::unique_ptr<obs::MetricsRegistry> stream_metrics_;
   std::unique_ptr<obs::Logger> stream_log_;
 
-  std::unique_ptr<eval::TaskEnvironment> env_;
   std::unique_ptr<eval::TrainedEventHit> trained_;
   nn::Workspace ws_;  // Main-thread scoring scratch.
 

@@ -118,6 +118,12 @@ StreamPipeline::StreamPipeline(const FleetConfig& config,
                                 &auditor_, config.recal_config,
                                 sinks.metrics)
                           : nullptr) {
+  // The marshaller cuts windows and horizons at the stream's M and H; the
+  // model scores windows of its own M over a horizon of its own H.
+  const core::EventHitConfig& model_config = trained.model->config();
+  EVENTHIT_CHECK_EQ(settings_.spec.collection_window,
+                    model_config.collection_window);
+  EVENTHIT_CHECK_EQ(settings_.spec.horizon, model_config.horizon);
   // Allocated with the pipeline: left to the first boundary, the buffers
   // landed among the wave's later allocations and raised perfbench
   // steady's peak RSS by 1-2%.

@@ -58,7 +58,8 @@ struct BatchPlacement {
 class StreamPipeline {
  public:
   /// Local stream frame f is frame `first_frame + f` of `video`. `config`,
-  /// `task`, `trained` and `video` must outlive the pipeline.
+  /// `task`, `trained` and `video` must outlive the pipeline. CHECK-fails
+  /// unless the stream's M and H (settings.spec) are the model's.
   StreamPipeline(const FleetConfig& config, StreamSettings settings,
                  const data::Task& task, const eval::TrainedEventHit& trained,
                  const sim::SyntheticVideo& video, int64_t first_frame,

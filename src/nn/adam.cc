@@ -32,6 +32,10 @@ double AdamOptimizer::Step() {
   const auto b1 = static_cast<float>(options_.beta1);
   const auto b2 = static_cast<float>(options_.beta2);
 
+  // This file builds with -fno-math-errno (src/nn/CMakeLists.txt), so the
+  // element loop vectorizes. Every lane performs the same IEEE operations in
+  // the same order as the scalar loop, and divide and square root are
+  // correctly rounded, so the update has the scalar loop's bits.
   for (size_t k = 0; k < params_.size(); ++k) {
     Parameter* p = params_[k];
     float* value = p->value.data();

@@ -119,6 +119,39 @@ inline void GemmRows(size_t k, const float* const* a, const float* b,
   for (size_t r = 0; r < kRows; ++r) panel.Store(c[r], acc[r]);
 }
 
+// One A row times kPanels adjacent full 8-column panels: the row's k-loop
+// advances kPanels independent accumulators, so a row left over from the
+// four-row tiles is not bound by the latency of a single add chain. Each
+// element still gets GemmRows' operations in ascending k.
+template <bool kFma, bool kAccumulate, size_t kPanels>
+inline void GemmRowPanels(size_t k, const float* a, const float* b,
+                          size_t ldb, float* c) {
+  __m256 acc[kPanels];
+  size_t kk;
+  if constexpr (kAccumulate) {
+    for (size_t p = 0; p < kPanels; ++p) {
+      acc[p] = _mm256_loadu_ps(c + p * kLanes);
+    }
+    kk = 0;
+  } else {
+    const __m256 a0 = _mm256_set1_ps(a[0]);
+    for (size_t p = 0; p < kPanels; ++p) {
+      acc[p] = _mm256_mul_ps(a0, _mm256_loadu_ps(b + p * kLanes));
+    }
+    kk = 1;
+  }
+  for (; kk < k; ++kk) {
+    const __m256 av = _mm256_set1_ps(a[kk]);
+    const float* brow = b + kk * ldb;
+    for (size_t p = 0; p < kPanels; ++p) {
+      acc[p] = MulAdd<kFma>(av, _mm256_loadu_ps(brow + p * kLanes), acc[p]);
+    }
+  }
+  for (size_t p = 0; p < kPanels; ++p) {
+    _mm256_storeu_ps(c + p * kLanes, acc[p]);
+  }
+}
+
 template <bool kFma, bool kAccumulate>
 void GemmAvx2Impl(size_t m, size_t n, size_t k,
                   const float* EVENTHIT_RESTRICT a, size_t lda,
@@ -144,11 +177,19 @@ void GemmAvx2Impl(size_t m, size_t n, size_t k,
       GemmRows<kFma, kAccumulate, 4>(k, rows, b + j, ldb, out, panel);
     });
   }
+  // Leftover rows: four full panels at a time, then the rest one by one.
+  constexpr size_t kRowPanels = 4;
   for (; i < m; ++i) {
     const float* row[1] = {a + i * lda};
-    ForEachPanel(n, [&](size_t j, auto panel) {
-      float* out[1] = {c + i * ldc + j};
-      GemmRows<kFma, kAccumulate, 1>(k, row, b + j, ldb, out, panel);
+    float* const c_row = c + i * ldc;
+    size_t j = 0;
+    for (; j + kRowPanels * kLanes <= n; j += kRowPanels * kLanes) {
+      GemmRowPanels<kFma, kAccumulate, kRowPanels>(k, row[0], b + j, ldb,
+                                                   c_row + j);
+    }
+    ForEachPanel(n - j, [&](size_t jj, auto panel) {
+      float* out[1] = {c_row + j + jj};
+      GemmRows<kFma, kAccumulate, 1>(k, row, b + j + jj, ldb, out, panel);
     });
   }
 }

@@ -1,8 +1,10 @@
 #include "nn/loss.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activations.h"
+#include "nn/backend.h"
 
 namespace eventhit::nn {
 namespace {
@@ -14,9 +16,9 @@ inline double LogSigmoidNeg(float x) {
   return x >= 0.0f ? base : base + ax;
 }
 
-}  // namespace
-
-double BceWithLogits(float logit, float target, float weight, float* dlogit) {
+// The loss of one logit given p = sigmoid(logit), and its gradient.
+inline double Bce(float logit, float p, float target, float weight,
+                  float* dlogit) {
   // loss = -(y * log p + (1-y) * log(1-p)), p = sigmoid(logit)
   //      = y * (-log p) + (1-y) * (-log(1-p))
   // with -log p = LogSigmoidNeg(logit), -log(1-p) = LogSigmoidNeg(-logit).
@@ -29,21 +31,29 @@ double BceWithLogits(float logit, float target, float weight, float* dlogit) {
       : target == 0.0f ? LogSigmoidNeg(-logit)
                        : target * LogSigmoidNeg(logit) +
                              (1.0 - target) * LogSigmoidNeg(-logit);
-  const double loss = weight * terms;
-  const float p = SigmoidScalar(logit);
   *dlogit = weight * (p - target);
-  return loss;
+  return weight * terms;
+}
+
+}  // namespace
+
+double BceWithLogits(float logit, float target, float weight, float* dlogit) {
+  return Bce(logit, SigmoidScalar(logit), target, weight, dlogit);
 }
 
 double BceWithLogitsVector(const float* logits, const float* targets,
                            const float* weights, size_t n, float* dlogits) {
+  // Every sigmoid in one pass of the blocked kernel, which computes
+  // SigmoidScalar's bits (docs/BACKENDS.md), staged in dlogits.
+  std::memcpy(dlogits, logits, n * sizeof(float));
+  GetBackend(BackendKind::kBlocked).kernels->sigmoid_inplace(dlogits, n);
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) {
     if (weights[i] == 0.0f) {
       dlogits[i] = 0.0f;
       continue;
     }
-    total += BceWithLogits(logits[i], targets[i], weights[i], &dlogits[i]);
+    total += Bce(logits[i], dlogits[i], targets[i], weights[i], &dlogits[i]);
   }
   return total;
 }

@@ -15,7 +15,9 @@ double BceWithLogits(float logit, float target, float weight, float* dlogit);
 
 /// Element-wise weighted BCE over n logits. `weights[i]` may be zero to mask
 /// an element entirely (no loss, no gradient). Returns the summed loss and
-/// writes per-element gradients to dlogits.
+/// writes per-element gradients to dlogits, which must not overlap
+/// `logits`. Each element's loss and gradient are BceWithLogits' bits; the
+/// sigmoids come from one pass of the blocked kernel.
 double BceWithLogitsVector(const float* logits, const float* targets,
                            const float* weights, size_t n, float* dlogits);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 
 #include "common/check.h"
@@ -283,11 +284,10 @@ void Lstm::BackwardBatch(const BatchTape& tape, const float* dh_final,
     const float* c_prev = t == 0 ? zeros : tape.cell + (t - 1) * state;
     StepBackward(state, gate_i, gate_f, gate_g, gate_o, tanh_c, c_prev, dh,
                  dc, dpre);
+    // Column b of dpre becomes row b * steps + s of dpre_rows.
     const size_t s = steps - 1 - t;
-    for (size_t b = 0; b < batch; ++b) {
-      float* row = dpre_rows + (b * steps + s) * gate_rows;
-      for (size_t r = 0; r < gate_rows; ++r) row[r] = dpre[r * batch + b];
-    }
+    TransposeStrided(dpre, static_cast<std::ptrdiff_t>(batch), gate_rows,
+                     batch, dpre_rows + s * gate_rows, steps * gate_rows);
     // dh_{t-1} = Wh^T dpre from +0, as Backward's zero-filled dh_prev: the
     // accumulating GEMM, not GemmZero, whose first term could leave a -0.
     if (t > 0) {
@@ -298,21 +298,25 @@ void Lstm::BackwardBatch(const BatchTape& tape, const float* dh_final,
   }
 
   // Backward's OuterAccum operands with one column per dpre_rows row: x_t,
-  // and h_{t-1} (zero at t = 0, as Backward sees it).
+  // and h_{t-1} (zero at t = 0, as Backward sees it). Row j of each is
+  // feature j's [steps x batch] slice transposed, its steps read from the
+  // last one down (a negative source stride), so column b * steps + s
+  // holds step t = steps - 1 - s.
   float* xs = ws.Alloc(d * cols);
   float* hs = ws.Alloc(hd * cols);
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t s = 0; s < steps; ++s) {
-      const size_t t = steps - 1 - s;
-      const size_t k = b * steps + s;
-      for (size_t j = 0; j < d; ++j) {
-        xs[j * cols + k] = tape.inputs[(t * d + j) * batch + b];
-      }
-      for (size_t j = 0; j < hd; ++j) {
-        hs[j * cols + k] =
-            t == 0 ? 0.0f : tape.hidden[(t - 1) * state + j * batch + b];
-      }
+  const auto x_stride = -static_cast<std::ptrdiff_t>(d * batch);
+  for (size_t j = 0; j < d; ++j) {
+    TransposeStrided(tape.inputs + ((steps - 1) * d + j) * batch, x_stride,
+                     steps, batch, xs + j * cols, steps);
+  }
+  for (size_t j = 0; j < hd; ++j) {
+    float* row = hs + j * cols;
+    if (steps > 1) {
+      TransposeStrided(tape.hidden + (steps - 2) * state + j * batch,
+                       -static_cast<std::ptrdiff_t>(state), steps - 1, batch,
+                       row, steps);
     }
+    for (size_t b = 0; b < batch; ++b) row[b * steps + steps - 1] = 0.0f;
   }
   // dW^T += operand · dpre_rows, k over the rows in order. The GEMM adds
   // onto its output, so the gradient is transposed out and back — exact

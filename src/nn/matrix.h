@@ -89,6 +89,14 @@ void OuterAccum(Matrix& dw, const float* dy, const float* x);
 /// streams unit-stride.
 void Transpose(const float* a, size_t rows, size_t cols, float* out);
 
+/// out[c * ldo + r] = a[r * lda + c] for r < rows, c < cols: Transpose
+/// between strided buffers. A negative `lda` walks the source rows
+/// backwards from `a` (row r at a + r * lda). Copies 4 x 4 blocks (SSE
+/// shuffles on x86); every element is a plain copy, so the bytes written
+/// do not depend on the blocking.
+void TransposeStrided(const float* a, std::ptrdiff_t lda, size_t rows,
+                      size_t cols, float* out, size_t ldo);
+
 }  // namespace eventhit::nn
 
 #endif  // EVENTHIT_NN_MATRIX_H_

@@ -1,6 +1,9 @@
 #include "nn/adam.h"
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -99,6 +102,117 @@ TEST(AdamTest, StepCountAdvances) {
   optimizer.Step();
   optimizer.Step();
   EXPECT_EQ(optimizer.step_count(), 2u);
+}
+
+// One Adam update as a plain scalar loop: AdamOptimizer::Step's
+// arithmetic, in its order. This file builds with the default
+// -fmath-errno, so std::sqrt keeps the loop scalar.
+void ScalarAdamStep(const AdamOptions& options, size_t step,
+                    Parameter& p, Matrix& m1, Matrix& m2) {
+  const double bias1 =
+      1.0 - std::pow(options.beta1, static_cast<double>(step));
+  const double bias2 =
+      1.0 - std::pow(options.beta2, static_cast<double>(step));
+  const auto b1 = static_cast<float>(options.beta1);
+  const auto b2 = static_cast<float>(options.beta2);
+  for (size_t i = 0; i < p.value.size(); ++i) {
+    const float g = p.grad.data()[i];
+    float& v1 = m1.data()[i];
+    float& v2 = m2.data()[i];
+    v1 = b1 * v1 + (1.0f - b1) * g;
+    v2 = b2 * v2 + (1.0f - b2) * g * g;
+    const double m_hat = static_cast<double>(v1) / bias1;
+    const double v_hat = static_cast<double>(v2) / bias2;
+    p.value.data()[i] -= static_cast<float>(
+        options.learning_rate * m_hat / (std::sqrt(v_hat) + options.epsilon));
+  }
+  p.grad.SetZero();
+}
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(AdamTest, VectorizedStepMatchesScalarLoop) {
+  // Gradients mixing signed zeros, subnormals, tiny and huge normals (the
+  // largest overflow g * g to infinity) among ordinary values.
+  const float special[] = {0.0f,     -0.0f,    1e-45f,  -1e-45f, 3e-39f,
+                           -1.2e-38f, 1e-30f,  -7e4f,   2.5e19f, -3e25f,
+                           1e30f,     -1e-3f};
+  // At learning rate 3e-3, step 1 and no clipping, this gradient's update
+  // rounds to different floats when m_hat is m / (1 - beta1) and when it
+  // is m * (1 / (1 - beta1)) (about one gradient in 5e8 does): parameter
+  // c, which starts at zero, shows whether the step divides as the scalar
+  // loop does.
+  constexpr float kReciprocalTie = 0x1.b0de7p-34f;
+  for (const double clip : {0.0, 5.0}) {
+    SCOPED_TRACE("clip " + std::to_string(clip));
+    // Sizes that leave remainders after any vector width.
+    Parameter a("a", Matrix::Zeros(7, 13));
+    Parameter b("b", Matrix::Zeros(1, 37));
+    Parameter c("c", Matrix::Zeros(1, 9));
+    Rng init(11);
+    for (Parameter* p : {&a, &b}) {
+      for (size_t i = 0; i < p->value.size(); ++i) {
+        p->value.data()[i] = static_cast<float>(init.Gaussian(0.0, 0.5));
+      }
+    }
+    Parameter ref_a = a;
+    Parameter ref_b = b;
+    Parameter ref_c = c;
+    AdamOptions options;
+    options.learning_rate = 3e-3;
+    options.clip_norm = clip;
+    AdamOptimizer optimizer({&a, &b, &c}, options);
+    Matrix m1_a(7, 13), m2_a(7, 13), m1_b(1, 37), m2_b(1, 37);
+    Matrix m1_c(1, 9), m2_c(1, 9);
+
+    Rng rng(12);
+    for (size_t step = 1; step <= 4; ++step) {
+      size_t next = step;
+      for (Parameter* p : {&a, &b}) {
+        for (size_t i = 0; i < p->grad.size(); ++i) {
+          p->grad.data()[i] =
+              (i + step) % 3 == 0
+                  ? special[next++ % std::size(special)]
+                  : static_cast<float>(rng.Gaussian(0.0, 2.0));
+        }
+      }
+      for (size_t i = 0; i < c.grad.size(); ++i) {
+        c.grad.data()[i] = kReciprocalTie;
+      }
+      ref_a.grad = a.grad;
+      ref_b.grad = b.grad;
+      ref_c.grad = c.grad;
+      const double norm = optimizer.Step();
+
+      double ref_norm = 0.0;
+      if (clip > 0.0) {
+        ref_norm = ClipGradientNorm({&ref_a, &ref_b, &ref_c}, clip);
+      } else {
+        ref_norm = std::sqrt(ref_a.grad.SquaredNorm() +
+                             ref_b.grad.SquaredNorm() +
+                             ref_c.grad.SquaredNorm());
+      }
+      ScalarAdamStep(options, step, ref_a, m1_a, m2_a);
+      ScalarAdamStep(options, step, ref_b, m1_b, m2_b);
+      ScalarAdamStep(options, step, ref_c, m1_c, m2_c);
+
+      EXPECT_EQ(std::memcmp(&norm, &ref_norm, sizeof(double)), 0)
+          << "step " << step;
+      EXPECT_TRUE(SameBytes(a.value, ref_a.value)) << "step " << step;
+      EXPECT_TRUE(SameBytes(b.value, ref_b.value)) << "step " << step;
+      EXPECT_TRUE(SameBytes(c.value, ref_c.value)) << "step " << step;
+      EXPECT_EQ(a.grad.SquaredNorm(), 0.0);
+    }
+    // The updates are real numbers: no lane turned a value into NaN.
+    for (const Parameter* p : {&a, &b, &c}) {
+      for (size_t i = 0; i < p->value.size(); ++i) {
+        EXPECT_FALSE(std::isnan(p->value.data()[i]));
+      }
+    }
+  }
 }
 
 TEST(ParameterTest, ClipGradientNormRescales) {

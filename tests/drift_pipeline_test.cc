@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/c_classify.h"
+#include "core/calibration.h"
 #include "core/drift_detector.h"
 #include "core/eventhit_model.h"
 #include "data/record_extractor.h"
@@ -55,7 +56,8 @@ TEST(DriftPipelineTest, DetectorFiresAfterDistributionShift) {
   config.epochs = 10;
   EventHitModel model(config);
   model.Train(train);
-  const CClassify cclassify(model, calib);
+  const Calibrators calibrators = Calibrate(model, calib, 0.5);
+  const CClassify& cclassify = *calibrators.cclassify;
 
   // Stream positives through the detector, in stream order.
   DriftDetector detector;
@@ -105,7 +107,8 @@ TEST(DriftPipelineTest, NoFalseAlarmWithoutShift) {
   config.epochs = 10;
   EventHitModel model(config);
   model.Train(train);
-  const CClassify cclassify(model, calib);
+  const Calibrators calibrators = Calibrate(model, calib, 0.5);
+  const CClassify& cclassify = *calibrators.cclassify;
 
   DriftDetector detector;
   for (int64_t frame = 80001;

@@ -206,10 +206,9 @@ TEST(RecalibratedValidityTest, RebuiltCalibratorsKeepBudgetsOnFreshSlice) {
       recalibrator.AddLabeledRecord(record);
     }
     ASSERT_TRUE(recalibrator.CanRebuild(64, 16));
-    const std::unique_ptr<core::CClassify> cclassify =
-        recalibrator.BuildCClassify();
-    const std::unique_ptr<core::CRegress> cregress =
-        recalibrator.BuildCRegress();
+    const core::Calibrators calibrators = recalibrator.Rebuild();
+    const std::unique_ptr<core::CClassify>& cclassify = calibrators.cclassify;
+    const std::unique_ptr<core::CRegress>& cregress = calibrators.cregress;
 
     core::EventHitStrategyOptions options;
     options.use_cclassify = true;

@@ -570,6 +570,68 @@ TEST(StreamFleetTest, DeriveStreamSettingsIsPureAndDecorrelated) {
   EXPECT_NE(a.cloud_seed, a.relay_seed);
 }
 
+// Fleet streams marshal at the M and H the shared model trains at: the
+// runner's horizon override reaches every stream, which then cuts
+// 100-frame horizons, and each stream still equals its solo replay.
+TEST(StreamFleetTest, HorizonOverrideReachesEveryStream) {
+  const data::Task task = data::FindTask("TA10").value();
+  FleetConfig config = TestConfig();
+  config.num_streams = 2;
+  config.runner.horizon_override = 100;
+  StreamFleet fleet(task, config);
+  const FleetRunResult run = fleet.Run();
+  ASSERT_EQ(run.streams.size(), 2u);
+  for (int s = 0; s < 2; ++s) {
+    const StreamSettings settings = fleet.DeriveStreamSettings(s);
+    EXPECT_EQ(settings.spec.horizon, 100);
+    EXPECT_EQ(settings.spec.collection_window, 10);
+    EXPECT_EQ(settings.push_frames, 600);
+    // Boundaries 9, 109, ..., 509: six horizons where H = 200 cuts three.
+    const FleetStreamResult& stream = run.streams[static_cast<size_t>(s)];
+    EXPECT_EQ(stream.marshaller.horizons_predicted, 6);
+    ASSERT_EQ(stream.transcript.decisions.size(), 6u);
+    for (const StreamTranscript::Decision& decision :
+         stream.transcript.decisions) {
+      for (const sim::Interval& interval : decision.intervals) {
+        if (!interval.empty()) {
+          EXPECT_LE(interval.end, 100);
+        }
+      }
+    }
+    const FleetStreamResult solo = fleet.RunStreamSolo(s);
+    EXPECT_TRUE(SameStreamResult(stream, solo)) << "stream " << s;
+    ExpectSameTranscript(stream.transcript, solo.transcript, s);
+  }
+}
+
+// A pipeline whose horizon is not its model's dies at construction rather
+// than marshal horizons the model's occupancy head does not cover.
+TEST(StreamPipelineDeathTest, HorizonOtherThanTheModelsDies) {
+  const data::Task task = data::FindTask("TA10").value();
+  FleetConfig config = TestConfig();
+  config.runner.horizon_override = 100;
+  config.runner.model_template.epochs = 1;
+  const eval::TaskEnvironment env =
+      eval::TaskEnvironment::Build(task, config.runner);
+  const eval::TrainedEventHit trained = eval::TrainEventHit(env, config.runner);
+  StreamSettings settings;
+  settings.stream_index = 0;
+  settings.spec = sim::MakeDatasetSpec(task.dataset);
+  settings.spec.num_frames = config.frames_per_stream;
+  settings.push_frames = settings.spec.num_frames - settings.spec.horizon;
+  const sim::SyntheticVideo video =
+      sim::SyntheticVideo::Generate(settings.spec, 11);
+  ASSERT_EQ(settings.spec.horizon, 200);
+  EXPECT_DEATH(StreamPipeline(config, settings, task, trained, video,
+                              /*first_frame=*/0, PipelineSinks{}),
+               "CHECK failed");
+  settings.spec.horizon = 100;
+  settings.push_frames = settings.spec.num_frames - settings.spec.horizon;
+  const StreamPipeline pipeline(config, settings, task, trained, video,
+                                /*first_frame=*/0, PipelineSinks{});
+  EXPECT_EQ(pipeline.settings().spec.horizon, 100);
+}
+
 TEST(StreamFleetTest, FleetMetricsUpholdFlushAndFrameInvariants) {
   const data::Task task = data::FindTask("TA10").value();
   obs::MetricsRegistry metrics;

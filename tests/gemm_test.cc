@@ -3,11 +3,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "nn/backend.h"
 #include "nn/matrix.h"
 #include "nn/workspace.h"
 
@@ -157,6 +159,39 @@ TEST(GemmZeroTest, ZeroKZeroFillsDestination) {
   GemmZero(3, 2, 0, a.data(), 0, b.data(), 2, c.data(), 2);
   for (float v : c) {
     EXPECT_EQ(v, 0.0f);
+  }
+}
+
+// The blocked kernels (AVX2 where the CPU has it, the portable ones
+// elsewhere) against the scalar oracle, bit for bit, at row counts that
+// leave 0-3 rows outside the four-row tiles and column counts of one to
+// twelve 8-wide panels, with and without a tail beyond four.
+TEST(GemmTest, BlockedKernelsMatchScalarOracle) {
+  const BackendKernels& blocked = *GetBackend(BackendKind::kBlocked).kernels;
+  const BackendKernels& scalar = *GetBackend(BackendKind::kScalar).kernels;
+  uint64_t seed = 300;
+  for (const size_t m : {1u, 5u, 10u, 501u}) {
+    for (const size_t n : {8u, 24u, 32u, 40u, 96u}) {
+      for (const size_t k : {1u, 13u, 64u}) {
+        Rng rng(seed++);
+        const std::vector<float> a = RandomBuffer(m * k, rng);
+        const std::vector<float> b = RandomBuffer(k * n, rng);
+        const std::vector<float> c0 = RandomBuffer(m * n, rng);
+        for (const bool accumulate : {false, true}) {
+          std::vector<float> got = c0;
+          std::vector<float> want = c0;
+          const GemmFn fast = accumulate ? blocked.gemm : blocked.gemm_zero;
+          const GemmFn oracle = accumulate ? scalar.gemm : scalar.gemm_zero;
+          fast(m, n, k, a.data(), k, b.data(), n, got.data(), n);
+          oracle(m, n, k, a.data(), k, b.data(), n, want.data(), n);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << (accumulate ? "Gemm" : "GemmZero") << " m=" << m
+              << " n=" << n << " k=" << k;
+        }
+      }
+    }
   }
 }
 

@@ -179,9 +179,11 @@ std::vector<std::string> EdgeSection() {
                     FleetModelDigests(task, config.runner) +
                     FleetDigests(task, config));
   }
-  // M = H = 10 under duty:0.5, the edge of a policy's M <= H rule. The
-  // fleet takes its streams' shape from the dataset, so this one stream
-  // is a pipeline replayed inline over a TA10 model trained at H = 10.
+  // M = H = 10 under duty:0.5, the edge of a policy's M <= H rule: one
+  // stream, a pipeline replayed inline over a TA10 model trained at
+  // H = 10. (Written when fleet streams took their shape from the dataset
+  // alone; they now honour the runner's overrides, and the row keeps its
+  // hand-built stream so its digests stay as committed.)
   fleet::FleetConfig config =
       FleetRow(nn::BackendKind::kBlocked, "duty:0.5", "none", false, 3000);
   config.runner.horizon_override = 10;

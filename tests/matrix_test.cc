@@ -1,6 +1,8 @@
 #include "nn/matrix.h"
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +118,36 @@ TEST(KernelsTest, MatVecThenTransposeRoundTripConsistency) {
   for (size_t i = 0; i < 5; ++i) lhs += static_cast<double>(dy[i]) * y[i];
   for (size_t i = 0; i < 7; ++i) rhs += static_cast<double>(x[i]) * dx[i];
   EXPECT_NEAR(lhs, rhs, 1e-4);
+}
+
+TEST(KernelsTest, TransposeStridedCopiesEveryElement) {
+  // Sizes on and off the 4 x 4 blocks, forward and backward (negative)
+  // source strides, destination rows wider than the source has rows.
+  for (const size_t rows : {1u, 3u, 4u, 9u, 50u}) {
+    for (const size_t cols : {1u, 4u, 7u, 16u, 17u}) {
+      const size_t lda = cols + 3;
+      const size_t ldo = rows + 2;
+      std::vector<float> a(rows * lda);
+      for (size_t i = 0; i < a.size(); ++i) a[i] = static_cast<float>(i);
+      for (const bool backwards : {false, true}) {
+        const float* first = backwards ? a.data() + (rows - 1) * lda : a.data();
+        const auto stride = backwards ? -static_cast<std::ptrdiff_t>(lda)
+                                      : static_cast<std::ptrdiff_t>(lda);
+        std::vector<float> out(cols * ldo, -1.0f);
+        TransposeStrided(first, stride, rows, cols, out.data(), ldo);
+        for (size_t c = 0; c < cols; ++c) {
+          for (size_t r = 0; r < ldo; ++r) {
+            const size_t src_row = backwards ? rows - 1 - r : r;
+            const float want =
+                r < rows ? a[src_row * lda + c] : -1.0f;  // Padding kept.
+            EXPECT_EQ(out[c * ldo + r], want)
+                << rows << "x" << cols << (backwards ? " backwards" : "")
+                << " at (" << r << ", " << c << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/c_classify.h"
 #include "core/c_regress.h"
+#include "core/calibration.h"
 #include "core/eventhit_model.h"
 #include "core/marshaller.h"
 #include "data/record_extractor.h"
@@ -350,8 +351,9 @@ TEST(RecalLoopTest, InlineAndDeferredPathsAreByteIdentical) {
   model_config.epochs = 6;
   core::EventHitModel model(model_config);
   model.Train(train);
-  const core::CClassify cclassify(model, calib);
-  const core::CRegress cregress(model, calib, 0.5);
+  const core::Calibrators calibrators = core::Calibrate(model, calib, 0.5);
+  const core::CClassify& cclassify = *calibrators.cclassify;
+  const core::CRegress& cregress = *calibrators.cregress;
 
   const int64_t stream_begin = 12000;
   const int64_t stream_end = video.num_frames() - extractor.horizon;

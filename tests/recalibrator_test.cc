@@ -60,12 +60,13 @@ TEST(RecalibratorTest, BuildsWorkingCalibrators) {
     recalibrator.AddLabeledRecord(
         RecordWithLabel(rng.Bernoulli(0.5), 0.5f, rng));
   }
-  const auto cclassify = recalibrator.BuildCClassify();
+  const Calibrators rebuilt = recalibrator.Rebuild();
+  const auto& cclassify = rebuilt.cclassify;
   ASSERT_NE(cclassify, nullptr);
   EXPECT_EQ(cclassify->num_events(), 1u);
   EXPECT_EQ(cclassify->CalibrationSize(0), recalibrator.PositiveCount(0));
 
-  const auto cregress = recalibrator.BuildCRegress();
+  const auto& cregress = rebuilt.cregress;
   ASSERT_NE(cregress, nullptr);
   EXPECT_EQ(cregress->CalibrationSize(0), recalibrator.PositiveCount(0));
 }
@@ -82,7 +83,7 @@ TEST(RecalibratorTest, RecalibrationTracksScoreShift) {
   for (int i = 0; i < 60; ++i) {
     recalibrator.AddLabeledRecord(RecordWithLabel(true, 0.2f, rng));
   }
-  const auto calibrated = recalibrator.BuildCClassify();
+  const auto calibrated = recalibrator.Rebuild().cclassify;
   // A fresh record from the same regime: its p-value should not be extreme
   // (it is exchangeable with the window).
   const data::Record probe = RecordWithLabel(true, 0.2f, rng);
@@ -124,14 +125,12 @@ TEST(RecalibratorTest, CanRebuildGuardsSmallWindows) {
 TEST(RecalibratorTest, DegenerateWindowRebuildsDie) {
   EventHitModel model(TinyConfig());
   Recalibrator empty(&model, 10);
-  EXPECT_DEATH(empty.BuildCClassify(), "CHECK failed");
-  EXPECT_DEATH(empty.BuildCRegress(), "CHECK failed");
+  EXPECT_DEATH(empty.Rebuild(), "CHECK failed");
 
   Recalibrator negatives_only(&model, 10);
   Rng rng(6);
   negatives_only.AddLabeledRecord(RecordWithLabel(false, 0.5f, rng));
-  EXPECT_DEATH(negatives_only.BuildCClassify(), "CHECK failed");
-  EXPECT_DEATH(negatives_only.BuildCRegress(), "CHECK failed");
+  EXPECT_DEATH(negatives_only.Rebuild(), "CHECK failed");
 }
 
 TEST(RecalibratorTest, Validation) {

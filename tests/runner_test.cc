@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/oracle.h"
+#include "core/calibration.h"
 #include "eval/curves.h"
 #include "sched/collect_policy.h"
 
@@ -232,7 +233,9 @@ TEST_F(RunnerTest, PolicyCalibrationUsesTheWalksScoredBoundaries) {
   // Enough boundaries that calibration keeps the policy subset.
   ASSERT_GE(scored.size(), 20u);
 
-  const core::CClassify direct(*trained.model, scored);
+  const core::Calibrators calibrators =
+      core::Calibrate(*trained.model, scored, 0.5);
+  const core::CClassify& direct = *calibrators.cclassify;
   ASSERT_GT(direct.CalibrationSize(0), 0u);
   EXPECT_EQ(trained.cclassify->CalibrationSize(0), direct.CalibrationSize(0));
   bool differs_from_uniform = false;
