@@ -187,6 +187,35 @@ void BM_LstmForwardBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmForwardBatch)->Arg(8)->Arg(32);
 
+// One encoder step over `batch` windows at the Breakfast (TA13) model's
+// shape (D = 10, Hd = 24), batch-minor as the fleet gathers them: the
+// fleet's per-tick step, which advances every stream that pushed a
+// collection-window frame (up to a wave of 256) on the default blocked
+// table. Items are window frames stepped.
+void BM_LstmStep(benchmark::State& state) {
+  const size_t dim = 10, hidden = 24;
+  const auto batch = static_cast<size_t>(state.range(0));
+  Rng rng(23);
+  eventhit::nn::Lstm lstm("l", dim, hidden, rng);
+  std::vector<float> x(dim * batch);
+  std::vector<float> h(hidden * batch);
+  std::vector<float> c(hidden * batch);
+  for (auto* v : {&x, &h, &c}) {
+    for (float& f : *v) f = static_cast<float>(rng.Uniform() - 0.5);
+  }
+  eventhit::nn::Workspace ws;
+  const auto& blocked =
+      eventhit::nn::GetBackend(eventhit::nn::BackendKind::kBlocked);
+  for (auto _ : state) {
+    ws.Reset();
+    lstm.Step(x.data(), batch, h.data(), c.data(), ws, blocked);
+    benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
+}
+BENCHMARK(BM_LstmStep)->Arg(1)->Arg(8)->Arg(24)->Arg(160)->Arg(256);
+
 void BM_EventHitInference(benchmark::State& state) {
   core::EventHitConfig config = ThumosModelConfig();
   config.num_events = static_cast<size_t>(state.range(0));
@@ -219,6 +248,33 @@ void BM_EventHitPredictBatch(benchmark::State& state) {
                           static_cast<int64_t>(records.size()));
 }
 BENCHMARK(BM_EventHitPredictBatch)->Arg(8)->Arg(32)->Arg(128);
+
+// The heads alone (shared layer, event heads, score scatter) over `batch`
+// encoded windows of the Breakfast (TA13) model: what a fleet flush runs
+// at perfbench long-window's batch of 24, the LSTM having stepped as the
+// frames arrived.
+void BM_EventHitHeads(benchmark::State& state) {
+  core::EventHitConfig config = ThumosModelConfig();
+  config.collection_window = 50;
+  config.horizon = 500;
+  core::EventHitModel model(config);
+  const auto batch = static_cast<size_t>(state.range(0));
+  Rng rng(3);
+  std::vector<float> h(config.lstm_hidden * batch);
+  std::vector<float> x_last(config.feature_dim * batch);
+  for (auto* v : {&h, &x_last}) {
+    for (float& f : *v) f = static_cast<float>(rng.Uniform() - 0.5);
+  }
+  std::vector<core::EventScores> scores(batch);
+  eventhit::nn::Workspace ws;
+  for (auto _ : state) {
+    ws.Reset();
+    model.PredictHeads(h.data(), x_last.data(), batch, scores.data(), ws);
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
+}
+BENCHMARK(BM_EventHitHeads)->Arg(24);
 
 // End-to-end batched inference per kernel backend.
 void BM_EventHitPredictBatchBackend(benchmark::State& state,
@@ -277,9 +333,9 @@ BENCHMARK_CAPTURE(BM_EventHitTrainEpoch, breakfast, 50, 500)
     ->Unit(benchmark::kMillisecond);
 
 // A fleet's whole set-up outside the fleet: TaskEnvironment::Build plus
-// TrainEventHit (training, calibration, test scores) at perfbench's runner
-// configuration, whose steady and duty-flaky workloads train on TA10
-// (THUMOS) and long-window on TA13 (Breakfast).
+// TrainAndCalibrate (training and calibration; the fleet scores no test
+// split) at perfbench's runner configuration, whose steady and duty-flaky
+// workloads train on TA10 (THUMOS) and long-window on TA13 (Breakfast).
 void BM_TrainEventHit(benchmark::State& state, const char* task_name) {
   const data::Task task = data::FindTask(task_name).value();
   eval::RunnerConfig config;
@@ -291,7 +347,7 @@ void BM_TrainEventHit(benchmark::State& state, const char* task_name) {
   config.model_template.epochs = 6;
   for (auto _ : state) {
     const eval::TaskEnvironment env = eval::TaskEnvironment::Build(task, config);
-    benchmark::DoNotOptimize(eval::TrainEventHit(env, config));
+    benchmark::DoNotOptimize(eval::TrainAndCalibrate(env, config));
   }
 }
 BENCHMARK_CAPTURE(BM_TrainEventHit, thumos, "TA10")

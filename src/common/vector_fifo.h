@@ -30,6 +30,9 @@ class VectorFifo {
     return items_[head_];
   }
 
+  /// The i-th element from the front (i < size()).
+  const T& operator[](size_t i) const { return items_[head_ + i]; }
+
   void push_back(T value) {
     if (head_ > 0 && items_.size() == items_.capacity()) {
       items_.erase(items_.begin(),

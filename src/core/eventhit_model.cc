@@ -132,10 +132,23 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
     for (size_t td = 0; td < steps * d; ++td) x[td * count + b] = cov[td];
   }
 
-  const size_t hd = lstm_.hidden_dim();
-  float* h = ws.Alloc(hd * count);
+  float* h = ws.Alloc(lstm_.hidden_dim() * count);
   lstm_.ForwardBatch(x, steps, count, h, ws, backend);
+  // The last timestep's block is x_last, already batch-minor.
+  PredictHeads(h, x + (steps - 1) * d * count, count, out, ws);
+}
 
+void EventHitModel::EncodeStep(const float* x, size_t count, float* h,
+                               float* c, nn::Workspace& ws) const {
+  lstm_.Step(x, count, h, c, ws, nn::GetBackend(backend_kind_));
+}
+
+void EventHitModel::PredictHeads(const float* h, const float* x_last,
+                                 size_t count, EventScores* out,
+                                 nn::Workspace& ws) const {
+  EVENTHIT_CHECK_GT(count, 0u);
+  const nn::Backend& backend = nn::GetBackend(backend_kind_);
+  const size_t d = config_.feature_dim;
   const size_t z_rows = shared_fc_.out_dim();
   float* z = ws.Alloc(z_rows * count);
   shared_fc_.ForwardBatch(h, count, z, backend);
@@ -145,13 +158,7 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
   const size_t u_rows = z_rows + d;
   float* u = ws.Alloc(u_rows * count);
   std::memcpy(u, z, z_rows * count * sizeof(float));
-  const size_t last_offset = (steps - 1) * d;
-  for (size_t j = 0; j < d; ++j) {
-    float* row = u + (z_rows + j) * count;
-    for (size_t b = 0; b < count; ++b) {
-      row[b] = records[b].covariates[last_offset + j];
-    }
-  }
+  std::memcpy(u + z_rows * count, x_last, d * count * sizeof(float));
 
   const auto horizon = static_cast<size_t>(config_.horizon);
   const size_t out_dim = 1 + horizon;

@@ -11,7 +11,9 @@
 //        occurrences clipped at the horizon end.
 //
 // Inference has one forward pass, PredictBatched, through the selected
-// backend's kernel table; Predict is that pass at batch 1.
+// backend's kernel table; Predict is that pass at batch 1. The pass splits
+// into the encoder (EncodeStep, one frame of many windows) and the heads
+// (PredictHeads), so a stream can encode its window as the frames arrive.
 #ifndef EVENTHIT_CORE_EVENTHIT_MODEL_H_
 #define EVENTHIT_CORE_EVENTHIT_MODEL_H_
 
@@ -77,17 +79,35 @@ class EventHitModel {
 
   /// Batched inference: scores `count` records in one pass through the
   /// GEMM path (nn/gemm.h) — covariates are gathered into a batch-minor
-  /// buffer, the LSTM runs two GEMMs per timestep for the whole batch, the
-  /// per-event MLP heads run one batched forward each, and the logits are
-  /// scattered back into `out[0..count)`. Scratch comes from `ws` (Reset
-  /// per call); with a warm Workspace and `out` entries reused from an
-  /// earlier call the pass makes no heap allocation
+  /// buffer, the LSTM encoder runs two GEMMs per timestep for the whole
+  /// batch, and PredictHeads scores the encodings. Scratch comes from `ws`
+  /// (Reset per call); with a warm Workspace and `out` entries reused from
+  /// an earlier call the pass makes no heap allocation
   /// (tests/predict_alloc_test.cc). Per record the results are the same
   /// bits at any batch size (summation-order contract, nn/matrix.h), and
   /// under scalar and blocked they are the per-record ForwardCached
   /// layers' bits.
   void PredictBatched(const data::Record* records, size_t count,
                       EventScores* out, nn::Workspace& ws) const;
+
+  /// The encoder one frame at a time, for callers that encode collection
+  /// windows as their frames arrive (fleet::StreamPipeline): advances
+  /// `count` windows by one frame each. x ([feature_dim x count]) holds
+  /// the frames; h and c ([lstm_hidden x count], batch-minor) the windows'
+  /// LSTM states, updated in place. A window starts from h = c = 0 at its
+  /// first frame; after its M-th its h is PredictBatched's encoding of that
+  /// window bit for bit under every backend, whatever batches it was
+  /// stepped in (nn::Lstm::Step). Scratch from `ws` (not reset).
+  void EncodeStep(const float* x, size_t count, float* h, float* c,
+                  nn::Workspace& ws) const;
+
+  /// The rest of the forward pass, which PredictBatched ends with: scores
+  /// `count` encoded windows from their final LSTM state h
+  /// ([lstm_hidden x count]) and last frame x_last ([feature_dim x
+  /// count]), both batch-minor, through the shared layer and the event
+  /// heads into out[0..count). Scratch from `ws` (not reset).
+  void PredictHeads(const float* h, const float* x_last, size_t count,
+                    EventScores* out, nn::Workspace& ws) const;
 
   /// Number of trainable scalars.
   size_t ParameterCount() const;

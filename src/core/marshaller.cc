@@ -70,7 +70,6 @@ Marshaller::Marshaller(const MarshalStrategy* strategy, int collection_window,
   EVENTHIT_CHECK_GT(horizon_, 0);
   EVENTHIT_CHECK_GT(feature_dim_, 0u);
   EVENTHIT_CHECK_GT(num_events_, 0u);
-  ring_.assign(static_cast<size_t>(collection_window_) * feature_dim_, 0.0f);
   relayed_.reserve(num_events_);
   if (!event_labels.empty()) {
     obs::MetricsRegistry& registry =
@@ -154,6 +153,12 @@ bool Marshaller::PushFrameDeferred(const float* features,
   // Features may be omitted only when NextFrameNeedsFeatures() is false —
   // a null push must never land inside a window a scored boundary reads.
   EVENTHIT_CHECK(features != nullptr || !NextFrameNeedsFeatures());
+  // Allocated at the first push through here: a marshaller driven through
+  // AdvanceFrame never holds one.
+  if (ring_.empty()) {
+    ring_.assign(static_cast<size_t>(collection_window_) * feature_dim_,
+                 0.0f);
+  }
   if (features != nullptr) {
     const size_t slot =
         static_cast<size_t>(frame_count_ %
@@ -161,6 +166,28 @@ bool Marshaller::PushFrameDeferred(const float* features,
     std::memcpy(ring_.data() + slot * feature_dim_, features,
                 feature_dim_ * sizeof(float));
   }
+  if (!AdvanceFrame()) return false;
+
+  // Reconstruct the window in logical (oldest-first) order, into the
+  // record's own buffers: a caller that hands the same record back
+  // allocates nothing.
+  const int64_t current_frame = frame_count_ - 1;
+  pending->covariates.resize(static_cast<size_t>(collection_window_) *
+                             feature_dim_);
+  for (int m = 0; m < collection_window_; ++m) {
+    const int64_t frame = current_frame - collection_window_ + 1 + m;
+    const size_t src = static_cast<size_t>(
+        frame % static_cast<int64_t>(collection_window_));
+    std::memcpy(
+        pending->covariates.data() + static_cast<size_t>(m) * feature_dim_,
+        ring_.data() + src * feature_dim_, feature_dim_ * sizeof(float));
+  }
+  pending->frame = current_frame;
+  pending->labels.assign(num_events_, data::EventLabel{});  // Unknown.
+  return true;
+}
+
+bool Marshaller::AdvanceFrame() {
   const int64_t current_frame = frame_count_;
   ++frame_count_;
   ++stats_.frames_seen;
@@ -178,33 +205,15 @@ bool Marshaller::PushFrameDeferred(const float* features,
   if (provenance_ != nullptr) {
     provenance_->OpenBoundary(current_frame, !scored, policy_name_);
   }
+  pending_anchors_.push_back(current_frame);
   if (!scored) {
     // Policy skip: replay the last decision, re-anchored at this
     // boundary, through the exact completion path a scored decision
     // takes — relay orders, accounting and callbacks stay in stream
     // order without a feature pass or model forward.
-    pending_anchors_.push_back(current_frame);
     CompletePredictionInternal(last_decision_, /*reused=*/true);
     return false;
   }
-
-  // Reconstruct the window in logical (oldest-first) order, into the
-  // record's own buffers: a caller that hands the same record back
-  // allocates nothing.
-  pending->covariates.resize(static_cast<size_t>(collection_window_) *
-                             feature_dim_);
-  for (int m = 0; m < collection_window_; ++m) {
-    const int64_t frame = current_frame - collection_window_ + 1 + m;
-    const size_t src = static_cast<size_t>(
-        frame % static_cast<int64_t>(collection_window_));
-    std::memcpy(
-        pending->covariates.data() + static_cast<size_t>(m) * feature_dim_,
-        ring_.data() + src * feature_dim_, feature_dim_ * sizeof(float));
-  }
-
-  pending->frame = current_frame;
-  pending->labels.assign(num_events_, data::EventLabel{});  // Unknown.
-  pending_anchors_.push_back(current_frame);
   return true;
 }
 

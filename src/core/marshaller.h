@@ -178,8 +178,16 @@ class Marshaller {
   /// window ring.
   bool PushFrameDeferred(const float* features, data::Record* pending);
 
+  /// PushFrameDeferred for a caller that encodes each collection window
+  /// itself as its frames arrive (fleet::StreamPipeline): the same
+  /// boundaries, schedule, pending queue and completions, with no feature
+  /// ring and no window copy. The caller extracts a frame exactly when
+  /// NextFrameNeedsFeatures() holds before its push. Returns true at a
+  /// scored boundary, which then waits for CompletePrediction.
+  bool AdvanceFrame();
+
   /// Applies a strategy decision to the oldest pending prediction from
-  /// PushFrameDeferred: relay orders, stats, metrics — the exact code path
+  /// PushFrameDeferred or AdvanceFrame: relay orders, stats, metrics — the exact code path
   /// PushFrame runs inline, so a deferred decision is byte-identical to
   /// the inline one given the same scores. Requires a pending prediction.
   void CompletePrediction(const MarshalDecision& decision);
@@ -254,7 +262,8 @@ class Marshaller {
   obs::StreamProvenance* provenance_ = nullptr;
 
   // Ring buffer of the last M frames' features (row-major M x D, logical
-  // order reconstructed at prediction time).
+  // order reconstructed at prediction time); empty until the first frame
+  // PushFrameDeferred writes.
   std::vector<float> ring_;
   int64_t frame_count_ = 0;
   // The first boundary at or after frame_count_. Predictions fire once

@@ -63,9 +63,14 @@ TaskEnvironment TaskEnvironment::Build(const data::Task& task,
   return env;
 }
 
-TrainedEventHit TrainEventHit(const TaskEnvironment& env,
-                              const RunnerConfig& config, double tau2,
-                              const ExecutionContext& ctx) {
+namespace {
+
+// TrainAndCalibrate, handing the per-epoch training statistics to
+// `history` when it is non-null.
+TrainedEventHit TrainAndCalibrateImpl(
+    const TaskEnvironment& env, const RunnerConfig& config, double tau2,
+    const ExecutionContext& ctx,
+    std::vector<core::TrainEpochStats>* history) {
   TrainedEventHit trained;
   core::EventHitConfig model_config = config.model_template;
   model_config.collection_window = env.collection_window();
@@ -77,7 +82,9 @@ TrainedEventHit TrainEventHit(const TaskEnvironment& env,
   trained.model = std::make_unique<core::EventHitModel>(model_config);
   {
     obs::TraceSpan span(obs::names::kSpanRunnerTrain);
-    trained.history = trained.model->Train(env.train_records());
+    std::vector<core::TrainEpochStats> stats =
+        trained.model->Train(env.train_records());
+    if (history != nullptr) *history = std::move(stats);
   }
   // Select the inference backend BEFORE calibration: core::Calibrate below
   // scores the calibration split through the model, so thresholds are
@@ -111,6 +118,24 @@ TrainedEventHit TrainEventHit(const TaskEnvironment& env,
     trained.cclassify = std::move(calibrators.cclassify);
     trained.cregress = std::move(calibrators.cregress);
   }
+  return trained;
+}
+
+}  // namespace
+
+TrainedEventHit TrainAndCalibrate(const TaskEnvironment& env,
+                                  const RunnerConfig& config, double tau2,
+                                  const ExecutionContext& ctx) {
+  return TrainAndCalibrateImpl(env, config, tau2, ctx, nullptr);
+}
+
+TrainedEventHit TrainEventHit(const TaskEnvironment& env,
+                              const RunnerConfig& config, double tau2,
+                              const ExecutionContext& ctx) {
+  std::vector<core::TrainEpochStats> history;
+  TrainedEventHit trained =
+      TrainAndCalibrateImpl(env, config, tau2, ctx, &history);
+  trained.history = std::move(history);
   {
     obs::TraceSpan span(obs::names::kSpanRunnerPredictBatch);
     trained.test_scores = core::PredictBatch(*trained.model,

@@ -94,9 +94,10 @@ class TaskEnvironment {
   std::vector<data::Record> test_;
 };
 
-/// A trained EventHit model with its conformal calibrators and the
-/// precomputed raw scores of every test record (so knob sweeps pay one
-/// forward pass per record total).
+/// A trained EventHit model with its conformal calibrators, and from
+/// TrainEventHit the training history and the precomputed raw scores of
+/// every test record (so knob sweeps pay one forward pass per record
+/// total).
 struct TrainedEventHit {
   std::unique_ptr<core::EventHitModel> model;
   std::unique_ptr<core::CClassify> cclassify;
@@ -105,13 +106,22 @@ struct TrainedEventHit {
   std::vector<core::TrainEpochStats> history;
 };
 
-/// Trains + calibrates EventHit on the environment. `tau2` is the occupancy
-/// threshold used for C-REGRESS calibration (the compared algorithms all
-/// use 0.5). Training itself is serial (its SGD step order is part of the
-/// model definition); conformal calibration (core::Calibrate: one scoring
-/// pass over the calibration records with some event present) and
-/// test-score precomputation run across `ctx.threads()` workers with
-/// deterministic, order-preserving reductions.
+/// Trains + calibrates EventHit on the environment: the model and its
+/// calibrators only (`test_scores` and `history` stay empty), what a fleet
+/// keeps of its set-up. `tau2` is the occupancy threshold used for
+/// C-REGRESS calibration (the compared algorithms all use 0.5). Training
+/// itself is serial (its SGD step order is part of the model definition);
+/// conformal calibration (core::Calibrate: one scoring pass over the
+/// calibration records with some event present) runs across
+/// `ctx.threads()` workers with deterministic, order-preserving
+/// reductions.
+TrainedEventHit TrainAndCalibrate(
+    const TaskEnvironment& env, const RunnerConfig& config, double tau2 = 0.5,
+    const ExecutionContext& ctx = ExecutionContext());
+
+/// TrainAndCalibrate plus the per-epoch training history and the scores of
+/// every test record (precomputed across `ctx.threads()` workers, in
+/// record order).
 TrainedEventHit TrainEventHit(const TaskEnvironment& env,
                               const RunnerConfig& config, double tau2 = 0.5,
                               const ExecutionContext& ctx = ExecutionContext());

@@ -1,5 +1,6 @@
 // Cross-stream dynamic batcher: coalesces pending inference requests from
-// many streams into PredictBatched-sized GEMM calls.
+// many streams into batched scoring calls (StreamFleet scores a flush with
+// EventHitModel::PredictHeads).
 //
 // Flush rules (DESIGN.md §5g):
 //   * batch-full  — whenever `batch_size` requests are pending, the oldest
@@ -37,7 +38,11 @@ struct InferenceRequest {
   int64_t seq = 0;           // Optional caller numbering; unused here.
   int64_t anchor_frame = 0;  // Local stream frame of the prediction point.
   int64_t enqueue_tick = 0;  // Fleet tick the request entered the batcher.
-  data::Record record;       // Covariate window (labels unknown).
+  // Covariate window (labels unknown), for callers that score whole
+  // windows. StreamFleet leaves it empty: its requests' windows are
+  // encoded as their frames arrive, and request seq's encoding is row seq
+  // of the fleet's own queue.
+  data::Record record;
 };
 
 enum class FlushReason { kFull, kDeadline, kFinal };

@@ -14,6 +14,7 @@
 #include "common/fnv.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "common/vector_fifo.h"
 #include "fleet/dynamic_batcher.h"
 #include "fleet/shard_arena.h"
 #include "fleet/stream_pipeline.h"
@@ -80,13 +81,12 @@ sim::FrameSelection StreamVideoSelection(
                              m + (s.push_frames - m) / period * period};
 }
 
-// A resident stream of a wave: its video, its pipeline and the request it
-// hands to the batcher. Lives in a ShardArena slot so adjacent streams
-// never share a cache line while parallel phases mutate them.
+// A resident stream of a wave: its video and its pipeline. Lives in a
+// ShardArena slot so adjacent streams never share a cache line while
+// parallel phases mutate them.
 struct StreamFleet::Shard {
   std::unique_ptr<sim::SyntheticVideo> video;
   std::optional<StreamPipeline> pipeline;
-  data::Record pending_record;  // Scratch between push and enqueue.
 };
 
 uint64_t StateDigest(const FleetStreamResult& result) {
@@ -125,13 +125,14 @@ StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
   // One shared model for the whole fleet, trained on the task's canonical
   // environment (training is independent of the per-stream specs). Nothing
   // reads that world after calibration, so it is freed here rather than
-  // held for the fleet's life (DESIGN.md §5g).
+  // held for the fleet's life, and its test split is never scored
+  // (DESIGN.md §5g).
   {
     const eval::TaskEnvironment env =
         eval::TaskEnvironment::Build(task_, config_.runner);
     const ExecutionContext train_ctx(threads_, config_.runner.seed);
     trained_ = std::make_unique<eval::TrainedEventHit>(
-        eval::TrainEventHit(env, config_.runner, 0.5, train_ctx));
+        eval::TrainAndCalibrate(env, config_.runner, 0.5, train_ctx));
   }
 
   streams_completed_metric_ =
@@ -232,16 +233,23 @@ FleetRunResult StreamFleet::Run() {
   int64_t batch_fill_sum = 0;
   PipelineSinks sinks = StreamSinks();
   sinks.spend_microusd = &budget_spend_microusd_;
+  const core::EventHitModel& model = *trained_->model;
+  const size_t hd = model.config().lstm_hidden;
+  const size_t d = model.config().feature_dim;
   // Flush scratch, reused across every flush of the run. `scores` only
   // grows, so a warm entry's existence/occupancy vectors keep their
-  // capacity and PredictBatched fills them without allocating; `records`
-  // is emptied after each PredictBatched.
-  std::vector<data::Record> records;
+  // capacity and PredictHeads fills them without allocating.
   std::vector<core::EventScores> scores;
   std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) per shard
-  // Scored records, their windows' buffers kept: each request hands its
-  // shard one back, so a boundary's window reuses an earlier one's buffers.
-  std::vector<data::Record> spare_records;
+  // Each waiting request's encoded window, a row of h then the last
+  // frame, in enqueue order: the batcher flushes in that order, so a
+  // flush's requests are the front rows. Requests are numbered (seq) in
+  // the same order.
+  const size_t row_width = hd + d;
+  VectorFifo<float> encoded;
+  int64_t enqueued_total = 0;
+  int64_t flushed_total = 0;
+  std::vector<size_t> stepping;  // Slots that step this tick, in order.
 
   for (int wave_start = 0; wave_start < config_.num_streams;
        wave_start += config_.wave_size) {
@@ -307,17 +315,23 @@ FleetRunResult StreamFleet::Run() {
                            config_.max_batch_delay_ticks);
     tick_us.reserve(tick_us.size() + static_cast<size_t>(max_ticks));
     frame_us.reserve(frame_us.size() + static_cast<size_t>(max_ticks));
-    // fresh[i] != 0: this tick's push left a window in shard i. wake[i]:
-    // the tick of stream i's next frame whose push does more than count.
-    // Both live outside the shards so the serial scan reads flat arrays,
-    // not one cache line per shard.
-    std::vector<uint8_t> fresh(static_cast<size_t>(wave_n), 0);
-    std::vector<int64_t> wake(static_cast<size_t>(wave_n));
+    // pushed[i]: what stream i's push did this tick (nothing unless it
+    // pushed a window frame). wake[i]: the tick of its next frame whose
+    // push does more than count. state_h/state_c: every stream's open
+    // window LSTM state, batch-minor by slot ([hd x slots], column i is
+    // stream i's). All live outside the shards so the serial phase reads
+    // flat arrays, not one cache line per shard.
+    const size_t slots = static_cast<size_t>(wave_n);
+    std::vector<StreamPipeline::Push> pushed(slots);
+    std::vector<int64_t> wake(slots);
+    std::vector<float> state_h(hd * slots);
+    std::vector<float> state_c(hd * slots);
     int64_t next_wake = kNoWake;
-    for (size_t i = 0; i < wake.size(); ++i) {
+    for (size_t i = 0; i < slots; ++i) {
       wake[i] = WakeTick(*arena[i].pipeline);
       next_wake = std::min(next_wake, wake[i]);
     }
+    stepping.reserve(slots);
 
     int64_t active = 0;
     int64_t idle_ticks = 0;
@@ -332,38 +346,83 @@ FleetRunResult StreamFleet::Run() {
         ++idle_ticks;
       } else {
         // Push phase: each stream due this tick skips its idle frames and
-        // pushes this tick's frame; a prediction boundary leaves its
-        // window in the shard.
-        ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
+        // pushes this tick's frame.
+        ctx.ParallelFor(slots, [&](size_t i) {
           if (tick < wake[i]) return;
-          Shard& shard = arena[i];
-          StreamPipeline& pipeline = *shard.pipeline;
+          StreamPipeline& pipeline = *arena[i].pipeline;
           pipeline.SkipIdleFrames(tick - pipeline.settings().phase -
                                   pipeline.next_frame());
-          if (pipeline.PushFrame(&shard.pending_record)) fresh[i] = 1;
+          pushed[i] = pipeline.PushFrame();
           wake[i] = WakeTick(pipeline);
         });
 
-        // Batching phase (serial): the push barrier published every
-        // shard; enqueueing in slot order makes the batch order canonical.
-        int64_t enqueued = 0;
+        // Serial phase: the push barrier published every slot. Collect the
+        // streams that pushed a window frame, in slot order.
+        stepping.clear();
         next_wake = kNoWake;
-        for (size_t i = 0; i < fresh.size(); ++i) {
+        for (size_t i = 0; i < slots; ++i) {
           next_wake = std::min(next_wake, wake[i]);
-          if (fresh[i] == 0) continue;
-          fresh[i] = 0;
-          Shard& shard = arena[i];
-          InferenceRequest request;
-          request.shard_slot = static_cast<int>(i);
-          request.anchor_frame = shard.pending_record.frame;
-          request.enqueue_tick = tick;
-          request.record = std::move(shard.pending_record);
-          if (!spare_records.empty()) {
-            shard.pending_record = std::move(spare_records.back());
-            spare_records.pop_back();
+          if (pushed[i].features != nullptr) stepping.push_back(i);
+        }
+        int64_t enqueued = 0;
+        if (!stepping.empty()) {
+          // Encode phase: one batched LSTM step advances every open window
+          // by this tick's frame. A scored boundary's window is then
+          // encoded; its request enters the batcher in slot order, so the
+          // batch order is canonical.
+          obs::TraceSpan span(trace_, obs::names::kSpanFleetEncode, "fleet");
+          const size_t n = stepping.size();
+          // When every slot steps, the state is already the step's layout.
+          const bool whole = n == slots;
+          ws_.Reset();
+          float* x = ws_.Alloc(d * n);
+          float* h = whole ? state_h.data() : ws_.Alloc(hd * n);
+          float* c = whole ? state_c.data() : ws_.Alloc(hd * n);
+          for (size_t b = 0; b < n; ++b) {
+            const size_t i = stepping[b];
+            const float* features = pushed[i].features;
+            for (size_t j = 0; j < d; ++j) x[j * n + b] = features[j];
+            if (!pushed[i].window_start) continue;
+            for (size_t j = 0; j < hd; ++j) {
+              state_h[j * slots + i] = 0.0f;
+              state_c[j * slots + i] = 0.0f;
+            }
           }
-          batcher.Enqueue(std::move(request));
-          ++enqueued;
+          // Gather and scatter row by row, so reads and writes both walk
+          // one row at a time.
+          if (!whole) {
+            for (size_t j = 0; j < hd; ++j) {
+              for (size_t b = 0; b < n; ++b) {
+                h[j * n + b] = state_h[j * slots + stepping[b]];
+                c[j * n + b] = state_c[j * slots + stepping[b]];
+              }
+            }
+          }
+          model.EncodeStep(x, n, h, c, ws_);
+          if (!whole) {
+            for (size_t j = 0; j < hd; ++j) {
+              for (size_t b = 0; b < n; ++b) {
+                state_h[j * slots + stepping[b]] = h[j * n + b];
+                state_c[j * slots + stepping[b]] = c[j * n + b];
+              }
+            }
+          }
+          for (size_t b = 0; b < n; ++b) {
+            const size_t i = stepping[b];
+            const bool scored = pushed[i].scored;
+            pushed[i] = StreamPipeline::Push();
+            if (!scored) continue;
+            for (size_t j = 0; j < hd; ++j) encoded.push_back(h[j * n + b]);
+            for (size_t j = 0; j < d; ++j) encoded.push_back(x[j * n + b]);
+            InferenceRequest request;
+            request.shard_slot = static_cast<int>(i);
+            request.seq = enqueued_total++;
+            request.anchor_frame =
+                tick - arena[i].pipeline->settings().phase;
+            request.enqueue_tick = tick;
+            batcher.Enqueue(std::move(request));
+            ++enqueued;
+          }
         }
         requests_metric_->Add(enqueued);
         stats.requests += enqueued;
@@ -398,18 +457,27 @@ FleetRunResult StreamFleet::Run() {
             ++stats.flush_final;
             break;
         }
-        for (auto& request : flush.requests) {
+        for (const InferenceRequest& request : flush.requests) {
           request_delay_metric_->Observe(
               static_cast<double>(tick - request.enqueue_tick));
-          records.push_back(std::move(request.record));
         }
+        // The heads score the front rows, gathered batch-minor.
+        EVENTHIT_CHECK_EQ(flush.requests.front().seq, flushed_total);
+        flushed_total += static_cast<int64_t>(n);
+        ws_.Reset();
+        float* h = ws_.Alloc(hd * n);
+        float* x_last = ws_.Alloc(d * n);
+        for (size_t b = 0; b < n; ++b) {
+          for (size_t j = 0; j < hd; ++j) {
+            h[j * n + b] = encoded[b * row_width + j];
+          }
+          for (size_t j = 0; j < d; ++j) {
+            x_last[j * n + b] = encoded[b * row_width + hd + j];
+          }
+        }
+        for (size_t k = 0; k < n * row_width; ++k) encoded.pop_front();
         if (scores.size() < n) scores.resize(n);
-        trained_->model->PredictBatched(records.data(), n, scores.data(),
-                                        ws_);
-        for (data::Record& record : records) {
-          spare_records.push_back(std::move(record));
-        }
-        records.clear();
+        model.PredictHeads(h, x_last, n, scores.data(), ws_);
         // Group completions by shard (order within a shard is preserved),
         // then apply shard groups concurrently: different groups touch
         // disjoint pipelines, and each decides with its own strategy.
@@ -459,6 +527,7 @@ FleetRunResult StreamFleet::Run() {
     stats.idle_ticks += idle_ticks;
     idle_ticks_metric_->Add(idle_ticks);
     EVENTHIT_CHECK_EQ(batcher.pending(), 0u);
+    EVENTHIT_CHECK(encoded.empty());
     ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
       // Every frame a stream has left past its last wake is idle.
       StreamPipeline& pipeline = *arena[i].pipeline;

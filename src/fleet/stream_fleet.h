@@ -10,9 +10,10 @@
 // relay accounting, invoice and audit state depend only on (base_seed,
 // stream index, stream-level config) — never on the fleet size, wave
 // size, batch size, flush timing or thread count. The proof obligations:
-//   * PredictBatched is bit-identical per record at any batch composition
-//     (PR 3's summation-order contract), so cross-stream batching cannot
-//     perturb scores;
+//   * the encoder step and the heads are bit-identical per stream at any
+//     batch composition (the summation-order contract, nn/matrix.h), so
+//     cross-stream batching cannot perturb scores, and a window encoded
+//     frame by frame scores as PredictBatched scores it whole;
 //   * deferred completions replay the exact inline PushFrame code path
 //     (Marshaller::CompletePrediction) in per-stream FIFO order;
 //   * the relay clock advances with the request's own anchor frame, not
@@ -356,9 +357,10 @@ struct PipelineSinks;  // fleet/stream_pipeline.h
 class StreamFleet {
  public:
   /// Builds the shared environment, trains and calibrates the one fleet
-  /// model on it (deterministic in config.runner.seed and thread count),
-  /// and frees it: the fleet keeps only the trained model. Fleet-level
-  /// telemetry goes to `metrics` (nullptr = the global registry) and
+  /// model on it (eval::TrainAndCalibrate; deterministic in
+  /// config.runner.seed and thread count), and frees it: the fleet keeps
+  /// only the model and its calibrators. Fleet-level telemetry goes to
+  /// `metrics` (nullptr = the global registry) and fleet.encode and
   /// fleet.batch spans to `trace` (nullptr disables). Per-stream
   /// components report into a fleet-private registry/logger so N streams
   /// cannot swamp process-global telemetry.

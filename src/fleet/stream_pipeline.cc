@@ -1,5 +1,6 @@
 #include "fleet/stream_pipeline.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -124,6 +125,7 @@ StreamPipeline::StreamPipeline(const FleetConfig& config,
   EVENTHIT_CHECK_EQ(settings_.spec.collection_window,
                     model_config.collection_window);
   EVENTHIT_CHECK_EQ(settings_.spec.horizon, model_config.horizon);
+  EVENTHIT_CHECK_LE(settings_.spec.collection_window, settings_.spec.horizon);
   // Allocated with the pipeline: left to the first boundary, the buffers
   // landed among the wave's later allocations and raised perfbench
   // steady's peak RSS by 1-2%.
@@ -313,14 +315,24 @@ FleetStreamResult StreamPipeline::Finish() {
 FleetStreamResult RunInline(StreamPipeline& pipeline,
                             const core::EventHitModel& model) {
   nn::Workspace ws;
-  data::Record record;
+  // The open window's LSTM state; at batch 1 batch-minor is plain.
+  std::vector<float> h(model.config().lstm_hidden);
+  std::vector<float> c(h.size());
   core::EventScores scores;  // refilled in place at every boundary
   // Inline scoring: zero residency under the solo flush reason.
   BatchPlacement placement;
   while (pipeline.next_frame() < pipeline.settings().push_frames) {
-    if (!pipeline.PushFrame(&record)) continue;
-    model.PredictBatched(&record, 1, &scores, ws);
-    pipeline.Complete(record.frame, scores, placement);
+    const StreamPipeline::Push push = pipeline.PushFrame();
+    if (push.features == nullptr) continue;
+    if (push.window_start) {
+      std::fill(h.begin(), h.end(), 0.0f);
+      std::fill(c.begin(), c.end(), 0.0f);
+    }
+    ws.Reset();
+    model.EncodeStep(push.features, 1, h.data(), c.data(), ws);
+    if (!push.scored) continue;
+    model.PredictHeads(h.data(), push.features, 1, &scores, ws);
+    pipeline.Complete(pipeline.next_frame() - 1, scores, placement);
     ++placement.batch_id;
   }
   return pipeline.Finish();

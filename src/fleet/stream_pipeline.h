@@ -22,6 +22,7 @@
 #include "adapt/recal_loop.h"
 #include "cloud/cloud_service.h"
 #include "cloud/relay.h"
+#include "common/check.h"
 #include "common/fnv.h"
 #include "core/marshaller.h"
 #include "core/strategies.h"
@@ -59,7 +60,9 @@ class StreamPipeline {
  public:
   /// Local stream frame f is frame `first_frame + f` of `video`. `config`,
   /// `task`, `trained` and `video` must outlive the pipeline. CHECK-fails
-  /// unless the stream's M and H (settings.spec) are the model's.
+  /// unless the stream's M and H (settings.spec) are the model's, and
+  /// unless M <= H: windows never overlap, so a stream has at most one
+  /// open window and one encoder state.
   StreamPipeline(const FleetConfig& config, StreamSettings settings,
                  const data::Task& task, const eval::TrainedEventHit& trained,
                  const sim::SyntheticVideo& video, int64_t first_frame,
@@ -74,20 +77,44 @@ class StreamPipeline {
   static void ResolveMetrics(const FleetConfig& config, const data::Task& task,
                              const PipelineSinks& sinks);
 
-  /// Pushes the stream's next frame. Returns true when it is a scored
-  /// boundary: `*pending` then holds the window to score, and the boundary
-  /// waits for Complete. Policy-skipped boundaries complete inside.
-  /// Inline: the fleet calls it per stream per tick, and out of line it
-  /// cost flush-free ticks 10-20%.
-  bool PushFrame(data::Record* pending) {
+  /// What one PushFrame did.
+  struct Push {
+    /// The frame's features when it lies in a collection window (the
+    /// frames the marshaller asks for), else nullptr. The caller steps its
+    /// encoder state for this stream over them (EventHitModel::EncodeStep)
+    /// before the next push.
+    const float* features = nullptr;
+    /// The frame opens a window: the caller zeroes the state before the
+    /// step. A window abandoned by an adaptive verdict that settled
+    /// mid-window (extraction is conservative while a prediction is
+    /// pending) leaves a partial state behind, which this reset discards.
+    bool window_start = false;
+    /// A scored boundary, the last frame of its window: once this frame
+    /// is stepped, the state's h is the window's encoding, and the
+    /// boundary waits for Complete. Policy-skipped boundaries complete
+    /// inside.
+    bool scored = false;
+  };
+
+  /// Pushes the stream's next frame. Inline: the fleet calls it per stream
+  /// per tick, and out of line it cost flush-free ticks 10-20%.
+  Push PushFrame() {
+    Push push;
     // Skip extraction on frames no scored window reads.
-    const float* features =
-        marshaller_.NextFrameNeedsFeatures()
-            ? video_.FrameFeatures(first_frame_ + next_frame_)
-            : nullptr;
-    const bool scored = marshaller_.PushFrameDeferred(features, pending);
+    if (marshaller_.NextFrameNeedsFeatures()) {
+      push.features = video_.FrameFeatures(first_frame_ + next_frame_);
+      push.window_start =
+          next_frame_ == marshaller_.next_prediction_frame() -
+                             settings_.spec.collection_window + 1;
+      window_frames_ = push.window_start ? 1 : window_frames_ + 1;
+    }
+    push.scored = marshaller_.AdvanceFrame();
+    // A scored window was extracted whole, so it was stepped whole.
+    if (push.scored) {
+      EVENTHIT_CHECK_EQ(window_frames_, settings_.spec.collection_window);
+    }
     ++next_frame_;
-    return scored;
+    return push;
   }
 
   /// Frames from next_frame() on whose push would only count
@@ -137,6 +164,7 @@ class StreamPipeline {
   int64_t next_frame_ = 0;
   const sim::SyntheticVideo& video_;
   const int64_t first_frame_;
+  int window_frames_ = 0;  // Frames of the open window pushed so far.
   const FleetConfig& config_;
   const data::Task& task_;
   const eval::TrainedEventHit& trained_;
@@ -167,9 +195,9 @@ class StreamPipeline {
   StreamTranscript transcript_;
 };
 
-/// Drives `pipeline` to the end of its stream, scoring each boundary with
-/// `model` at batch size 1 as it is pushed (bit-identical to any batching),
-/// and finishes it.
+/// Drives `pipeline` to the end of its stream, encoding each window frame
+/// and scoring each boundary with `model` at batch size 1 as it is pushed
+/// (bit-identical to any batching), and finishes it.
 FleetStreamResult RunInline(StreamPipeline& pipeline,
                             const core::EventHitModel& model);
 

@@ -107,102 +107,106 @@ Vec Lstm::ForwardCached(const float* inputs, size_t steps) {
   return cache_.back().hidden;
 }
 
+void Lstm::StepInto(const float* x, const float* h_prev, const float* c_prev,
+                    size_t batch, float* gates, float* rec, float* c_cur,
+                    float* tanh_c, float* h_cur,
+                    const BackendKernels& kern) const {
+  const size_t hd = hidden_dim();
+  const size_t d = input_dim();
+  const size_t gate_rows = 4 * hd;
+  const size_t state = hd * batch;
+  // `rec` holds the recurrent term separately so the combination below can
+  // replay the scalar path's operation order: (Wx·x) + (Wh·h) summed per
+  // element, then + bias (see StepForward and the matrix.h contract).
+  kern.gemm_zero(gate_rows, batch, d, wx_.value.data(), d, x, batch, gates,
+                 batch);
+  kern.gemm_zero(gate_rows, batch, hd, wh_.value.data(), hd, h_prev, batch,
+                 rec, batch);
+  const float* bias = bias_.value.data();
+  for (size_t j = 0; j < gate_rows; ++j) {
+    float* grow = gates + j * batch;
+    const float* rrow = rec + j * batch;
+    const float bj = bias[j];
+    for (size_t b = 0; b < batch; ++b) grow[b] = (grow[b] + rrow[b]) + bj;
+  }
+
+  // Gate layout [i, f, g, o]: i and f are adjacent, so one sigmoid pass
+  // covers both contiguous row blocks.
+  kern.sigmoid_inplace(gates, 2 * state);
+  kern.tanh_inplace(gates + 2 * state, state);
+  kern.sigmoid_inplace(gates + 3 * state, state);
+
+  const float* gate_i = gates;
+  const float* gate_f = gates + state;
+  const float* gate_g = gates + 2 * state;
+  const float* gate_o = gates + 3 * state;
+  // h_prev has been read: from here on the outputs may alias the inputs.
+  for (size_t idx = 0; idx < state; ++idx) {
+    c_cur[idx] = gate_f[idx] * c_prev[idx] + gate_i[idx] * gate_g[idx];
+    tanh_c[idx] = c_cur[idx];
+  }
+  // tanh(c) via the vectorized kernel, then the output gate — same
+  // per-element operations as StepForward, so still bit-identical.
+  kern.tanh_inplace(tanh_c, state);
+  for (size_t idx = 0; idx < state; ++idx) {
+    h_cur[idx] = tanh_c[idx] * gate_o[idx];
+  }
+}
+
+void Lstm::Step(const float* x, size_t batch, float* h, float* c,
+                Workspace& ws, const Backend& backend) const {
+  EVENTHIT_CHECK_GT(batch, 0u);
+  const size_t gate_rows = 4 * hidden_dim();
+  float* gates = ws.Alloc(gate_rows * batch);
+  float* rec = ws.Alloc(gate_rows * batch);
+  StepInto(x, h, c, batch, gates, rec, c, h, h, *backend.kernels);
+}
+
 void Lstm::ForwardBatch(const float* inputs, size_t steps, size_t batch,
                         float* h_out, Workspace& ws, const Backend& backend,
                         BatchTape* tape) const {
   EVENTHIT_CHECK_GT(steps, 0u);
   EVENTHIT_CHECK_GT(batch, 0u);
-  const size_t hd = hidden_dim();
   const size_t d = input_dim();
-  const size_t gate_rows = 4 * hd;
-  const size_t state = hd * batch;
+  const size_t state = hidden_dim() * batch;
+  const size_t x_stride = d * batch;
+  const size_t gate_rows = 4 * hidden_dim();
   const BackendKernels& kern = *backend.kernels;
-
-  // All scratch is [rows x batch], batch-minor. `gates` carries the packed
-  // pre-activations then (in place) the activated gates; `rec` holds the
-  // recurrent term separately so the combination below can replay the
-  // scalar path's operation order: (Wx·x) + (Wh·h) summed per element,
-  // then + bias (see StepForward and the matrix.h contract). Inference
-  // ping-pongs two state slots (slot 0 starts as the zero state; step t
-  // writes slot (t + 1) & 1) and keeps tanh(c_t) in h_t's buffer; training
-  // gives every step its own tape slots and starts from a zero buffer.
-  float* gates = nullptr;
-  float* rec = nullptr;
-  float* h_slots[2] = {nullptr, nullptr};
-  float* c_slots[2] = {nullptr, nullptr};
-  const float* h_prev = nullptr;
-  const float* c_prev = nullptr;
-  if (tape != nullptr) {
-    rec = ws.Alloc(gate_rows * batch);
-    float* zeros = ws.Alloc(state);
-    std::memset(zeros, 0, state * sizeof(float));
-    h_prev = zeros;
-    c_prev = zeros;
-    *tape = BatchTape{inputs,
-                      steps,
-                      batch,
-                      ws.Alloc(steps * gate_rows * batch),
-                      ws.Alloc(steps * state),
-                      ws.Alloc(steps * state),
-                      ws.Alloc(steps * state)};
-  } else {
-    gates = ws.Alloc(gate_rows * batch);
-    rec = ws.Alloc(gate_rows * batch);
-    for (size_t slot = 0; slot < 2; ++slot) {
-      h_slots[slot] = ws.Alloc(state);
-      c_slots[slot] = ws.Alloc(state);
+  float* rec = ws.Alloc(gate_rows * batch);
+  if (tape == nullptr) {
+    // Inference is Step from the zero state, h kept in h_out, its scratch
+    // allocated once for all steps.
+    float* gates = ws.Alloc(gate_rows * batch);
+    float* c = ws.Alloc(state);
+    std::memset(h_out, 0, state * sizeof(float));
+    std::memset(c, 0, state * sizeof(float));
+    for (size_t t = 0; t < steps; ++t) {
+      StepInto(inputs + t * x_stride, h_out, c, batch, gates, rec, c, h_out,
+               h_out, kern);
     }
-    std::memset(h_slots[0], 0, state * sizeof(float));
-    std::memset(c_slots[0], 0, state * sizeof(float));
-    h_prev = h_slots[0];
-    c_prev = c_slots[0];
+    return;
   }
 
-  const float* bias = bias_.value.data();
+  // Training gives every step its own tape buffers (batch-minor, step t's
+  // block t blocks in) and starts from a zero buffer; the arithmetic is
+  // Step's.
+  float* zeros = ws.Alloc(state);
+  std::memset(zeros, 0, state * sizeof(float));
+  *tape = BatchTape{inputs,
+                    steps,
+                    batch,
+                    ws.Alloc(steps * gate_rows * batch),
+                    ws.Alloc(steps * state),
+                    ws.Alloc(steps * state),
+                    ws.Alloc(steps * state)};
+  const float* h_prev = zeros;
+  const float* c_prev = zeros;
   for (size_t t = 0; t < steps; ++t) {
-    const size_t slot = (t + 1) & 1;
-    float* h_cur = tape != nullptr ? tape->hidden + t * state : h_slots[slot];
-    float* c_cur = tape != nullptr ? tape->cell + t * state : c_slots[slot];
-    float* tanh_c = tape != nullptr ? tape->tanh_c + t * state : h_cur;
-    if (tape != nullptr) gates = tape->gates + t * gate_rows * batch;
-
-    const float* x_t = inputs + t * d * batch;
-    kern.gemm_zero(gate_rows, batch, d, wx_.value.data(), d, x_t, batch,
-                   gates, batch);
-    kern.gemm_zero(gate_rows, batch, hd, wh_.value.data(), hd, h_prev, batch,
-                   rec, batch);
-    for (size_t j = 0; j < gate_rows; ++j) {
-      float* grow = gates + j * batch;
-      const float* rrow = rec + j * batch;
-      const float bj = bias[j];
-      for (size_t b = 0; b < batch; ++b) grow[b] = (grow[b] + rrow[b]) + bj;
-    }
-
-    // Gate layout [i, f, g, o]: i and f are adjacent, so one sigmoid pass
-    // covers both contiguous row blocks.
-    kern.sigmoid_inplace(gates, 2 * state);
-    kern.tanh_inplace(gates + 2 * state, state);
-    kern.sigmoid_inplace(gates + 3 * state, state);
-
-    const float* gate_i = gates;
-    const float* gate_f = gates + state;
-    const float* gate_g = gates + 2 * state;
-    const float* gate_o = gates + 3 * state;
-    for (size_t idx = 0; idx < state; ++idx) {
-      c_cur[idx] = gate_f[idx] * c_prev[idx] + gate_i[idx] * gate_g[idx];
-      tanh_c[idx] = c_cur[idx];
-    }
-    // tanh(c) via the vectorized kernel, then the output gate — same
-    // per-element operations as StepForward, so still bit-identical.
-    // Inference, whose tanh(c) already sits in h_cur, multiplies in place.
-    kern.tanh_inplace(tanh_c, state);
-    if (tape == nullptr) {
-      for (size_t idx = 0; idx < state; ++idx) h_cur[idx] *= gate_o[idx];
-    } else {
-      for (size_t idx = 0; idx < state; ++idx) {
-        h_cur[idx] = tanh_c[idx] * gate_o[idx];
-      }
-    }
+    float* h_cur = tape->hidden + t * state;
+    float* c_cur = tape->cell + t * state;
+    StepInto(inputs + t * x_stride, h_prev, c_prev, batch,
+             tape->gates + t * gate_rows * batch, rec, c_cur,
+             tape->tanh_c + t * state, h_cur, kern);
     h_prev = h_cur;
     c_prev = c_cur;
   }

@@ -51,19 +51,30 @@ class Lstm {
     float* hidden = nullptr;  // [Hd x batch] per step: h_t.
   };
 
+  /// One timestep over `batch` independent sequences: advances their
+  /// states h and c ([hidden_dim() x batch] each, batch-minor, updated in
+  /// place) by the inputs x ([input_dim() x batch]). Runs two GEMMs (Wx·x
+  /// and Wh·h) and the activations through `backend`'s kernel table
+  /// (nn/backend.h), with scratch from `ws` (not reset). A column's bits
+  /// depend on that column alone (matrix.h), so a sequence stepped frame by
+  /// frame from the zero state — in batches of any size and composition —
+  /// ends on ForwardBatch's h bit for bit under every backend.
+  void Step(const float* x, size_t batch, float* h, float* c, Workspace& ws,
+            const Backend& backend) const;
+
   /// Forward over `batch` independent sequences stored batch-minor and
   /// time-major: element (t, feature j, sequence b) lives at
   /// inputs[(t * input_dim() + j) * batch + b]. Writes the final hidden
-  /// states into `h_out` as [hidden_dim() x batch]. Each timestep runs two
-  /// GEMMs (Wx·X_t and Wh·H_{t-1}) and the activations through `backend`'s
-  /// kernel table (nn/backend.h); scratch comes from `ws` (valid until its
-  /// next Reset), so a warm Workspace makes the pass allocation-free.
-  /// Under scalar and blocked each sequence replays ForwardCached's
-  /// summation order (matrix.h), so h_out matches it bit for bit at any
-  /// batch size; simd agrees within the documented tolerance and is itself
-  /// batch-size invariant. With a non-null `tape` (training) every step
-  /// writes its own tape buffers instead of ping-ponging two, so the
-  /// arithmetic — and h_out — is unchanged.
+  /// states into `h_out` as [hidden_dim() x batch]. Inference is Step from
+  /// the zero state at every timestep; scratch comes from `ws` (valid
+  /// until its next Reset), so a warm Workspace makes the pass
+  /// allocation-free. Under scalar and blocked each sequence replays
+  /// ForwardCached's summation order (matrix.h), so h_out matches it bit
+  /// for bit at any batch size; simd agrees within the documented
+  /// tolerance and is itself batch-size invariant. With a non-null `tape`
+  /// (training) every step writes its own tape buffers instead of
+  /// updating one state in place, so the arithmetic — and h_out — is
+  /// unchanged.
   void ForwardBatch(const float* inputs, size_t steps, size_t batch,
                     float* h_out, Workspace& ws, const Backend& backend,
                     BatchTape* tape = nullptr) const;
@@ -107,6 +118,16 @@ class Lstm {
 
   void StepForward(const float* x, const float* h_prev, const float* c_prev,
                    StepCache& cache) const;
+
+  // The gate arithmetic of Step and ForwardBatch, batch-minor: from x,
+  // h_prev and c_prev, writes the activated gates into `gates` and c_t,
+  // tanh(c_t) and h_t into c_cur, tanh_c and h_cur; `rec` is scratch. The
+  // outputs may alias the inputs (Step updates h and c in place, with
+  // tanh(c_t) in h's buffer).
+  void StepInto(const float* x, const float* h_prev, const float* c_prev,
+                size_t batch, float* gates, float* rec, float* c_cur,
+                float* tanh_c, float* h_cur,
+                const BackendKernels& kern) const;
 
   Parameter wx_;    // 4*Hd x D
   Parameter wh_;    // 4*Hd x Hd

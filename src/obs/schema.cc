@@ -116,6 +116,7 @@ std::vector<std::string> AllSpanNames() {
       names::kSpanRelayOutage,
       names::kSpanAuditBreach,
       names::kSpanFleetBatch,
+      names::kSpanFleetEncode,
   };
   std::sort(all.begin(), all.end());
   return all;

@@ -222,8 +222,13 @@ inline constexpr char kSpanThreadPoolChunk[] = "threadpool.chunk";
 
 // --- Span names (wall timeline, category "fleet") ---------------------
 
-// One cross-stream batch flush: gather, GEMM scoring, per-stream
-// completion fan-out.
+// One busy tick's encoder step: every stream that pushed a window frame
+// advances its window's LSTM state in one batched step, and the scored
+// boundaries among them enter the batcher.
+inline constexpr char kSpanFleetEncode[] = "fleet.encode";
+
+// One cross-stream batch flush: the event heads over the requests'
+// encodings, then the per-stream completion fan-out.
 inline constexpr char kSpanFleetBatch[] = "fleet.batch";
 
 // --- Span names (simulated timeline, category "simulated") ------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <numeric>
@@ -20,6 +21,8 @@
 #include "nn/lstm.h"
 #include "nn/mlp.h"
 #include "nn/serialize.h"
+#include "nn/workspace.h"
+#include "stepped_windows.h"
 
 namespace eventhit::core {
 namespace {
@@ -517,6 +520,93 @@ TEST(EventHitModelTest, BatchedPredictionMatchesPerRecord) {
     ASSERT_EQ(batched.size(), records.size());
     for (size_t i = 0; i < records.size(); ++i) {
       ExpectSameScores(batched[i], reference.Predict(records[i]));
+    }
+  }
+}
+
+// Score bytes, so a -0 or any last-bit drift fails.
+void ExpectSameScoreBytes(const EventScores& got, const EventScores& want) {
+  const auto same = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  EXPECT_TRUE(same(got.existence, want.existence));
+  ASSERT_EQ(got.occupancy.size(), want.occupancy.size());
+  for (size_t k = 0; k < got.occupancy.size(); ++k) {
+    EXPECT_TRUE(same(got.occupancy[k], want.occupancy[k])) << "event " << k;
+  }
+}
+
+// Windows encoded frame by frame (EncodeStep, the fleet's per-tick step,
+// over shuffled subsets of 1, 3, 17, 64 or 256 windows) and scored by
+// PredictHeads give PredictBatched's scores byte for byte, under scalar,
+// blocked and simd, at TA10's shape (M = 10 < H = 200), TA13's (M = 50 <
+// H = 500) and M = H = 10. (lstm_test pins the encoder's h the same way.)
+TEST(EventHitModelTest, SteppedWindowsScoreAsPredictBatched) {
+  const struct {
+    int window, horizon;
+  } shapes[] = {{10, 200}, {50, 500}, {10, 10}};
+  const size_t count = 256;
+  for (const auto& shape : shapes) {
+    EventHitConfig config;
+    config.collection_window = shape.window;
+    config.horizon = shape.horizon;
+    config.feature_dim = 10;
+    config.num_events = 2;
+    config.seed = 41;
+    EventHitModel model(config);
+    const size_t steps = static_cast<size_t>(shape.window);
+    const size_t d = config.feature_dim;
+    const size_t hd = config.lstm_hidden;
+    Rng rng(42 + steps);
+    std::vector<data::Record> records(count);
+    std::vector<float> record_major;
+    for (data::Record& record : records) {
+      record.covariates.resize(steps * d);
+      for (float& v : record.covariates) {
+        v = static_cast<float>(rng.Gaussian(0.0, 0.5));
+      }
+      record.labels.resize(config.num_events);
+      record_major.insert(record_major.end(), record.covariates.begin(),
+                          record.covariates.end());
+    }
+    for (const nn::BackendKind kind : nn::AllBackendKinds()) {
+      SCOPED_TRACE(std::string(nn::BackendKindName(kind)) + " M=" +
+                   std::to_string(shape.window) +
+                   " H=" + std::to_string(shape.horizon));
+      model.SetInferenceBackend(kind);
+      nn::Workspace ws;
+      std::vector<EventScores> whole(count);
+      model.PredictBatched(records.data(), count, whole.data(), ws);
+
+      std::vector<size_t> batches;
+      const std::vector<float> h_rows = testutil::StepWindows(
+          record_major.data(), count, steps, d, hd, 43 + steps,
+          [&](const float* x, size_t n, float* h, float* c) {
+            ws.Reset();
+            model.EncodeStep(x, n, h, c, ws);
+          },
+          &batches);
+      EXPECT_GE(batches.size(), 5u);
+      // The heads over every window at once, in a shuffled order.
+      std::vector<size_t> order(count);
+      std::iota(order.begin(), order.end(), 0);
+      rng.Shuffle(order);
+      std::vector<float> h(hd * count);
+      std::vector<float> x_last(d * count);
+      for (size_t b = 0; b < count; ++b) {
+        const size_t s = order[b];
+        for (size_t j = 0; j < hd; ++j) h[j * count + b] = h_rows[s * hd + j];
+        const float* last = records[s].covariates.data() + (steps - 1) * d;
+        for (size_t j = 0; j < d; ++j) x_last[j * count + b] = last[j];
+      }
+      std::vector<EventScores> stepped(count);
+      ws.Reset();
+      model.PredictHeads(h.data(), x_last.data(), count, stepped.data(), ws);
+      for (size_t b = 0; b < count; ++b) {
+        SCOPED_TRACE("window " + std::to_string(order[b]));
+        ExpectSameScoreBytes(stepped[b], whole[order[b]]);
+      }
     }
   }
 }

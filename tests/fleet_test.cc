@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +27,8 @@
 #include "fleet/dynamic_batcher.h"
 #include "fleet/shard_arena.h"
 #include "fleet/stream_pipeline.h"
+#include "nn/workspace.h"
+#include "obs/metrics.h"
 #include "obs/schema.h"
 #include "obs/trace.h"
 #include "sched/collect_policy.h"
@@ -528,6 +532,121 @@ TEST(StreamFleetTest, InlineReplayDecidesLikeWalkPolicy) {
   }
 }
 
+// Under adaptive collection a frame is extracted conservatively while a
+// scored prediction is pending, so a fleet stream whose request still
+// waits in the batcher at its next window's first frame (M = H here)
+// steps that window until the completion's verdict skips its boundary,
+// and abandons it. The next scored window must start from the zero state:
+// the fleet reproduces the solo replays, which complete inline and never
+// abandon a window. A replay that completes each boundary at its deadline,
+// as the fleet's flushes do here, counts the abandoned windows, so the
+// case is known to occur.
+TEST(StreamFleetTest, AbandonedWindowsLeakNoStateIntoTheNext) {
+  const data::Task task = data::FindTask("TA10").value();
+  FleetConfig config = TestConfig();
+  config.runner.horizon_override = 10;  // M = H = 10.
+  config.frames_per_stream = 3000;
+  config.runner.collect_policy =
+      sched::ParseCollectPolicy("adaptive").value();
+  config.batch_size = 64;  // Six streams: every flush is a deadline flush.
+  const int64_t delay = config.max_batch_delay_ticks;
+  StreamFleet fleet(task, config);
+  const FleetRunResult run = fleet.Run();
+
+  // The fleet's model, trained again (set-up is deterministic).
+  const eval::TaskEnvironment env =
+      eval::TaskEnvironment::Build(task, config.runner);
+  const eval::TrainedEventHit trained = eval::TrainAndCalibrate(
+      env, config.runner, 0.5,
+      ExecutionContext(config.threads, config.runner.seed));
+  const core::EventHitModel& model = *trained.model;
+  const size_t hd = model.config().lstm_hidden;
+  const size_t d = model.config().feature_dim;
+  int64_t abandoned = 0;
+  for (int s = 0; s < config.num_streams; ++s) {
+    const FleetStreamResult& stream = run.streams[static_cast<size_t>(s)];
+    const FleetStreamResult solo = fleet.RunStreamSolo(s);
+    EXPECT_TRUE(SameStreamResult(stream, solo)) << "stream " << s;
+
+    const StreamSettings settings = fleet.DeriveStreamSettings(s);
+    const sim::SyntheticVideo video = sim::SyntheticVideo::Generate(
+        settings.spec, settings.video_seed,
+        StreamVideoSelection(settings, config.runner.collect_policy));
+    StreamPipeline pipeline(config, settings, task, trained, video,
+                            /*first_frame=*/0, PipelineSinks{});
+    struct Waiting {
+      int64_t anchor = 0;
+      std::vector<float> h, x_last;
+    };
+    std::vector<Waiting> waiting;  // FIFO, at most a few long.
+    std::vector<float> h(hd, 0.0f), c(hd, 0.0f);
+    nn::Workspace ws;
+    core::EventScores scores;
+    bool open = false;  // A window has started and not yet been scored.
+    const auto complete_due = [&](int64_t frame) {
+      while (!waiting.empty() && frame - waiting.front().anchor >= delay) {
+        ws.Reset();
+        model.PredictHeads(waiting.front().h.data(),
+                           waiting.front().x_last.data(), 1, &scores, ws);
+        pipeline.Complete(waiting.front().anchor, scores, BatchPlacement{});
+        waiting.erase(waiting.begin());
+      }
+    };
+    while (pipeline.next_frame() < settings.push_frames) {
+      const int64_t frame = pipeline.next_frame();
+      const StreamPipeline::Push push = pipeline.PushFrame();
+      if (push.features != nullptr) {
+        if (push.window_start) {
+          abandoned += open ? 1 : 0;
+          open = true;
+          std::fill(h.begin(), h.end(), 0.0f);
+          std::fill(c.begin(), c.end(), 0.0f);
+        }
+        ws.Reset();
+        model.EncodeStep(push.features, 1, h.data(), c.data(), ws);
+        if (push.scored) {
+          open = false;
+          waiting.push_back(
+              {frame, h, std::vector<float>(push.features, push.features + d)});
+        }
+      }
+      complete_due(frame);
+    }
+    complete_due(std::numeric_limits<int64_t>::max());
+    EXPECT_TRUE(SameStreamResult(pipeline.Finish(), solo)) << "stream " << s;
+  }
+  EXPECT_GT(abandoned, 0);
+}
+
+// A fleet's set-up trains and calibrates its model and scores nothing
+// else: at perfbench's runner configuration (seed 42, 60k frames,
+// 400/400/100 records, 6 epochs) its one scoring pass is calibration's,
+// over the calibration records with some event present — 86 on TA10 and
+// 174 on TA13. (TrainEventHit would score the 100 test records too.)
+TEST(StreamFleetTest, SetUpScoresOnlyItsCalibrationPositives) {
+  const auto records_scored = [] {
+    for (const auto& h : obs::MetricsRegistry::Global().Snapshot().histograms) {
+      if (h.name == obs::names::kPredictBatchSize) return h.sum;
+    }
+    return 0.0;
+  };
+  for (const auto& [task_name, positives] :
+       {std::pair{"TA10", 86}, std::pair{"TA13", 174}}) {
+    SCOPED_TRACE(task_name);
+    FleetConfig config;
+    config.num_streams = 1;
+    config.runner.seed = 42;
+    config.runner.stream_frames_override = 60000;
+    config.runner.train_records = 400;
+    config.runner.calib_records = 400;
+    config.runner.test_records = 100;
+    config.runner.model_template.epochs = 6;
+    const double before = records_scored();
+    const StreamFleet fleet(data::FindTask(task_name).value(), config);
+    EXPECT_EQ(records_scored() - before, positives);
+  }
+}
+
 // SameStreamResult and StateDigest both iterate ForEachResultField, so
 // perturbing any listed field of a result must trip both.
 TEST(StreamFleetTest, EveryListedFieldReachesComparisonAndDigest) {
@@ -632,6 +751,32 @@ TEST(StreamPipelineDeathTest, HorizonOtherThanTheModelsDies) {
   EXPECT_EQ(pipeline.settings().spec.horizon, 100);
 }
 
+// A stream keeps one encoder state, so its windows may not overlap: a
+// pipeline whose window is longer than its horizon dies at construction.
+TEST(StreamPipelineDeathTest, WindowLongerThanHorizonDies) {
+  const data::Task task = data::FindTask("TA10").value();
+  FleetConfig config = TestConfig();
+  config.runner.collection_window_override = 30;
+  config.runner.horizon_override = 20;
+  config.runner.model_template.epochs = 1;
+  const eval::TaskEnvironment env =
+      eval::TaskEnvironment::Build(task, config.runner);
+  const eval::TrainedEventHit trained =
+      eval::TrainAndCalibrate(env, config.runner);
+  StreamSettings settings;
+  settings.stream_index = 0;
+  settings.spec = sim::MakeDatasetSpec(task.dataset);
+  settings.spec.num_frames = config.frames_per_stream;
+  settings.spec.collection_window = 30;
+  settings.spec.horizon = 20;
+  settings.push_frames = settings.spec.num_frames - settings.spec.horizon;
+  const sim::SyntheticVideo video =
+      sim::SyntheticVideo::Generate(settings.spec, 11);
+  EXPECT_DEATH(StreamPipeline(config, settings, task, trained, video,
+                              /*first_frame=*/0, PipelineSinks{}),
+               "collection_window <= settings_.spec.horizon");
+}
+
 TEST(StreamFleetTest, FleetMetricsUpholdFlushAndFrameInvariants) {
   const data::Task task = data::FindTask("TA10").value();
   obs::MetricsRegistry metrics;
@@ -667,12 +812,18 @@ TEST(StreamFleetTest, FleetMetricsUpholdFlushAndFrameInvariants) {
     }
   }
   EXPECT_EQ(batched, run.stats.batches);
-  // One fleet.batch span per flush.
+  // One fleet.batch span per flush, and one fleet.encode span per tick on
+  // which some stream steps: under the full policy every busy tick pushes
+  // a window frame.
   int64_t spans = 0;
+  int64_t encode_spans = 0;
   for (const auto& event : trace.Events()) {
     if (event.name == obs::names::kSpanFleetBatch) ++spans;
+    if (event.name == obs::names::kSpanFleetEncode) ++encode_spans;
   }
+  EXPECT_EQ(trace.dropped(), 0);
   EXPECT_EQ(spans, run.stats.batches);
+  EXPECT_EQ(encode_spans, run.stats.ticks - run.stats.idle_ticks);
 }
 
 // Building a stream's pipeline registers nothing: the fleet's constructor

@@ -1,7 +1,9 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "gradient_check.h"
 #include "nn/backend.h"
 #include "nn/workspace.h"
+#include "stepped_windows.h"
 
 namespace eventhit::nn {
 namespace {
@@ -214,6 +217,59 @@ TEST(LstmTest, ForwardBatchDeterministicWithWarmWorkspace) {
   lstm.ForwardBatch(packed.data(), steps, batch, h1.data(), ws, blocked);
   // Steady state: capacity has stopped growing (allocation-free reuse).
   EXPECT_EQ(ws.capacity(), capacity_after_two);
+}
+
+// Windows stepped one frame at a time (Step, the fleet's per-tick encoder
+// step), each step over a shuffled subset of the windows still open — 1,
+// 3, 17, 64 or 256 columns — end on ForwardBatch's final h byte for byte
+// under scalar, blocked and simd, at EventHit's window lengths (M = 10 for
+// THUMOS, 50 for Breakfast) and shape (D = 10, Hd = 24).
+TEST(LstmTest, SteppedWindowsMatchForwardBatchAtAnyStepBatch) {
+  const size_t dim = 10, hidden = 24, count = 256;
+  Rng rng(28);
+  const Lstm lstm("l", dim, hidden, rng);
+  for (const size_t steps : {size_t{10}, size_t{50}}) {
+    Rng data_rng(29 + steps);
+    std::vector<Vec> windows;
+    Vec record_major;
+    for (size_t s = 0; s < count; ++s) {
+      windows.push_back(RandomSequence(steps, dim, data_rng));
+      record_major.insert(record_major.end(), windows.back().begin(),
+                          windows.back().end());
+    }
+    const Vec packed = PackBatchMinor(windows, steps, dim);
+    for (const BackendKind kind : AllBackendKinds()) {
+      SCOPED_TRACE(std::string(BackendKindName(kind)) + " M=" +
+                   std::to_string(steps));
+      const Backend& backend = GetBackend(kind);
+      Workspace ws;
+      Vec whole(hidden * count);
+      lstm.ForwardBatch(packed.data(), steps, count, whole.data(), ws,
+                        backend);
+      std::vector<size_t> batches;
+      const Vec stepped = testutil::StepWindows(
+          record_major.data(), count, steps, dim, hidden, 30 + steps,
+          [&](const float* x, size_t n, float* h, float* c) {
+            ws.Reset();
+            lstm.Step(x, n, h, c, ws, backend);
+          },
+          &batches);
+      for (const size_t n : testutil::kStepBatches) {
+        EXPECT_NE(std::find(batches.begin(), batches.end(), n),
+                  batches.end())
+            << "no step of " << n << " columns";
+      }
+      for (size_t s = 0; s < count; ++s) {
+        for (size_t j = 0; j < hidden; ++j) {
+          const float want = whole[j * count + s];
+          const float got = stepped[s * hidden + j];
+          ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+              << "window " << s << " dim " << j << ": " << got << " vs "
+              << want;
+        }
+      }
+    }
+  }
 }
 
 // Byte equality, so a -0 where +0 was expected (or any last-bit drift)
